@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import __version__
 from ._kernels import BACKEND
-from .dynamics import ModelConfig, NonlinearitySpec
+from .dynamics import NONLINEARITY_KINDS, ModelConfig, NonlinearitySpec
 from .experiments import (
     ExperimentReport,
     degeneracy_experiment,
@@ -53,7 +53,6 @@ _EXPERIMENT_ALIASES = {
     "all": "all",
 }
 
-_KINDS = ("none", "local", "coefficient_nonlocal", "operator_nonlocal")
 _FORMATS = ("rows", "structured", "both")
 
 
@@ -140,31 +139,6 @@ class RunConfig:
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
 
-    def echo_lines(self):
-        cfg = self.resolved()
-        return [
-            ("experiment", cfg.experiment),
-            ("n_sites", str(cfg.n_sites)),
-            ("horizon", str(cfg.horizon)),
-            ("omega", f"{cfg.omega:.15g}"),
-            ("mu", f"{cfg.mu:.15g}"),
-            ("link_coupling", f"{cfg.link_coupling:.15g}"),
-            ("lambda", f"{cfg.lam:.15g}"),
-            ("dt", f"{cfg.dt:.15g}"),
-            ("kind", cfg.kind),
-            ("base_operator", cfg.base_operator),
-            ("source_site", str(cfg.source_site)),
-            ("partner_site", str(cfg.partner_site)),
-            ("alice_site", str(cfg.alice_site)),
-            ("bob_site", str(cfg.bob_site)),
-            ("n_foliations", str(cfg.n_foliations)),
-            ("seed", str(cfg.seed)),
-            ("exploration_budget", str(cfg.exploration_budget)),
-            ("out", cfg.out),
-            ("format", cfg.format),
-            ("foliation_file", cfg.foliation_file),
-        ]
-
 
 _SETTERS = {
     "experiment": lambda c, k, v: setattr(c, "experiment", _parse_experiment(k, v)),
@@ -175,7 +149,7 @@ _SETTERS = {
     "link_coupling": lambda c, k, v: setattr(c, "link_coupling", _parse_real(k, v)),
     "lambda": lambda c, k, v: setattr(c, "lam", _parse_real(k, v)),
     "dt": lambda c, k, v: setattr(c, "dt", _check_positive(k, _parse_real(k, v))),
-    "kind": lambda c, k, v: setattr(c, "kind", _parse_choice(k, v, _KINDS)),
+    "kind": lambda c, k, v: setattr(c, "kind", _parse_choice(k, v, NONLINEARITY_KINDS)),
     "base_operator": lambda c, k, v: setattr(c, "base_operator", _parse_choice(k, v, ("x", "y", "z"))),
     "source_site": lambda c, k, v: setattr(c, "source_site", _check_range(k, _parse_int(k, v), 0, 13)),
     "partner_site": lambda c, k, v: setattr(c, "partner_site", _check_range(k, _parse_int(k, v), -1, 13)),

@@ -17,6 +17,7 @@ Nonlinearity kinds:
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -116,7 +117,6 @@ class TrajectoryStep:
     coefficient: float
     sites: tuple[int, ...]
     unitary: np.ndarray
-    pre_expectations: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -131,11 +131,21 @@ class TrajectoryRecord:
 
 
 def free_field(site: int, tau: int, config: ModelConfig) -> SiteOperator:
-    """Heisenberg-picture local field O(site, tau) under the free precession."""
-    base = BASE_OPERATORS[config.base_operator]
-    half = 0.5 * config.omega * tau
+    """Heisenberg-picture local field O(site, tau) under the free precession.
+
+    The field depends only on (site, tau, omega, base_operator), so it is
+    built once per key and shared; its matrix is read-only.
+    """
+    return _free_field(site, tau, config.omega, config.base_operator)
+
+
+@lru_cache(maxsize=4096)
+def _free_field(site: int, tau: int, omega: float, base_operator: str) -> SiteOperator:
+    base = BASE_OPERATORS[base_operator]
+    half = 0.5 * omega * tau
     phases = np.array([np.exp(1j * half), np.exp(-1j * half)])
     m = (phases[:, None] * base) * phases.conj()[None, :]
+    m.flags.writeable = False
     return SiteOperator(m, site)
 
 
@@ -200,15 +210,6 @@ def step_generator(
     return SiteOperator((config.mu + c) * oi, i), c
 
 
-def _pre_expectations(
-    state: StateVector, surface: Hypersurface, config: ModelConfig
-) -> tuple[float, ...]:
-    return tuple(
-        expectation(state, free_field(k, surface.heights[k], config))
-        for k in range(config.n_sites)
-    )
-
-
 def ts_step(
     state: StateVector, surface: Hypersurface, d: Deformation, config: ModelConfig
 ):
@@ -227,13 +228,7 @@ def ts_step(
     else:
         state_next = apply_on_link(state, TwoSiteOperator(u, gen.sites))
         sites = gen.sites
-    entry = TrajectoryStep(
-        deformation=d,
-        coefficient=c,
-        sites=sites,
-        unitary=u,
-        pre_expectations=_pre_expectations(state, surface, config),
-    )
+    entry = TrajectoryStep(deformation=d, coefficient=c, sites=sites, unitary=u)
     return state_next, surface_next, entry
 
 

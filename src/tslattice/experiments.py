@@ -155,7 +155,9 @@ def _swap_scan(config: ModelConfig, budget: int):
 
     Returns (max residue, witness row, surfaces visited, pairs checked,
     exhausted flag). The state attached to a surface is the one reached along
-    the breadth-first discovery path.
+    the breadth-first discovery path. Each enabled deformation's step from
+    the surface is taken once and serves as the first leg of every pair it
+    opens and as the BFS expansion.
     """
     surface = initial_surface(config.n_sites, config.horizon)
     state = default_initial_state(config)
@@ -169,10 +171,11 @@ def _swap_scan(config: ModelConfig, budget: int):
         s, psi = queue.popleft()
         visited += 1
         enabled = enabled_deformations(s)
+        first = {d: ts_step(psi, s, d, config) for d in enabled}
         for d1, d2 in itertools.combinations(enabled, 2):
-            psi_a, s_a, _ = ts_step(psi, s, d1, config)
+            psi_a, s_a, _ = first[d1]
             psi_ab, s_ab, _ = ts_step(psi_a, s_a, d2, config)
-            psi_b, s_b, _ = ts_step(psi, s, d2, config)
+            psi_b, s_b, _ = first[d2]
             psi_ba, s_ba, _ = ts_step(psi_b, s_b, d1, config)
             if s_ab != s_ba:
                 raise AssertionError(
@@ -188,8 +191,7 @@ def _swap_scan(config: ModelConfig, budget: int):
                     _fmt_deformation(d2),
                     r,
                 )
-        for d in enabled:
-            nxt_state, nxt_surface, _ = ts_step(psi, s, d, config)
+        for nxt_state, nxt_surface, _ in first.values():
             if nxt_surface not in seen:
                 seen.add(nxt_surface)
                 queue.append((nxt_surface, nxt_state))
@@ -455,9 +457,10 @@ def _degeneracy_metrics(config: ModelConfig, foliation: Foliation, probe_site: i
             m = _kernels.apply_1q(m, entry.unitary, entry.sites[0], 2 * n)
         else:
             m = _kernels.apply_2q(m, entry.unitary, entry.sites[0], entry.sites[1], 2 * n)
-        # <psi_k| U_k O U_k^dag |psi_k> evaluated as <U^dag psi| O |U^dag psi>.
+        # <psi_k| U_k O U_k^dag |psi_k> evaluated as <U^dag psi| O |U^dag psi>;
+        # U^dag psi = conj(conj(psi) @ U) reads U in place instead of copying it.
         u = m.reshape(dim, dim)
-        phi = u.conj().T @ psi.amplitudes
+        phi = (psi.amplitudes.conj() @ u).conj()
         e_co = float(
             _kernels.expect_1q(phi, base, probe_site, n).real
         )

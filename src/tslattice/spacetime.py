@@ -159,7 +159,36 @@ def enabled_deformations(s: Hypersurface) -> tuple[Deformation, ...]:
 
 
 def is_enabled(s: Hypersurface, d: Deformation) -> bool:
-    return d in enabled_deformations(s)
+    """Whether ``d`` is one of ``enabled_deformations(s)``, from d's own conditions.
+
+    Tests the same conditions the enumeration applies, for the one candidate
+    only; site, link and time fields are integers.
+    """
+    n, t_max, heights, applied = s.n_sites, s.horizon, s.heights, s.applied_gates
+    if type(d) is LinkApply:
+        link, t = d.link, d.time
+        if not isinstance(link, tuple) or len(link) != 2:
+            return False
+        i = link[0]
+        return (
+            0 <= i
+            and link[1] == i + 1 < n
+            and heights[i] == t == heights[i + 1]
+            and t < t_max
+            and t % 2 == i % 2
+            and (link, t) not in applied
+        )
+    if type(d) is not SiteAdvance or not 0 <= d.site < n:
+        return False
+    i = d.site
+    tau = heights[i]
+    if tau >= t_max:
+        return False
+    # A pending gate at height tau on an incident link (a, a + 1) blocks it.
+    for a in (i - 1, i):
+        if 0 <= a < n - 1 and tau % 2 == a % 2 and ((a, a + 1), tau) not in applied:
+            return False
+    return True
 
 
 def apply_deformation(s: Hypersurface, d: Deformation) -> Hypersurface:

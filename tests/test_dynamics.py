@@ -95,6 +95,34 @@ class TestFreeField:
         for tau in range(5):
             assert free_field(0, tau, cfg).is_hermitian()
 
+    @pytest.mark.parametrize("base", ["x", "y", "z"])
+    def test_cached_field_matches_closed_form(self, base):
+        ops = {"x": PAULI_X, "y": PAULI_Y, "z": PAULI_Z}
+        cfg = make_config(n_sites=3, horizon=4, omega=0.83, base_operator=base)
+        for tau in range(5):
+            p = np.diag([np.exp(0.5j * 0.83 * tau), np.exp(-0.5j * 0.83 * tau)])
+            closed = p @ ops[base] @ p.conj().T
+            for site in range(3):
+                first = free_field(site, tau, cfg)
+                assert first.site == site
+                assert_allclose(first.matrix, closed, atol=1e-15)
+                assert free_field(site, tau, cfg) is first
+
+    def test_cached_field_is_read_only(self):
+        cfg = make_config(n_sites=2, horizon=2, omega=0.6)
+        m = free_field(1, 2, cfg).matrix
+        before = m.copy()
+        with pytest.raises(ValueError):
+            m[0, 0] = 5.0
+        assert np.array_equal(free_field(1, 2, cfg).matrix, before)
+
+    def test_cache_keys_on_omega_and_base(self):
+        a = free_field(0, 1, make_config(n_sites=2, horizon=2, omega=0.4))
+        b = free_field(0, 1, make_config(n_sites=2, horizon=2, omega=0.5))
+        c = free_field(0, 1, make_config(n_sites=2, horizon=2, omega=0.4, base_operator="y"))
+        assert not np.allclose(a.matrix, b.matrix)
+        assert not np.allclose(a.matrix, c.matrix)
+
 
 class TestNonlinearCoefficient:
     def test_kind_none_is_zero(self):
@@ -310,12 +338,16 @@ class TestEvolve:
         stair, _ = evolve(plus_state(4), canonical_foliation(4, 3, "staircase"), cfg)
         assert state_distance(sync, stair) <= 1e-10
 
-    def test_record_captures_coefficients_and_expectations(self):
+    def test_record_has_one_entry_per_step(self):
         cfg = make_config(n_sites=3, horizon=2, kind="local", lam=0.5)
-        _, record = evolve(plus_state(3), canonical_foliation(3, 2, "synchronous"), cfg)
-        for entry in record.steps:
-            assert len(entry.pre_expectations) == 3
+        fol = canonical_foliation(3, 2, "synchronous")
+        _, record = evolve(plus_state(3), fol, cfg)
+        assert len(record) == len(fol)
+        for d, entry in zip(fol.steps, record.steps):
+            assert entry.deformation == d
             assert np.isfinite(entry.coefficient)
+            dim = 2 ** len(entry.sites)
+            assert_allclose(entry.unitary.conj().T @ entry.unitary, np.eye(dim), atol=1e-12)
 
     def test_product_structure_preserved_without_links(self):
         for nl in (
@@ -345,7 +377,6 @@ class TestComposeMap:
             coefficient=0.0,
             sites=(0,),
             unitary=PAULI_X,
-            pre_expectations=(0.0, 0.0),
         )
         u = compose_map(TrajectoryRecord((step,), 2), cfg)
         assert_allclose(u, np.kron(PAULI_X, np.eye(2)))

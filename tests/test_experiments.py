@@ -1,11 +1,17 @@
 """Experiment-level behavior: verdicts, controls, determinism, consistency."""
 
+import itertools
+from collections import deque
+
 import numpy as np
 import pytest
 
-from tslattice.dynamics import ModelConfig, NonlinearitySpec
+from tslattice.dynamics import ModelConfig, NonlinearitySpec, ts_step
 from tslattice.experiments import (
     ExperimentReport,
+    _fmt_deformation,
+    _swap_scan,
+    default_initial_state,
     degeneracy_experiment,
     entanglement_monitor,
     foliation_sweep,
@@ -14,6 +20,8 @@ from tslattice.experiments import (
     signaling_experiment,
     verdict_from,
 )
+from tslattice.quantum_core import state_distance
+from tslattice.spacetime import enabled_deformations, initial_surface
 
 
 def cfg_with(kind="local", lam=0.5, n_sites=4, horizon=3, **kw):
@@ -66,6 +74,51 @@ class TestIntegrabilityCheck:
         r = integrability_check(cfg_with("coefficient_nonlocal"), exploration_budget=10000)
         assert len(r.details) == 1
         assert r.details[0][3] == r.metric("max_swap_residue")
+
+
+def reference_swap_scan(config, budget):
+    """Order-swap BFS that takes all four steps of every pair afresh."""
+    surface = initial_surface(config.n_sites, config.horizon)
+    seen = {surface}
+    queue = deque([(surface, default_initial_state(config))])
+    max_residue, witness, visited, pairs = 0.0, ("", "", "", 0.0), 0, 0
+    while queue and visited < budget:
+        s, psi = queue.popleft()
+        visited += 1
+        enabled = enabled_deformations(s)
+        for d1, d2 in itertools.combinations(enabled, 2):
+            psi_a, s_a, _ = ts_step(psi, s, d1, config)
+            psi_ab, s_ab, _ = ts_step(psi_a, s_a, d2, config)
+            psi_b, s_b, _ = ts_step(psi, s, d2, config)
+            psi_ba, s_ba, _ = ts_step(psi_b, s_b, d1, config)
+            assert s_ab == s_ba
+            r = state_distance(psi_ab, psi_ba)
+            pairs += 1
+            if r > max_residue:
+                max_residue = r
+                witness = (
+                    " ".join(map(str, s.heights)),
+                    _fmt_deformation(d1),
+                    _fmt_deformation(d2),
+                    r,
+                )
+        for d in enabled:
+            nxt_state, nxt_surface, _ = ts_step(psi, s, d, config)
+            if nxt_surface not in seen:
+                seen.add(nxt_surface)
+                queue.append((nxt_surface, nxt_state))
+    return max_residue, witness, visited, pairs, not queue
+
+
+class TestSwapScanSharedLegs:
+    @pytest.mark.parametrize("kind", ["none", "local", "coefficient_nonlocal", "operator_nonlocal"])
+    @pytest.mark.parametrize("n_sites,horizon", [(2, 3), (3, 2), (4, 3)])
+    @pytest.mark.parametrize("budget", [7, 10000])
+    def test_matches_four_step_reference(self, kind, n_sites, horizon, budget):
+        cfg = cfg_with(kind, n_sites=n_sites, horizon=horizon)
+        got = _swap_scan(cfg, budget)
+        assert got == reference_swap_scan(cfg, budget)
+        assert got[4] == (budget == 10000)
 
 
 class TestFoliationSweep:

@@ -20,6 +20,7 @@ from tslattice.spacetime import (
     foliation_length,
     foliation_to_text,
     initial_surface,
+    is_enabled,
     random_foliation,
     reachable_surfaces,
     step_multiset,
@@ -112,6 +113,44 @@ class TestEnabledDeformations:
                     s1 = apply_deformation(s, d1)
                     s2 = apply_deformation(s, d2)
                     assert apply_deformation(s1, d2) == apply_deformation(s2, d1)
+
+
+def _candidate_deformations(n, T):
+    """Every deformation the enumerator could name, and many it never does.
+
+    Out-of-range sites, non-adjacent and reversed links, wrong-parity,
+    negative and beyond-horizon times, plus malformed links and non-deformations.
+    """
+    out = [SiteAdvance(i) for i in range(-2, n + 2)]
+    for i in range(-2, n + 2):
+        for j in (i - 1, i, i + 1, i + 2):
+            out.extend(LinkApply((i, j), t) for t in range(-1, T + 2))
+    out += [LinkApply([0, 1], 0), LinkApply((0, 1, 2), 0), LinkApply((0,), 0), None, (0, 1)]
+    return out
+
+
+class TestIsEnabled:
+    @pytest.mark.parametrize("n,t", [(n, t) for n in range(1, 5) for t in range(1, 4)])
+    def test_matches_enumeration_on_every_reachable_surface(self, n, t):
+        candidates = _candidate_deformations(n, t)
+        for s in reachable_surfaces(n, t):
+            enabled = enabled_deformations(s)
+            for d in candidates:
+                assert is_enabled(s, d) == (d in enabled), (s, d)
+            # Already-applied gates are among the candidates; none is enabled again.
+            for link, time in s.applied_gates:
+                assert LinkApply(link, time) in candidates
+                assert not is_enabled(s, LinkApply(link, time))
+
+    def test_apply_raises_exactly_when_not_enabled(self):
+        for s in reachable_surfaces(3, 3):
+            enabled = enabled_deformations(s)
+            for d in _candidate_deformations(3, 3):
+                if d in enabled:
+                    apply_deformation(s, d)
+                else:
+                    with pytest.raises(NotEnabledError):
+                        apply_deformation(s, d)
 
 
 class TestApplyDeformation:
