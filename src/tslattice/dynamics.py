@@ -34,6 +34,7 @@ from .quantum_core import (
     apply_on_site,
     expectation,
     expm_hermitian,
+    expm_involution,
 )
 from .spacetime import (
     Deformation,
@@ -176,6 +177,43 @@ def nonlinear_coefficient(
     return nl.lam
 
 
+def _kron2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron of two 2x2 matrices, without np.kron's general-shape overhead."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(4, 4)
+
+
+def _generator_terms(
+    state: StateVector, surface: Hypersurface, d: Deformation, config: ModelConfig
+):
+    """``(sites, g, scale, c)``: the deformation's generator is ``scale * g``.
+
+    g is a free field or the product of two on a link, so g @ g = I. The
+    exception is operator_nonlocal's two-site advance, whose generator
+    mu*O(i) ⊗ 1 + lambda*O(i) ⊗ O(j) squares to a non-scalar: there g is the
+    whole generator and scale is None.
+    """
+    nl = config.nonlinearity
+    if isinstance(d, LinkApply):
+        i, j = d.link
+        oi = free_field(i, d.time, config).matrix
+        oj = free_field(j, d.time, config).matrix
+        return (i, j), _kron2(oi, oj), config.link_coupling, 0.0
+    i = d.site
+    oi = free_field(i, surface.heights[i], config).matrix
+    if nl.kind == "operator_nonlocal" and nl.active_at(i) and nl.partner_site != i:
+        j = nl.partner_site
+        oj = free_field(j, surface.heights[j], config).matrix
+        gen = config.mu * _kron2(oi, IDENTITY_2) + nl.lam * _kron2(oi, oj)
+        return (i, j), gen, None, nl.lam
+    if nl.kind in ("coefficient_nonlocal", "operator_nonlocal") and (
+        nl.source_site == i or nl.partner_site == i
+    ):
+        c = 0.0
+    else:
+        c = nonlinear_coefficient(state, surface, i, config)
+    return (i,), oi, config.mu + c, c
+
+
 def step_generator(
     state: StateVector, surface: Hypersurface, d: Deformation, config: ModelConfig
 ):
@@ -185,29 +223,11 @@ def step_generator(
     would pair the advancing site with itself, the nonlinear term is dropped
     for that step and the generator stays linear.
     """
-    nl = config.nonlinearity
-    base = BASE_OPERATORS[config.base_operator]
-    if isinstance(d, LinkApply):
-        i, j = d.link
-        oi = free_field(i, d.time, config).matrix
-        oj = free_field(j, d.time, config).matrix
-        gen = config.link_coupling * np.kron(oi, oj)
-        return TwoSiteOperator(gen, (i, j)), 0.0
-    i = d.site
-    tau = surface.heights[i]
-    oi = free_field(i, tau, config).matrix
-    if nl.kind == "operator_nonlocal" and nl.active_at(i) and nl.partner_site != i:
-        j = nl.partner_site
-        oj = free_field(j, surface.heights[j], config).matrix
-        gen = config.mu * np.kron(oi, IDENTITY_2) + nl.lam * np.kron(oi, oj)
-        return TwoSiteOperator(gen, (i, j)), nl.lam
-    if nl.kind in ("coefficient_nonlocal", "operator_nonlocal") and (
-        nl.source_site == i or nl.partner_site == i
-    ):
-        c = 0.0
-    else:
-        c = nonlinear_coefficient(state, surface, i, config)
-    return SiteOperator((config.mu + c) * oi, i), c
+    sites, g, scale, c = _generator_terms(state, surface, d, config)
+    gen = g if scale is None else scale * g
+    if len(sites) == 1:
+        return SiteOperator(gen, sites[0]), c
+    return TwoSiteOperator(gen, sites), c
 
 
 def ts_step(
@@ -216,18 +236,21 @@ def ts_step(
     """Apply one deformation: returns (state', surface', TrajectoryStep).
 
     Site advances integrate over ``dt``; link gates fold the unit step into
-    the link coupling.
+    the link coupling. A generator scale * g with g @ g = I is exponentiated
+    in closed form; only operator_nonlocal's two-site generator goes through
+    ``expm_hermitian``.
     """
     surface_next = apply_deformation(surface, d)  # validates enabledness
-    gen, c = step_generator(state, surface, d, config)
+    sites, g, scale, c = _generator_terms(state, surface, d, config)
     step_dt = config.dt if isinstance(d, SiteAdvance) else 1.0
-    u = expm_hermitian(gen.matrix, step_dt)
-    if isinstance(gen, SiteOperator):
-        state_next = apply_on_site(state, SiteOperator(u, gen.site))
-        sites = (gen.site,)
+    if scale is None:
+        u = expm_hermitian(g, step_dt)
     else:
-        state_next = apply_on_link(state, TwoSiteOperator(u, gen.sites))
-        sites = gen.sites
+        u = expm_involution(g, step_dt * scale)
+    if len(sites) == 1:
+        state_next = apply_on_site(state, SiteOperator(u, sites[0]))
+    else:
+        state_next = apply_on_link(state, TwoSiteOperator(u, sites))
     entry = TrajectoryStep(deformation=d, coefficient=c, sites=sites, unitary=u)
     return state_next, surface_next, entry
 

@@ -362,9 +362,10 @@ def signaling_experiment(
     Starts from a Bell pair on (alice, bob) with |0> elsewhere, branches
     Alice's measurement exactly (both outcomes, Born weights), evolves every
     branch, and compares Bob's ensemble-averaged reduced states between the
-    two settings. Defaults put alice and bob outside each other's horizon-T
+    two settings. Alice and bob must sit outside each other's horizon-T
     light cones, so the lambda = 0 control isolates the collapse mechanism
-    from ordinary causal influence.
+    from ordinary causal influence; a pair inside the cone is rejected as a
+    usage error, since its control would read an ordinary causal signal.
     """
     n, t = config.n_sites, config.horizon
     if bob_site is None:
@@ -374,6 +375,11 @@ def signaling_experiment(
     for s in (alice_site, bob_site):
         if not 0 <= s < n:
             raise ValueError(f"site {s} out of range for {n} sites")
+    if abs(alice_site - bob_site) <= t:
+        raise ValueError(
+            f"signal needs |alice_site - bob_site| > horizon (each outside the "
+            f"other's light cone), got |{alice_site} - {bob_site}| <= {t}"
+        )
     if foliation is None:
         foliation = canonical_foliation(n, t, "synchronous")
     lam = config.nonlinearity.lam

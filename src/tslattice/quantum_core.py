@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -26,12 +27,20 @@ IDENTITY_2 = np.eye(2, dtype=complex)
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
 
 
+@lru_cache(maxsize=None)
+def _identity(k: int) -> np.ndarray:
+    eye = np.eye(k, dtype=complex)
+    eye.flags.writeable = False
+    return eye
+
+
 def is_hermitian(m: np.ndarray, atol: float = HERMITIAN_ATOL) -> bool:
-    return bool(np.max(np.abs(m - m.conj().T)) <= atol)
+    # A NaN entry makes the maximum NaN, which fails the comparison.
+    return bool(np.abs(m - m.conj().T).max() <= atol)
 
 
 def is_unitary(m: np.ndarray, atol: float = UNITARY_ATOL) -> bool:
-    return bool(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))) <= atol)
+    return bool(np.abs(m.conj().T @ m - _identity(m.shape[0])).max() <= atol)
 
 
 @dataclass(frozen=True)
@@ -228,8 +237,8 @@ def expectation(state: StateVector, op: SiteOperator) -> float:
 def reduced_density(state: StateVector, site: int) -> DensityMatrix:
     """Partial trace onto one site."""
     _check_site(state, site)
-    t = np.moveaxis(state.amplitudes.reshape((2,) * state.n_sites), site, 0).reshape(2, -1)
-    return DensityMatrix(t @ t.conj().T)
+    v = state.amplitudes.reshape(1 << site, 2, 1 << (state.n_sites - 1 - site))
+    return DensityMatrix(np.einsum("air,ajr->ij", v, v.conj()))
 
 
 def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
@@ -257,12 +266,33 @@ def entanglement_entropy(state: StateVector, cut) -> float:
 
 
 def expm_hermitian(h: np.ndarray, dt: float) -> np.ndarray:
-    """exp(-i*dt*h) by exact eigendecomposition of the Hermitian h."""
+    """exp(-i*dt*h) by exact eigendecomposition of the Hermitian h.
+
+    The lattice steps need it only for operator_nonlocal's two-site
+    generator, whose square is not a multiple of I; every other step
+    generator is a multiple of an involution and goes through
+    ``expm_involution``.
+    """
     h = np.asarray(h, dtype=complex)
     if not is_hermitian(h, atol=1e-12):
         raise ValueError("matrix is not Hermitian within 1e-12")
     w, v = np.linalg.eigh(h)
     return (v * np.exp(-1j * dt * w)) @ v.conj().T
+
+
+def expm_involution(g: np.ndarray, theta: float) -> np.ndarray:
+    """exp(-i*theta*g) = cos(theta) I - i sin(theta) g for a Hermitian g with g @ g = I.
+
+    Free fields are unitary conjugates of Paulis, and link generators are
+    products of two, so both square to I. That premise is not re-tested
+    here: for a Hermitian g the result u has u^dag u = cos^2 I + sin^2 g^2,
+    so unless sin(theta) is negligible, the unitarity test of
+    ``apply_on_site``/``apply_on_link`` rejects a g whose square is not I.
+    """
+    g = np.asarray(g, dtype=complex)
+    if not is_hermitian(g, atol=1e-12):
+        raise ValueError("matrix is not Hermitian within 1e-12")
+    return math.cos(theta) * _identity(g.shape[0]) - (1j * math.sin(theta)) * g
 
 
 def state_distance(a: StateVector, b: StateVector) -> float:

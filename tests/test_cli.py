@@ -139,8 +139,8 @@ class TestRun:
         assert run(cfg) == 0
 
     def test_failing_verdict_exits_2(self, tmp_path):
-        # local kind with the breakage verdict cannot happen; instead force a
-        # fail by demanding signal at lambda = 0.5 with bob inside the cone
+        # a degeneracy run in which nothing evolves fails its
+        # interaction-picture-variation verdict
         cfg = parse_config(
             write_cfg(
                 tmp_path,
@@ -150,6 +150,15 @@ class TestRun:
         )
         # nothing evolves: interaction_picture_variation stays at 0 < 0.05
         assert run(cfg) == 2
+
+    def test_signal_inside_light_cone_exits_1(self, tmp_path, capsys):
+        cfg = parse_config(
+            write_cfg(tmp_path, "experiment = signal\nn_sites = 6\nhorizon = 5\n"),
+            {"out": str(tmp_path / "r")},
+        )
+        assert run(cfg) == 1
+        assert "|alice_site - bob_site| > horizon" in capsys.readouterr().err
+        assert not (tmp_path / "r" / "signal.report").exists()
 
     def test_unwritable_out_dir_exits_1(self, tmp_path):
         blocked = tmp_path / "blocked"

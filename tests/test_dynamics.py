@@ -29,8 +29,11 @@ from tslattice.quantum_core import (
     bell_pair_state,
     entanglement_entropy,
     expectation,
+    expm_hermitian,
+    expm_involution,
     plus_state,
     product_state,
+    random_state,
     state_distance,
     zero_state,
 )
@@ -265,6 +268,78 @@ class TestTsStep:
 
         with pytest.raises(NotEnabledError):
             ts_step(zero_state(2), initial_surface(2, 1), SiteAdvance(0), cfg)
+
+
+class TestClosedFormGates:
+    """cos(theta) I - i sin(theta) G against expm_hermitian of the same generator."""
+
+    @pytest.mark.parametrize("base", ["x", "y", "z"])
+    def test_field_generators_match_eigh(self, base):
+        rng = np.random.default_rng({"x": 11, "y": 12, "z": 13}[base])
+        for _ in range(50):
+            cfg = make_config(omega=float(rng.uniform(-5, 5)), base_operator=base)
+            tau_i, tau_j = (int(t) for t in rng.integers(0, 1000, size=2))
+            oi = free_field(0, tau_i, cfg).matrix
+            oj = free_field(1, tau_j, cfg).matrix
+            dt = float(rng.uniform(0.01, 1.0))
+            scale = float(rng.uniform(-3, 3))  # mu + c for a site, J for a link
+            assert_allclose(
+                expm_involution(oi, dt * scale), expm_hermitian(scale * oi, dt), rtol=0, atol=1e-14
+            )
+            link = np.kron(oi, oj)
+            assert_allclose(
+                expm_involution(link, scale), expm_hermitian(scale * link, 1.0), rtol=0, atol=1e-14
+            )
+
+    @pytest.mark.parametrize("base", ["x", "y", "z"])
+    def test_ts_step_unitaries_match_eigh(self, base):
+        # Random couplings and a random path through the surfaces, so that
+        # tau, the frozen coefficient c and J all vary.
+        rng = np.random.default_rng({"x": 21, "y": 22, "z": 23}[base])
+        for _ in range(10):
+            cfg = make_config(
+                n_sites=4, horizon=4, base_operator=base,
+                omega=float(rng.uniform(-3, 3)), mu=float(rng.uniform(-2, 2)),
+                link_coupling=float(rng.uniform(-2, 2)), dt=float(rng.uniform(0.01, 1.0)),
+                kind="local", lam=float(rng.uniform(-2, 2)),
+            )
+            psi, s = random_state(4, rng), initial_surface(4, 4)
+            while enabled := enabled_deformations(s):
+                d = enabled[int(rng.integers(len(enabled)))]
+                gen, c = step_generator(psi, s, d, cfg)
+                step_dt = cfg.dt if isinstance(d, SiteAdvance) else 1.0
+                psi, s, entry = ts_step(psi, s, d, cfg)
+                assert entry.coefficient == c
+                assert_allclose(
+                    entry.unitary, expm_hermitian(gen.matrix, step_dt), rtol=0, atol=1e-14
+                )
+
+    @pytest.mark.parametrize("nl", ALL_KINDS, ids=[k["kind"] for k in ALL_KINDS])
+    def test_only_operator_nonlocal_goes_through_eigh(self, monkeypatch, nl):
+        import tslattice.dynamics as dynamics
+
+        calls = {"eigh": 0, "closed": 0}
+
+        def counted(name, real):
+            def wrapper(*args):
+                calls[name] += 1
+                return real(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(dynamics, "expm_hermitian", counted("eigh", expm_hermitian))
+        monkeypatch.setattr(dynamics, "expm_involution", counted("closed", expm_involution))
+        cfg = make_config(n_sites=4, horizon=2, **nl)
+        _, record = evolve(plus_state(4), canonical_foliation(4, 2, "synchronous"), cfg)
+        two_site_advances = sum(
+            isinstance(step.deformation, SiteAdvance) and len(step.sites) == 2
+            for step in record.steps
+        )
+        if nl["kind"] == "operator_nonlocal":
+            assert two_site_advances > 0
+        else:
+            assert two_site_advances == 0
+        assert calls == {"eigh": two_site_advances, "closed": len(record) - two_site_advances}
 
 
 class TestSpacelikeInvariance:

@@ -182,6 +182,22 @@ class TestSignalingExperiment:
         with pytest.raises(ValueError, match="distinct"):
             signaling_experiment(cfg_with("local"), alice_site=1, bob_site=1)
 
+    @pytest.mark.parametrize("n_sites, horizon", [(6, 5), (6, 6), (7, 6), (8, 7)])
+    def test_rejects_bob_inside_light_cone(self, n_sites, horizon):
+        # alice = 0, bob = n - 1 within the horizon: the lambda = 0 control
+        # would read an ordinary causal signal (9.05e-3 at n = 6, T = 5).
+        with pytest.raises(ValueError, match=r"\|alice_site - bob_site\| > horizon"):
+            signaling_experiment(cfg_with("local", n_sites=n_sites, horizon=horizon))
+
+    def test_rejects_explicit_sites_inside_light_cone(self):
+        with pytest.raises(ValueError, match="horizon"):
+            signaling_experiment(cfg_with("local", n_sites=8, horizon=3), alice_site=5, bob_site=2)
+
+    def test_just_outside_light_cone_passes(self):
+        r = signaling_experiment(cfg_with("local", n_sites=8, horizon=6))
+        assert r.verdict == "pass"
+        assert r.metric("control_lambda0_signal") <= 1e-12
+
     def test_embeds_foliation_serialization(self):
         r = signaling_experiment(cfg_with("local", n_sites=5, horizon=3))
         assert r.foliation_text is not None

@@ -1,13 +1,15 @@
-"""Backend agreement: compiled kernels against the numpy fallback."""
+"""Gate kernels: the numpy kernels against dense operators, and backend agreement."""
 
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import tslattice
 from tslattice._kernels import BACKEND, _pykernels, available_backends
 
 try:
@@ -25,6 +27,175 @@ def random_vec(n, rng):
 
 def random_matrix(dim, rng):
     return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+
+
+def embedded(m, sites, n):
+    """Dense 2^n matrix of m acting on ``sites`` (site 0 = MSB), built by np.kron.
+
+    For a pair (a, b) the row index of m is (bit_a << 1) | bit_b, in the
+    given order, so reversed pairs are covered too.
+    """
+    k = len(sites)
+    full = np.kron(m, np.eye(2 ** (n - k)))
+    # Tensor axis j of ``full`` is site order[j]; put site s back on axis s.
+    order = list(sites) + [s for s in range(n) if s not in sites]
+    back = list(np.argsort(order))
+    t = full.reshape((2,) * (2 * n)).transpose(back + [n + j for j in back])
+    return t.reshape(2**n, 2**n)
+
+
+def ordered_pairs(n):
+    return [(a, b) for a in range(n) for b in range(n) if a != b]
+
+
+class TestPyKernelsAgainstDense:
+    """Every site and every ordered pair (adjacent, reversed, non-adjacent)."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_apply_1q(self, n):
+        rng = np.random.default_rng(100 + n)
+        v = random_vec(n, rng)
+        for site in range(n):
+            m = random_matrix(2, rng)
+            assert_allclose(
+                _pykernels.apply_1q(v, m, site, n), embedded(m, [site], n) @ v, rtol=0, atol=1e-13
+            )
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_apply_2q(self, n):
+        rng = np.random.default_rng(200 + n)
+        v = random_vec(n, rng)
+        for a, b in ordered_pairs(n):
+            m = random_matrix(4, rng)
+            assert_allclose(
+                _pykernels.apply_2q(v, m, a, b, n), embedded(m, [a, b], n) @ v, rtol=0, atol=1e-13
+            )
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_expect_1q(self, n):
+        rng = np.random.default_rng(300 + n)
+        v = random_vec(n, rng)
+        for site in range(n):
+            h = random_matrix(2, rng)
+            h = h + h.conj().T
+            want = np.vdot(v, embedded(h, [site], n) @ v)
+            assert _pykernels.expect_1q(v, h, site, n) == pytest.approx(want, abs=1e-13)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_map_layout_of_compose_map(self, n):
+        # A dim x dim matrix in C order is a state on 2n sites whose first n
+        # axes are the row index: a gate on a site < n multiplies from the left.
+        rng = np.random.default_rng(400 + n)
+        dim = 2**n
+        mat = random_matrix(dim, rng)
+        for site in range(n):
+            u = random_matrix(2, rng)
+            got = _pykernels.apply_1q(mat.ravel(), u, site, 2 * n).reshape(dim, dim)
+            assert_allclose(got, embedded(u, [site], n) @ mat, rtol=0, atol=1e-12)
+        for a, b in ordered_pairs(n):
+            u = random_matrix(4, rng)
+            got = _pykernels.apply_2q(mat.ravel(), u, a, b, 2 * n).reshape(dim, dim)
+            assert_allclose(got, embedded(u, [a, b], n) @ mat, rtol=0, atol=1e-12)
+
+
+# Shapes past the dense oracle's reach, with the route the kernels take for
+# each: a broadcast matmul, a gate folded over the trailing block, or a
+# gather into gate-major order. (n, site) for one site, (n, a, b) for a pair.
+WIDE_1Q = [
+    (14, 9, "gather"),
+    (14, 8, "gather"),
+    (15, 8, "matmul"),
+    (16, 9, "matmul"),
+    (14, 11, "fold"),
+]
+WIDE_2Q = [
+    (14, 8, 9, "gather"),
+    (14, 9, 8, "gather"),
+    (16, 7, 8, "matmul"),
+    (14, 3, 13, "gather"),
+    (14, 13, 11, "gather"),
+    (14, 11, 12, "fold"),
+]
+
+
+def spy_routes(monkeypatch):
+    """Record which of the fold and gather routes the kernels take."""
+    taken = []
+    for name, route in (("_folded", "fold"), ("_gathered", "gather")):
+        real = getattr(_pykernels, name)
+
+        def spy(*args, _real=real, _route=route):
+            taken.append(_route)
+            return _real(*args)
+
+        monkeypatch.setattr(_pykernels, name, spy)
+    return taken
+
+
+class TestPyKernelsWideShapes:
+    """Checked against einsum on the same reshape view, an independent product."""
+
+    @pytest.mark.parametrize("n, site, route", WIDE_1Q)
+    def test_apply_1q(self, monkeypatch, n, site, route):
+        rng = np.random.default_rng(n * 100 + site)
+        v = random_vec(n, rng)
+        m = random_matrix(2, rng)
+        view = v.reshape(2**site, 2, -1)
+        want = np.einsum("ij,ajr->air", m, view).ravel()
+        taken = spy_routes(monkeypatch)
+        assert_allclose(_pykernels.apply_1q(v, m, site, n), want, rtol=0, atol=1e-13)
+        assert taken == ([] if route == "matmul" else [route])
+
+    @pytest.mark.parametrize("n, a, b, route", WIDE_2Q)
+    def test_apply_2q(self, monkeypatch, n, a, b, route):
+        rng = np.random.default_rng(n * 10000 + a * 100 + b)
+        v = random_vec(n, rng)
+        m = random_matrix(4, rng)
+        lo, hi = min(a, b), max(a, b)
+        view = v.reshape(2**lo, 2, 2 ** (hi - lo - 1), 2, 2 ** (n - 1 - hi))
+        m4 = m.reshape(2, 2, 2, 2)  # (out a, out b, in a, in b)
+        spec = "ikjl,ajblr->aibkr" if a < b else "kilj,ajblr->aibkr"
+        want = np.einsum(spec, m4, view).ravel()
+        taken = spy_routes(monkeypatch)
+        assert_allclose(_pykernels.apply_2q(v, m, a, b, n), want, rtol=0, atol=1e-13)
+        assert taken == ([] if route == "matmul" else [route])
+
+
+PURITY_CASES_1Q = [(1, 0), (5, 0), (5, 4), (6, 5), (10, 6), (14, 9), (16, 9)]
+PURITY_CASES_2Q = [(2, 1, 0), (5, 0, 1), (5, 4, 0), (6, 4, 5), (10, 7, 8), (14, 8, 9), (14, 2, 13)]
+
+
+class TestPyKernelsPurity:
+    """Inputs are only read, and every output is a fresh array."""
+
+    @staticmethod
+    def frozen(a):
+        a = a.copy()
+        a.flags.writeable = False
+        return a
+
+    @pytest.mark.parametrize("n, site", PURITY_CASES_1Q)
+    def test_one_site(self, n, site):
+        rng = np.random.default_rng(n + site)
+        v = self.frozen(random_vec(n, rng))
+        m = self.frozen(random_matrix(2, rng))
+        v0, m0 = v.copy(), m.copy()
+        out = _pykernels.apply_1q(v, m, site, n)
+        _pykernels.expect_1q(v, m, site, n)
+        assert np.array_equal(v, v0) and np.array_equal(m, m0)
+        assert out.shape == v.shape and out.flags.writeable
+        assert not np.shares_memory(out, v) and not np.shares_memory(out, m)
+
+    @pytest.mark.parametrize("n, a, b", PURITY_CASES_2Q)
+    def test_pair(self, n, a, b):
+        rng = np.random.default_rng(n + 10 * a + b)
+        v = self.frozen(random_vec(n, rng))
+        m = self.frozen(random_matrix(4, rng))
+        v0, m0 = v.copy(), m.copy()
+        out = _pykernels.apply_2q(v, m, a, b, n)
+        assert np.array_equal(v, v0) and np.array_equal(m, m0)
+        assert out.shape == v.shape and out.flags.writeable
+        assert not np.shares_memory(out, v) and not np.shares_memory(out, m)
 
 
 @needs_cython
@@ -87,9 +258,16 @@ def test_backend_is_reported():
     assert "python" in available_backends()
 
 
+def subprocess_env(**extra):
+    """The test's environment, with the imported tslattice on the child's path."""
+    src = str(Path(tslattice.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return dict(os.environ, PYTHONPATH=path, **extra)
+
+
 def test_env_var_forces_python_backend():
     code = "import tslattice._kernels as k; print(k.BACKEND)"
-    env = dict(os.environ, TSLATTICE_KERNELS="python")
+    env = subprocess_env(TSLATTICE_KERNELS="python")
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
@@ -98,6 +276,7 @@ def test_env_var_forces_python_backend():
 
 def test_env_var_rejects_unknown_backend():
     code = "import tslattice._kernels"
-    env = dict(os.environ, TSLATTICE_KERNELS="fortran")
+    env = subprocess_env(TSLATTICE_KERNELS="fortran")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert out.returncode != 0
+    assert "TSLATTICE_KERNELS" in out.stderr

@@ -25,6 +25,9 @@ from tslattice.quantum_core import (
     entanglement_entropy,
     expectation,
     expm_hermitian,
+    expm_involution,
+    is_hermitian,
+    is_unitary,
     plus_state,
     product_state,
     random_state,
@@ -328,6 +331,48 @@ class TestExpmHermitian:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="Hermitian"):
             expm_hermitian(np.array([[0, 1], [0, 0]]), 1.0)
+
+
+class TestExpmInvolution:
+    def test_matches_scipy_expm_for_paulis_and_products(self):
+        gens = (PAULI_X, PAULI_Y, PAULI_Z, np.kron(PAULI_X, PAULI_Y), np.kron(PAULI_Z, PAULI_Z))
+        for g in gens:
+            for theta in (-2.3, 0.0, 0.4, math.pi / 2):
+                assert_allclose(
+                    expm_involution(g, theta), scipy.linalg.expm(-1j * theta * g), rtol=0, atol=1e-14
+                )
+
+    def test_rejects_non_hermitian(self):
+        with pytest.raises(ValueError, match="Hermitian"):
+            expm_involution(np.array([[0, 1], [0, 0]]), 1.0)
+
+    def test_non_involution_fails_the_unitarity_test(self):
+        # 2 sigma_x is Hermitian but squares to 4 I, so the closed form is wrong
+        # for it, and the gate it gives is caught where it would be applied.
+        u = expm_involution(2.0 * PAULI_X, 0.7)
+        with pytest.raises(ValueError, match="not unitary"):
+            apply_on_site(zero_state(1), SiteOperator(u, 0))
+
+
+class TestValidationPredicates:
+    def test_accepts_within_tolerance(self):
+        assert is_unitary(PAULI_Y) and is_unitary(np.kron(HADAMARD, PAULI_X))
+        assert is_hermitian(PAULI_Y) and is_hermitian(np.kron(PAULI_Z, PAULI_X))
+        assert is_unitary((1 + 1e-13) * PAULI_X)
+        assert is_hermitian(PAULI_Z + 1e-15j * PAULI_X)
+
+    def test_rejects_beyond_tolerance(self):
+        assert not is_unitary((1 + 1e-11) * PAULI_X)
+        assert not is_unitary(np.kron(PAULI_X, 2 * IDENTITY_2))
+        assert not is_hermitian(PAULI_Z + 1e-13j * PAULI_X)
+        assert not is_hermitian(np.array([[0, 1], [0, 0]], dtype=complex))
+
+    def test_nan_fails(self):
+        for dim in (2, 4):
+            m = np.eye(dim, dtype=complex)
+            m[0, dim - 1] = np.nan
+            assert not is_unitary(m)
+            assert not is_hermitian(m)
 
 
 class TestStateDistance:
