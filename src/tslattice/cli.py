@@ -10,6 +10,7 @@ Exit code: 0 all verdicts pass, 2 some verdict failed, 1 usage/config/IO error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -65,9 +66,12 @@ def _parse_int(key: str, raw: str) -> int:
 
 def _parse_real(key: str, raw: str) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ConfigError(f"config key {key!r}: cannot parse {raw!r} as a real number") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"config key {key!r}: {raw!r} is not a finite real number")
+    return value
 
 
 def _parse_choice(key: str, raw: str, choices) -> str:

@@ -16,6 +16,7 @@ Nonlinearity kinds:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
@@ -50,6 +51,11 @@ BASE_OPERATORS = {"x": PAULI_X, "y": PAULI_Y, "z": PAULI_Z}
 NONLINEARITY_KINDS = ("none", "local", "coefficient_nonlocal", "operator_nonlocal")
 
 
+def _check_finite(name: str, value: float) -> None:
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite real number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class NonlinearitySpec:
     """Kind and coupling of the state-dependent Hamiltonian term.
@@ -65,6 +71,7 @@ class NonlinearitySpec:
     active_sites: frozenset[int] | None = None
 
     def __post_init__(self):
+        _check_finite("lam", self.lam)
         if self.kind not in NONLINEARITY_KINDS:
             raise ValueError(
                 f"nonlinearity kind {self.kind!r} not in {'|'.join(NONLINEARITY_KINDS)}"
@@ -94,6 +101,8 @@ class ModelConfig:
     nonlinearity: NonlinearitySpec = field(default_factory=NonlinearitySpec)
 
     def __post_init__(self):
+        for name in ("omega", "mu", "link_coupling", "dt"):
+            _check_finite(name, getattr(self, name))
         if not 2 <= self.n_sites <= 14:
             raise ValueError(f"n_sites must be in [2, 14], got {self.n_sites}")
         if self.horizon < 1:

@@ -448,28 +448,26 @@ def signaling_experiment(
 
 def _degeneracy_metrics(config: ModelConfig, foliation: Foliation, probe_site: int):
     n = config.n_sites
-    dim = 2**n
     psi = default_initial_state(config)
     surface = initial_surface(n, config.horizon)
     base = BASE_OPERATORS[config.base_operator]
     e0 = expectation(psi, SiteOperator(base, probe_site))
-    m = np.eye(dim, dtype=complex).ravel()
+    adjoints = []  # (u^dag, sites) of every step taken, in application order
     drift = 0.0
     variation = 0.0
     rows = [(0, "-", 0, e0, e0)]
     for k, d in enumerate(foliation.steps, start=1):
         psi, surface, entry = ts_step(psi, surface, d, config)
-        if len(entry.sites) == 1:
-            m = _kernels.apply_1q(m, entry.unitary, entry.sites[0], 2 * n)
-        else:
-            m = _kernels.apply_2q(m, entry.unitary, entry.sites[0], entry.sites[1], 2 * n)
-        # <psi_k| U_k O U_k^dag |psi_k> evaluated as <U^dag psi| O |U^dag psi>;
-        # U^dag psi = conj(conj(psi) @ U) reads U in place instead of copying it.
-        u = m.reshape(dim, dim)
-        phi = (psi.amplitudes.conj() @ u).conj()
-        e_co = float(
-            _kernels.expect_1q(phi, base, probe_site, n).real
-        )
+        adjoints.append((entry.unitary.conj().T, entry.sites))
+        # <psi_k| U_k O U_k^dag |psi_k> evaluated as <U^dag psi| O |U^dag psi>,
+        # with U^dag = u_1^dag ... u_k^dag applied one recorded gate at a time.
+        phi = psi.amplitudes
+        for u_dag, sites in reversed(adjoints):
+            if len(sites) == 1:
+                phi = _kernels.apply_1q(phi, u_dag, sites[0], n)
+            else:
+                phi = _kernels.apply_2q(phi, u_dag, sites[0], sites[1], n)
+        e_co = float(_kernels.expect_1q(phi, base, probe_site, n).real)
         tau = surface.heights[probe_site]
         e_ip = expectation(psi, free_field(probe_site, tau, config))
         drift = max(drift, abs(e_co - e0))
@@ -488,6 +486,12 @@ def degeneracy_experiment(
     Co-evolving the probe field with the composed state map freezes its
     expectation at the initial value, while the interaction-picture
     expectation at the probe site genuinely moves.
+
+    The composed map is never built densely: at step k the adjoint
+    U_k^dag = u_1^dag ... u_k^dag of the recorded per-step unitaries is
+    applied to psi_k one gate at a time (u_k^dag first), so step k costs k
+    gate applications on 2^n amplitudes. Like the dense-map experiments,
+    it is limited to n_sites <= 10.
     """
     n, t = config.n_sites, config.horizon
     if n > 10:

@@ -57,6 +57,14 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="'lambda'.*real number"):
             parse_config(str(p))
 
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "NaN", "+Infinity"])
+    @pytest.mark.parametrize("key", ["omega", "mu", "link_coupling", "lambda", "dt"])
+    def test_non_finite_real_names_key(self, tmp_path, key, raw):
+        p = tmp_path / "c.cfg"
+        p.write_text(f"{key} = {raw}\n")
+        with pytest.raises(ConfigError, match=f"'{key}'.*not a finite real number"):
+            parse_config(str(p))
+
     def test_out_of_range_names_key(self, tmp_path):
         p = tmp_path / "c.cfg"
         p.write_text("n_sites = 40\n")
@@ -226,6 +234,13 @@ class TestMain:
     def test_bad_config_exits_1(self, tmp_path):
         cfgfile = write_cfg(tmp_path, "kind = frobnicate\n")
         assert main(["sweep", "--config", cfgfile, "--out", str(tmp_path / "r")]) == 1
+
+    @pytest.mark.parametrize("key, raw", [("lambda", "inf"), ("omega", "nan")])
+    def test_non_finite_real_exits_1_naming_key(self, tmp_path, capsys, key, raw):
+        cfgfile = write_cfg(tmp_path, f"experiment = integrability\n{key} = {raw}\n")
+        assert main(["--config", cfgfile, "--out", str(tmp_path / "r")]) == 1
+        assert f"config key '{key}'" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
 
     def test_missing_config_file_exits_1(self, tmp_path):
         assert main(["sweep", "--config", str(tmp_path / "nope.cfg")]) == 1

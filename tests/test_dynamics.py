@@ -524,6 +524,17 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="partner_site"):
             NonlinearitySpec(kind="operator_nonlocal", lam=0.5)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["omega", "mu", "link_coupling", "dt"])
+    def test_rejects_non_finite_reals(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be a finite real number"):
+            make_config(n_sites=4, horizon=2, **{name: value})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_lambda(self, value):
+        with pytest.raises(ValueError, match="lam must be a finite real number"):
+            NonlinearitySpec(kind="local", lam=value)
+
     def test_nonlocal_site_in_range(self):
         with pytest.raises(ValueError, match="out of range"):
             make_config(n_sites=3, horizon=2, kind="operator_nonlocal", lam=0.5, partner_site=7)

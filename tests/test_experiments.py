@@ -1,12 +1,20 @@
 """Experiment-level behavior: verdicts, controls, determinism, consistency."""
 
 import itertools
+import tracemalloc
 from collections import deque
 
 import numpy as np
 import pytest
 
-from tslattice.dynamics import ModelConfig, NonlinearitySpec, ts_step
+from tslattice.dynamics import (
+    BASE_OPERATORS,
+    ModelConfig,
+    NonlinearitySpec,
+    TrajectoryRecord,
+    compose_map,
+    ts_step,
+)
 from tslattice.experiments import (
     ExperimentReport,
     _fmt_deformation,
@@ -20,8 +28,13 @@ from tslattice.experiments import (
     signaling_experiment,
     verdict_from,
 )
-from tslattice.quantum_core import state_distance
-from tslattice.spacetime import enabled_deformations, initial_surface
+from tslattice.quantum_core import SiteOperator, StateVector, expectation, state_distance
+from tslattice.spacetime import (
+    canonical_foliation,
+    enabled_deformations,
+    initial_surface,
+    random_foliation,
+)
 
 
 def cfg_with(kind="local", lam=0.5, n_sites=4, horizon=3, **kw):
@@ -227,6 +240,46 @@ class TestDegeneracyExperiment:
         from tslattice.spacetime import foliation_length
 
         assert len(r.details) == foliation_length(3, 2) + 1
+
+    @pytest.mark.parametrize("n_sites", [3, 4, 5, 6])
+    @pytest.mark.parametrize("kind", ["none", "local", "coefficient_nonlocal", "operator_nonlocal"])
+    def test_coevolved_rows_match_dense_composed_map(self, kind, n_sites):
+        # Reference: phi = compose_map(record[:k])^dag psi_k as a dense matrix.
+        horizon = 3
+        cfg = cfg_with(kind, n_sites=n_sites, horizon=horizon)
+        probe = n_sites // 2
+        base = BASE_OPERATORS[cfg.base_operator]
+        foliations = [
+            canonical_foliation(n_sites, horizon, "synchronous"),
+            canonical_foliation(n_sites, horizon, "staircase"),
+            random_foliation(n_sites, horizon, 5),
+            random_foliation(n_sites, horizon, 6),
+        ]
+        for fol in foliations:
+            r = degeneracy_experiment(cfg, probe_site=probe, foliation=fol)
+            psi = default_initial_state(cfg)
+            surface = initial_surface(n_sites, horizon)
+            steps = []
+            for k, d in enumerate(fol.steps, start=1):
+                psi, surface, entry = ts_step(psi, surface, d, cfg)
+                steps.append(entry)
+                u = compose_map(TrajectoryRecord(tuple(steps), n_sites), cfg)
+                phi = StateVector(u.conj().T @ psi.amplitudes, n_sites)
+                want = expectation(phi, SiteOperator(base, probe))
+                assert abs(r.details[k][3] - want) <= 1e-12
+
+    def test_peak_memory_has_no_dense_map(self):
+        # A 2^10 x 2^10 complex map is 16 MiB; the factored adjoint needs a
+        # few 2^10-amplitude vectors.
+        cfg = cfg_with("local", n_sites=10, horizon=2)
+        degeneracy_experiment(cfg)  # warm caches outside the traced region
+        tracemalloc.start()
+        try:
+            degeneracy_experiment(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestMapNonlinearityCheck:
