@@ -446,33 +446,70 @@ def signaling_experiment(
 # -- co-evolved degeneracy --------------------------------------------------------
 
 
+# Probe vectors co-evolved together fill at most this many amplitudes
+# (2^13 complex = 128 KiB), so a batch holds max(1, 2^13 / 2^n) steps.
+# Per-run timings at n = 4..10 were flat from 2^13 to 2^14 and slower on
+# either side; 2^14 lifts the walk's peak at n = 10 above 1 MiB.
+_COEVOLVE_BLOCK = 1 << 13
+
+
+def _coevolved_expectations(pending, adjoints, base, probe_site, n):
+    """<U_k^dag psi_k| O |U_k^dag psi_k> for the last len(pending) steps k.
+
+    One backward walk over the recorded adjoints serves the whole batch:
+    psi_k joins the block when the walk reaches u_k^dag, so each column gets
+    u_k^dag, ..., u_1^dag in that order. The columns are the trailing qubits
+    of one 2^(n+m) vector, which the kernels pass over as spectators.
+    """
+    first = len(adjoints) - len(pending)
+    cols = np.zeros((1 << n, 1), dtype=complex)
+    live = 0
+    for j in range(len(adjoints) - 1, -1, -1):
+        if j >= first:
+            if live == cols.shape[1]:
+                cols = np.concatenate((cols, np.zeros_like(cols)), axis=1)
+            cols[:, live] = pending[j - first]
+            live += 1
+        m = (cols.shape[1] - 1).bit_length()
+        u_dag, sites = adjoints[j]
+        if len(sites) == 1:
+            out = _kernels.apply_1q(cols.reshape(-1), u_dag, sites[0], n + m)
+        else:
+            out = _kernels.apply_2q(cols.reshape(-1), u_dag, sites[0], sites[1], n + m)
+        cols = out.reshape(1 << n, -1)
+    m = (cols.shape[1] - 1).bit_length()
+    o_cols = _kernels.apply_1q(cols.reshape(-1), base, probe_site, n + m).reshape(1 << n, -1)
+    values = np.einsum("ij,ij->j", cols.conj(), o_cols).real
+    return [float(v) for v in values[live - 1 :: -1]]
+
+
 def _degeneracy_metrics(config: ModelConfig, foliation: Foliation, probe_site: int):
     n = config.n_sites
     psi = default_initial_state(config)
     surface = initial_surface(n, config.horizon)
     base = BASE_OPERATORS[config.base_operator]
     e0 = expectation(psi, SiteOperator(base, probe_site))
+    batch = max(1, _COEVOLVE_BLOCK >> n)
     adjoints = []  # (u^dag, sites) of every step taken, in application order
-    drift = 0.0
-    variation = 0.0
-    rows = [(0, "-", 0, e0, e0)]
+    pending = []  # psi_k of the steps whose co-evolved value is not taken yet
+    coevolved = []
+    physical = []
     for k, d in enumerate(foliation.steps, start=1):
         psi, surface, entry = ts_step(psi, surface, d, config)
-        adjoints.append((entry.unitary.conj().T, entry.sites))
-        # <psi_k| U_k O U_k^dag |psi_k> evaluated as <U^dag psi| O |U^dag psi>,
-        # with U^dag = u_1^dag ... u_k^dag applied one recorded gate at a time.
-        phi = psi.amplitudes
-        for u_dag, sites in reversed(adjoints):
-            if len(sites) == 1:
-                phi = _kernels.apply_1q(phi, u_dag, sites[0], n)
-            else:
-                phi = _kernels.apply_2q(phi, u_dag, sites[0], sites[1], n)
-        e_co = float(_kernels.expect_1q(phi, base, probe_site, n).real)
+        adjoints.append((np.ascontiguousarray(entry.unitary.conj().T), entry.sites))
+        pending.append(psi.amplitudes)
+        if len(pending) == batch or k == len(foliation.steps):
+            coevolved += _coevolved_expectations(pending, adjoints, base, probe_site, n)
+            pending = []
         tau = surface.heights[probe_site]
-        e_ip = expectation(psi, free_field(probe_site, tau, config))
-        drift = max(drift, abs(e_co - e0))
-        variation = max(variation, abs(e_ip - e0))
-        rows.append((k, _fmt_deformation(d), tau, e_co, e_ip))
+        physical.append((d, tau, expectation(psi, free_field(probe_site, tau, config))))
+    rows = [(0, "-", 0, e0, e0)]
+    rows += [
+        (k, _fmt_deformation(d), tau, e_co, e_ip)
+        for k, (e_co, (d, tau, e_ip)) in enumerate(zip(coevolved, physical), start=1)
+    ]
+    drift = max((abs(e_co - e0) for e_co in coevolved), default=0.0)
+    variation = max((abs(e_ip - e0) for _, _, e_ip in physical), default=0.0)
     return drift, variation, rows
 
 
@@ -489,9 +526,16 @@ def degeneracy_experiment(
 
     The composed map is never built densely: at step k the adjoint
     U_k^dag = u_1^dag ... u_k^dag of the recorded per-step unitaries is
-    applied to psi_k one gate at a time (u_k^dag first), so step k costs k
-    gate applications on 2^n amplitudes. Like the dense-map experiments,
-    it is limited to n_sites <= 10.
+    applied to psi_k one gate at a time (u_k^dag first). Batches of
+    max(1, 2^13 / 2^n) consecutive steps share one backward walk over the
+    recorded gates, so a run of K steps makes about K + K^2 2^n / 2^14
+    kernel calls and K^2 2^n / 2 amplitude updates, against about 2 K 4^n
+    for a dense map, on blocks of at most 2^13 probe amplitudes.
+    The walk is the cheaper route while K stays below about 3 * 2^n: every
+    n = 10 run up to horizon 64, and short horizons at any n. Long
+    horizons at small n are past that point and run slower than a dense
+    map would (about 1.2x at n = 4 and 6, horizon 64). Like the
+    dense-map experiments, it is limited to n_sites <= 10.
     """
     n, t = config.n_sites, config.horizon
     if n > 10:

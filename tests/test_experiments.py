@@ -7,6 +7,7 @@ from collections import deque
 import numpy as np
 import pytest
 
+from tslattice import _kernels, experiments
 from tslattice.dynamics import (
     BASE_OPERATORS,
     ModelConfig,
@@ -49,6 +50,21 @@ def cfg_with(kind="local", lam=0.5, n_sites=4, horizon=3, **kw):
         nonlinearity=NonlinearitySpec(kind=kind, lam=lam, **extra),
         **kw,
     )
+
+
+def dense_coevolved_expectations(cfg, foliation, probe):
+    """<phi|O|phi> with phi = compose_map(record[:k])^dag psi_k as a dense matrix."""
+    psi = default_initial_state(cfg)
+    surface = initial_surface(cfg.n_sites, cfg.horizon)
+    probe_op = SiteOperator(BASE_OPERATORS[cfg.base_operator], probe)
+    steps = []
+    want = []
+    for d in foliation.steps:
+        psi, surface, entry = ts_step(psi, surface, d, cfg)
+        steps.append(entry)
+        u = compose_map(TrajectoryRecord(tuple(steps), cfg.n_sites), cfg)
+        want.append(expectation(StateVector(u.conj().T @ psi.amplitudes, cfg.n_sites), probe_op))
+    return np.array(want)
 
 
 class TestVerdictLogic:
@@ -244,11 +260,9 @@ class TestDegeneracyExperiment:
     @pytest.mark.parametrize("n_sites", [3, 4, 5, 6])
     @pytest.mark.parametrize("kind", ["none", "local", "coefficient_nonlocal", "operator_nonlocal"])
     def test_coevolved_rows_match_dense_composed_map(self, kind, n_sites):
-        # Reference: phi = compose_map(record[:k])^dag psi_k as a dense matrix.
         horizon = 3
         cfg = cfg_with(kind, n_sites=n_sites, horizon=horizon)
         probe = n_sites // 2
-        base = BASE_OPERATORS[cfg.base_operator]
         foliations = [
             canonical_foliation(n_sites, horizon, "synchronous"),
             canonical_foliation(n_sites, horizon, "staircase"),
@@ -257,20 +271,50 @@ class TestDegeneracyExperiment:
         ]
         for fol in foliations:
             r = degeneracy_experiment(cfg, probe_site=probe, foliation=fol)
-            psi = default_initial_state(cfg)
-            surface = initial_surface(n_sites, horizon)
-            steps = []
-            for k, d in enumerate(fol.steps, start=1):
-                psi, surface, entry = ts_step(psi, surface, d, cfg)
-                steps.append(entry)
-                u = compose_map(TrajectoryRecord(tuple(steps), n_sites), cfg)
-                phi = StateVector(u.conj().T @ psi.amplitudes, n_sites)
-                want = expectation(phi, SiteOperator(base, probe))
-                assert abs(r.details[k][3] - want) <= 1e-12
+            want = dense_coevolved_expectations(cfg, fol, probe)
+            assert np.max(np.abs([row[3] for row in r.details[1:]] - want)) <= 1e-12
+
+    @pytest.mark.parametrize("batch", [1, 2, 3, 5])
+    def test_batched_walk_matches_dense_composed_map(self, batch, monkeypatch):
+        # Batches of 3 and 5 steps pad the block to 4 and 8 columns; with 21
+        # steps, batches of 2 and 5 leave a one-step last batch.
+        cfg = cfg_with("local", n_sites=5, horizon=3)
+        fol = random_foliation(5, 3, 7)
+        assert len(fol.steps) == 21
+        monkeypatch.setattr(experiments, "_COEVOLVE_BLOCK", batch << 5)
+        r = degeneracy_experiment(cfg, probe_site=2, foliation=fol)
+        want = dense_coevolved_expectations(cfg, fol, 2)
+        assert np.max(np.abs([row[3] for row in r.details[1:]] - want)) <= 1e-12
+
+    @pytest.mark.parametrize("n_pending", [1, 2, 3, 5, 8])
+    def test_coevolved_walk_matches_one_vector_at_a_time(self, n_pending):
+        # Random gates and states, so every row has its own expectation and a
+        # misordered or misrouted column shows.
+        n, n_gates = 4, 9
+        rng = np.random.default_rng(n_pending)
+        adjoints = []
+        for j in range(n_gates):
+            d = 2 if j % 3 else 4
+            q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+            sites = (j % n,) if d == 2 else tuple(int(s) for s in rng.choice(n, 2, replace=False))
+            adjoints.append((q, sites))
+        pending = [rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n) for _ in range(n_pending)]
+        base = BASE_OPERATORS["x"]
+        got = experiments._coevolved_expectations(pending, adjoints, base, 1, n)
+        want = []
+        for k, psi in enumerate(pending, start=n_gates - n_pending):
+            for u_dag, sites in reversed(adjoints[: k + 1]):
+                if len(sites) == 1:
+                    psi = _kernels.apply_1q(psi, u_dag, sites[0], n)
+                else:
+                    psi = _kernels.apply_2q(psi, u_dag, sites[0], sites[1], n)
+            want.append(_kernels.expect_1q(psi, base, 1, n).real)
+        assert len(set(np.round(want, 6))) == n_pending
+        assert np.max(np.abs(np.array(got) - want)) <= 1e-12
 
     def test_peak_memory_has_no_dense_map(self):
-        # A 2^10 x 2^10 complex map is 16 MiB; the factored adjoint needs a
-        # few 2^10-amplitude vectors.
+        # A 2^10 x 2^10 complex map is 16 MiB; the walk over the recorded
+        # gates holds a batch of eight 2^10-amplitude vectors (128 KiB).
         cfg = cfg_with("local", n_sites=10, horizon=2)
         degeneracy_experiment(cfg)  # warm caches outside the traced region
         tracemalloc.start()
