@@ -1,47 +1,5 @@
-"""Kernel backend selection.
+"""Gate kernels on dense amplitude vectors: the numpy view kernels of ``_pykernels``."""
 
-The compiled Cython core is used when it is importable; otherwise the
-pure-numpy fallback takes over. ``TSLATTICE_KERNELS=python`` or ``=cython``
-forces a backend (the latter raises if the extension was not built).
-"""
+from ._pykernels import apply_1q, apply_2q, expect_1q
 
-import os
-
-_requested = os.environ.get("TSLATTICE_KERNELS", "").strip().lower()
-if _requested not in ("", "python", "cython"):
-    raise ImportError(
-        f"TSLATTICE_KERNELS={_requested!r} is not one of 'python', 'cython'"
-    )
-
-if _requested == "python":
-    from . import _pykernels as _impl
-
-    BACKEND = "python"
-else:
-    try:
-        from . import _cykernels as _impl  # type: ignore[no-redef]
-
-        BACKEND = "cython"
-    except ImportError:
-        if _requested == "cython":
-            raise
-        from . import _pykernels as _impl  # type: ignore[no-redef]
-
-        BACKEND = "python"
-
-apply_1q = _impl.apply_1q
-apply_2q = _impl.apply_2q
-expect_1q = _impl.expect_1q
-
-
-def available_backends():
-    """Names of importable backends, compiled one first."""
-    names = []
-    try:
-        from . import _cykernels  # noqa: F401
-
-        names.append("cython")
-    except ImportError:
-        pass
-    names.append("python")
-    return names
+__all__ = ["apply_1q", "apply_2q", "expect_1q"]

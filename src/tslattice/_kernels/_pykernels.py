@@ -1,4 +1,4 @@
-"""Pure-numpy gate kernels (fallback backend).
+"""Pure-numpy gate kernels.
 
 Site 0 is the most significant bit of the basis index. A gate never moves
 the amplitude vector's axes: a one-site gate acts on the middle axis of the

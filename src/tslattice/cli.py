@@ -15,9 +15,15 @@ import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from . import __version__
-from ._kernels import BACKEND
-from .dynamics import NONLINEARITY_KINDS, ModelConfig, NonlinearitySpec
+from . import KERNEL_BACKEND, __version__
+from .dynamics import (
+    BASE_OPERATORS,
+    MAX_SITES,
+    MIN_SITES,
+    NONLINEARITY_KINDS,
+    ModelConfig,
+    NonlinearitySpec,
+)
 from .experiments import (
     ExperimentReport,
     degeneracy_experiment,
@@ -144,9 +150,12 @@ class RunConfig:
             raise ConfigError(str(exc)) from None
 
 
+# Site keys range over the largest lattice; -1 resolves to the last site.
+_LAST_SITE = MAX_SITES - 1
+
 _SETTERS = {
     "experiment": lambda c, k, v: setattr(c, "experiment", _parse_experiment(k, v)),
-    "n_sites": lambda c, k, v: setattr(c, "n_sites", _check_range(k, _parse_int(k, v), 2, 14)),
+    "n_sites": lambda c, k, v: setattr(c, "n_sites", _check_range(k, _parse_int(k, v), MIN_SITES, MAX_SITES)),
     "horizon": lambda c, k, v: setattr(c, "horizon", _check_range(k, _parse_int(k, v), 1, 64)),
     "omega": lambda c, k, v: setattr(c, "omega", _parse_real(k, v)),
     "mu": lambda c, k, v: setattr(c, "mu", _parse_real(k, v)),
@@ -154,11 +163,11 @@ _SETTERS = {
     "lambda": lambda c, k, v: setattr(c, "lam", _parse_real(k, v)),
     "dt": lambda c, k, v: setattr(c, "dt", _check_positive(k, _parse_real(k, v))),
     "kind": lambda c, k, v: setattr(c, "kind", _parse_choice(k, v, NONLINEARITY_KINDS)),
-    "base_operator": lambda c, k, v: setattr(c, "base_operator", _parse_choice(k, v, ("x", "y", "z"))),
-    "source_site": lambda c, k, v: setattr(c, "source_site", _check_range(k, _parse_int(k, v), 0, 13)),
-    "partner_site": lambda c, k, v: setattr(c, "partner_site", _check_range(k, _parse_int(k, v), -1, 13)),
-    "alice_site": lambda c, k, v: setattr(c, "alice_site", _check_range(k, _parse_int(k, v), 0, 13)),
-    "bob_site": lambda c, k, v: setattr(c, "bob_site", _check_range(k, _parse_int(k, v), -1, 13)),
+    "base_operator": lambda c, k, v: setattr(c, "base_operator", _parse_choice(k, v, tuple(BASE_OPERATORS))),
+    "source_site": lambda c, k, v: setattr(c, "source_site", _check_range(k, _parse_int(k, v), 0, _LAST_SITE)),
+    "partner_site": lambda c, k, v: setattr(c, "partner_site", _check_range(k, _parse_int(k, v), -1, _LAST_SITE)),
+    "alice_site": lambda c, k, v: setattr(c, "alice_site", _check_range(k, _parse_int(k, v), 0, _LAST_SITE)),
+    "bob_site": lambda c, k, v: setattr(c, "bob_site", _check_range(k, _parse_int(k, v), -1, _LAST_SITE)),
     "n_foliations": lambda c, k, v: setattr(c, "n_foliations", _check_range(k, _parse_int(k, v), 0, 100000)),
     "seed": lambda c, k, v: setattr(c, "seed", _parse_int(k, v)),
     "exploration_budget": lambda c, k, v: setattr(c, "exploration_budget", _check_range(k, _parse_int(k, v), 1, 10**9)),
@@ -240,7 +249,7 @@ def render_rows(report: ExperimentReport) -> str:
 
 
 def render_structured(report: ExperimentReport) -> str:
-    lines = [f"experiment: {report.name}", f"version: tslattice {__version__} (kernels: {BACKEND})"]
+    lines = [f"experiment: {report.name}", f"version: tslattice {__version__} (kernels: {KERNEL_BACKEND})"]
     lines.append("config:")
     lines.extend(f"  {k} = {v}" for k, v in report.config)
     lines.append("metrics:")

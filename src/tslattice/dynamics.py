@@ -24,18 +24,22 @@ import numpy as np
 
 from . import _kernels
 from .quantum_core import (
+    HERMITIAN_ATOL,
+    IDENTITY_2,
+    NORM_ATOL,
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
-    IDENTITY_2,
+    UNITARY_ATOL,
     SiteOperator,
     StateVector,
     TwoSiteOperator,
-    apply_on_link,
-    apply_on_site,
-    expectation,
+    _check_site,
+    _identity,
+    _real_expectation,
     expm_hermitian,
-    expm_involution,
+    is_hermitian,
+    is_unitary,
 )
 from .spacetime import (
     Deformation,
@@ -49,6 +53,19 @@ from .spacetime import (
 BASE_OPERATORS = {"x": PAULI_X, "y": PAULI_Y, "z": PAULI_Z}
 
 NONLINEARITY_KINDS = ("none", "local", "coefficient_nonlocal", "operator_nonlocal")
+
+# Lattice sizes the model accepts, and the largest lattice whose dense
+# 2^N x 2^N map (composed map, degeneracy and nonlinearity experiments) is
+# built; the command line reads its ranges from here.
+MIN_SITES = 2
+MAX_SITES = 14
+MAX_DENSE_SITES = 10
+
+
+def check_dense_sites(what: str, n_sites: int) -> None:
+    """Reject a lattice too large for ``what``'s dense map."""
+    if n_sites > MAX_DENSE_SITES:
+        raise ValueError(f"{what} needs n_sites <= {MAX_DENSE_SITES}, got {n_sites}")
 
 
 def _check_finite(name: str, value: float) -> None:
@@ -103,8 +120,10 @@ class ModelConfig:
     def __post_init__(self):
         for name in ("omega", "mu", "link_coupling", "dt"):
             _check_finite(name, getattr(self, name))
-        if not 2 <= self.n_sites <= 14:
-            raise ValueError(f"n_sites must be in [2, 14], got {self.n_sites}")
+        if not MIN_SITES <= self.n_sites <= MAX_SITES:
+            raise ValueError(
+                f"n_sites must be in [{MIN_SITES}, {MAX_SITES}], got {self.n_sites}"
+            )
         if self.horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {self.horizon}")
         if self.dt <= 0:
@@ -146,39 +165,77 @@ def free_field(site: int, tau: int, config: ModelConfig) -> SiteOperator:
     The field depends only on (site, tau, omega, base_operator), so it is
     built once per key and shared; its matrix is read-only.
     """
-    return _free_field(site, tau, config.omega, config.base_operator)
+    return _free_field(site, tau, config.omega, config.base_operator)[0]
+
+
+# The generator caches below test each matrix once, when it is built, and
+# store with it max|g @ g - I|, which ``_closed_form_gate`` turns into the
+# unitarity bound of every gate made from it.
+
+
+def _involution_residue(g: np.ndarray) -> float:
+    return float(np.abs(g @ g - _identity(g.shape[0])).max())
 
 
 @lru_cache(maxsize=4096)
-def _free_field(site: int, tau: int, omega: float, base_operator: str) -> SiteOperator:
+def _free_field(
+    site: int, tau: int, omega: float, base_operator: str
+) -> tuple[SiteOperator, float]:
+    """``(O(site, tau), max|O @ O - I|)``; O is tested Hermitian within HERMITIAN_ATOL."""
     base = BASE_OPERATORS[base_operator]
     half = 0.5 * omega * tau
     phases = np.array([np.exp(1j * half), np.exp(-1j * half)])
     m = (phases[:, None] * base) * phases.conj()[None, :]
+    if not is_hermitian(m):
+        raise ValueError(f"operator at site {site} is not Hermitian within {HERMITIAN_ATOL}")
     m.flags.writeable = False
-    return SiteOperator(m, site)
+    return SiteOperator(m, site), _involution_residue(m)
+
+
+@lru_cache(maxsize=4096)
+def _link_generator(
+    link: tuple[int, int], t: int, omega: float, base_operator: str
+) -> tuple[np.ndarray, float]:
+    """``(O(i, t) ⊗ O(j, t), its residue)`` for link (i, j); tested Hermitian."""
+    i, j = link
+    oi = _free_field(i, t, omega, base_operator)[0].matrix
+    oj = _free_field(j, t, omega, base_operator)[0].matrix
+    g = _kron2(oi, oj)
+    if not is_hermitian(g):
+        raise ValueError(f"operator on sites ({i}, {j}) is not Hermitian within {HERMITIAN_ATOL}")
+    g.flags.writeable = False
+    return g, _involution_residue(g)
+
+
+def _field_expectation(state: StateVector, site: int, tau: int, config: ModelConfig) -> float:
+    _check_site(state, site)
+    field = _free_field(site, tau, config.omega, config.base_operator)[0]
+    return _real_expectation(state, field.matrix, site)
 
 
 def nonlinear_coefficient(
     state: StateVector, surface: Hypersurface, site: int, config: ModelConfig
 ) -> float:
-    """Frozen scalar coefficient of the nonlinear term for advancing ``site``."""
+    """Frozen scalar coefficient of the nonlinear term for advancing ``site``.
+
+    The coefficient kinds read one expectation of a cached free field (whose
+    Hermiticity was tested when the cache was filled); an imaginary residue
+    above IMAG_ATOL raises ArithmeticError, as in ``expectation``.
+    """
     nl = config.nonlinearity
     if not 0 <= site < config.n_sites:
         raise ValueError(f"site {site} out of range for {config.n_sites} sites")
     if not nl.active_at(site) or nl.kind == "none":
         return 0.0
     if nl.kind == "local":
-        o = free_field(site, surface.heights[site], config)
-        return nl.lam * expectation(state, o)
+        return nl.lam * _field_expectation(state, site, surface.heights[site], config)
     if nl.kind == "coefficient_nonlocal":
         j = nl.source_site
         if j == site:
             raise ValueError(
                 f"coefficient source site {j} coincides with the advancing site"
             )
-        o = free_field(j, surface.heights[j], config)
-        return nl.lam * expectation(state, o)
+        return nl.lam * _field_expectation(state, j, surface.heights[j], config)
     # operator_nonlocal: the coefficient is the bare coupling; the
     # nonlocality lives in the generator.
     if nl.partner_site == site:
@@ -194,33 +251,33 @@ def _kron2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _generator_terms(
     state: StateVector, surface: Hypersurface, d: Deformation, config: ModelConfig
 ):
-    """``(sites, g, scale, c)``: the deformation's generator is ``scale * g``.
+    """``(sites, g, scale, c, residue)``: the deformation's generator is ``scale * g``.
 
-    g is a free field or the product of two on a link, so g @ g = I. The
-    exception is operator_nonlocal's two-site advance, whose generator
-    mu*O(i) ⊗ 1 + lambda*O(i) ⊗ O(j) squares to a non-scalar: there g is the
-    whole generator and scale is None.
+    g is a cached free field or link generator, so g @ g = I up to its
+    stored ``residue``. The exception is operator_nonlocal's two-site
+    advance, whose generator mu*O(i) ⊗ 1 + lambda*O(i) ⊗ O(j) squares to a
+    non-scalar: there g is the whole generator and scale and residue are
+    None.
     """
     nl = config.nonlinearity
+    omega, base = config.omega, config.base_operator
     if isinstance(d, LinkApply):
-        i, j = d.link
-        oi = free_field(i, d.time, config).matrix
-        oj = free_field(j, d.time, config).matrix
-        return (i, j), _kron2(oi, oj), config.link_coupling, 0.0
+        g, residue = _link_generator(d.link, d.time, omega, base)
+        return d.link, g, config.link_coupling, 0.0, residue
     i = d.site
-    oi = free_field(i, surface.heights[i], config).matrix
+    oi, residue = _free_field(i, surface.heights[i], omega, base)
     if nl.kind == "operator_nonlocal" and nl.active_at(i) and nl.partner_site != i:
         j = nl.partner_site
-        oj = free_field(j, surface.heights[j], config).matrix
-        gen = config.mu * _kron2(oi, IDENTITY_2) + nl.lam * _kron2(oi, oj)
-        return (i, j), gen, None, nl.lam
+        oj = _free_field(j, surface.heights[j], omega, base)[0].matrix
+        gen = config.mu * _kron2(oi.matrix, IDENTITY_2) + nl.lam * _kron2(oi.matrix, oj)
+        return (i, j), gen, None, nl.lam, None
     if nl.kind in ("coefficient_nonlocal", "operator_nonlocal") and (
         nl.source_site == i or nl.partner_site == i
     ):
         c = 0.0
     else:
         c = nonlinear_coefficient(state, surface, i, config)
-    return (i,), oi, config.mu + c, c
+    return (i,), oi.matrix, config.mu + c, c, residue
 
 
 def step_generator(
@@ -232,11 +289,29 @@ def step_generator(
     would pair the advancing site with itself, the nonlinear term is dropped
     for that step and the generator stays linear.
     """
-    sites, g, scale, c = _generator_terms(state, surface, d, config)
+    sites, g, scale, c, _ = _generator_terms(state, surface, d, config)
     gen = g if scale is None else scale * g
     if len(sites) == 1:
         return SiteOperator(gen, sites[0]), c
     return TwoSiteOperator(gen, sites), c
+
+
+def _not_unitary(sites) -> ValueError:
+    where = f"at site {sites[0]}" if len(sites) == 1 else f"on sites ({sites[0]}, {sites[1]})"
+    return ValueError(f"operator {where} is not unitary within {UNITARY_ATOL}")
+
+
+def _closed_form_gate(g: np.ndarray, residue: float, theta: float, sites) -> np.ndarray:
+    """exp(-i theta g) = cos(theta) I - i sin(theta) g, tested unitary from g's residue.
+
+    For a Hermitian g, u^dag u - I = sin^2(theta) (g^2 - I), so
+    sin^2(theta) max|g^2 - I| <= UNITARY_ATOL is the unitarity test of u
+    without forming u^dag u; a NaN theta fails it.
+    """
+    sin = math.sin(theta)
+    if not sin * sin * residue <= UNITARY_ATOL:
+        raise _not_unitary(sites)
+    return math.cos(theta) * _identity(g.shape[0]) - (1j * sin) * g
 
 
 def ts_step(
@@ -246,22 +321,38 @@ def ts_step(
 
     Site advances integrate over ``dt``; link gates fold the unit step into
     the link coupling. A generator scale * g with g @ g = I is exponentiated
-    in closed form; only operator_nonlocal's two-site generator goes through
-    ``expm_hermitian``.
+    in closed form (``_closed_form_gate``); only operator_nonlocal's
+    two-site generator goes through ``expm_hermitian``.
+
+    Each check runs where its data is made, with the tolerance and error it
+    has elsewhere: ``apply_deformation`` raises NotEnabledError, every free
+    field and link generator was tested Hermitian when its cache entry was
+    built, the closed-form gate is tested unitary from the generator's
+    stored residue (the eigh gate by ``is_unitary``), and the new state's
+    norm is tested with one inner product. The returned state and surface
+    are not validated a second time.
     """
-    surface_next = apply_deformation(surface, d)  # validates enabledness
-    sites, g, scale, c = _generator_terms(state, surface, d, config)
+    surface_next = apply_deformation(surface, d)
+    sites, g, scale, c, residue = _generator_terms(state, surface, d, config)
+    n = state.n_sites
+    for site in sites:
+        _check_site(state, site)
     step_dt = config.dt if isinstance(d, SiteAdvance) else 1.0
     if scale is None:
         u = expm_hermitian(g, step_dt)
+        if not is_unitary(u):
+            raise _not_unitary(sites)
     else:
-        u = expm_involution(g, step_dt * scale)
+        u = _closed_form_gate(g, residue, step_dt * scale, sites)
     if len(sites) == 1:
-        state_next = apply_on_site(state, SiteOperator(u, sites[0]))
+        out = _kernels.apply_1q(state.amplitudes, u, sites[0], n)
     else:
-        state_next = apply_on_link(state, TwoSiteOperator(u, sites))
+        out = _kernels.apply_2q(state.amplitudes, u, sites[0], sites[1], n)
+    nrm = math.sqrt(np.vdot(out, out).real)
+    if not abs(nrm - 1.0) <= NORM_ATOL:
+        raise ValueError(f"state norm {nrm} deviates from 1 beyond {NORM_ATOL}")
     entry = TrajectoryStep(deformation=d, coefficient=c, sites=sites, unitary=u)
-    return state_next, surface_next, entry
+    return StateVector._unchecked(out, n), surface_next, entry
 
 
 def evolve(state0: StateVector, foliation: Foliation, config: ModelConfig):
@@ -284,8 +375,7 @@ def compose_map(record: TrajectoryRecord, config: ModelConfig) -> np.ndarray:
     the state map that produced the record is not linear.
     """
     n = config.n_sites
-    if n > 10:
-        raise ValueError(f"composed map needs n_sites <= 10, got {n}")
+    check_dense_sites("composed map", n)
     dim = 2**n
     m = np.eye(dim, dtype=complex).ravel()
     # A (dim x dim) matrix in C order is a statevector on 2n sites whose first

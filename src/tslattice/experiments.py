@@ -21,6 +21,7 @@ from .dynamics import (
     BASE_OPERATORS,
     ModelConfig,
     NonlinearitySpec,
+    check_dense_sites,
     compose_map,
     evolve,
     free_field,
@@ -535,11 +536,10 @@ def degeneracy_experiment(
     n = 10 run up to horizon 64, and short horizons at any n. Long
     horizons at small n are past that point and run slower than a dense
     map would (about 1.2x at n = 4 and 6, horizon 64). Like the
-    dense-map experiments, it is limited to n_sites <= 10.
+    dense-map experiments, it is limited to n_sites <= MAX_DENSE_SITES (10).
     """
     n, t = config.n_sites, config.horizon
-    if n > 10:
-        raise ValueError(f"degeneracy experiment needs n_sites <= 10, got {n}")
+    check_dense_sites("degeneracy experiment", n)
     if probe_site is None:
         probe_site = n // 2
     if foliation is None:
@@ -581,14 +581,28 @@ def degeneracy_experiment(
 
 # -- composed-map structure --------------------------------------------------------
 
+# Rows of u^dag u formed at a time by _unitarity_defect: 128 rows of a
+# 2^10-column map is 2 MiB, against 16 MiB for the whole product.
+_DEFECT_BLOCK = 128
+
+
+def _unitarity_defect(u: np.ndarray) -> float:
+    """max|u^dag u - I|, formed one block of rows at a time."""
+    worst = 0.0
+    for a in range(0, u.shape[1], _DEFECT_BLOCK):
+        b = min(a + _DEFECT_BLOCK, u.shape[1])
+        rows = u[:, a:b].conj().T @ u
+        rows[np.arange(b - a), np.arange(a, b)] -= 1.0
+        worst = max(worst, float(np.abs(rows).max()))
+    return worst
+
 
 def map_nonlinearity_check(
     config: ModelConfig, foliation: Foliation | None = None
 ) -> ExperimentReport:
     """Unitarity of the composed map versus nonlinearity of the state map."""
     n, t = config.n_sites, config.horizon
-    if n > 10:
-        raise ValueError(f"composed-map check needs n_sites <= 10, got {n}")
+    check_dense_sites("composed-map check", n)
     if foliation is None:
         foliation = canonical_foliation(n, t, "synchronous")
     psi1 = zero_state(n)
@@ -600,7 +614,7 @@ def map_nonlinearity_check(
     final_1, _ = evolve(psi1, foliation, config)
     final_2, _ = evolve(psi2, foliation, config)
     u = compose_map(record, config)
-    unitarity_defect = float(np.max(np.abs(u.conj().T @ u - np.eye(2**n))))
+    unitarity_defect = _unitarity_defect(u)
     mapped = u @ psi_sum.amplitudes
     mapped = mapped / np.linalg.norm(mapped)
     compose_consistency = state_distance(StateVector(mapped, n), final_sum)

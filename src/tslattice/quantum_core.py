@@ -63,6 +63,14 @@ class StateVector:
         if abs(nrm - 1.0) > NORM_ATOL:
             raise ValueError(f"state norm {nrm} deviates from 1 beyond {NORM_ATOL}")
 
+    @classmethod
+    def _unchecked(cls, amplitudes: np.ndarray, n_sites: int) -> "StateVector":
+        """A state from a contiguous complex vector the caller has checked; no validation."""
+        state = object.__new__(cls)
+        object.__setattr__(state, "amplitudes", amplitudes)
+        object.__setattr__(state, "n_sites", n_sites)
+        return state
+
     @property
     def dim(self) -> int:
         return self.amplitudes.shape[0]
@@ -228,7 +236,12 @@ def expectation(state: StateVector, op: SiteOperator) -> float:
     _check_site(state, op.site)
     if not op.is_hermitian():
         raise ValueError(f"operator at site {op.site} is not Hermitian within {HERMITIAN_ATOL}")
-    raw = _kernels.expect_1q(state.amplitudes, op.matrix, op.site, state.n_sites)
+    return _real_expectation(state, op.matrix, op.site)
+
+
+def _real_expectation(state: StateVector, matrix: np.ndarray, site: int) -> float:
+    """<psi| matrix_site |psi> for a matrix the caller has found Hermitian."""
+    raw = _kernels.expect_1q(state.amplitudes, matrix, site, state.n_sites)
     if abs(raw.imag) > IMAG_ATOL:
         raise ArithmeticError(f"expectation has imaginary residue {raw.imag}")
     return float(raw.real)
@@ -270,8 +283,8 @@ def expm_hermitian(h: np.ndarray, dt: float) -> np.ndarray:
 
     The lattice steps need it only for operator_nonlocal's two-site
     generator, whose square is not a multiple of I; every other step
-    generator is a multiple of an involution and goes through
-    ``expm_involution``.
+    generator is a multiple of an involution, which ``ts_step``
+    exponentiates in the closed form of ``expm_involution``.
     """
     h = np.asarray(h, dtype=complex)
     if not is_hermitian(h, atol=1e-12):
@@ -283,11 +296,12 @@ def expm_hermitian(h: np.ndarray, dt: float) -> np.ndarray:
 def expm_involution(g: np.ndarray, theta: float) -> np.ndarray:
     """exp(-i*theta*g) = cos(theta) I - i sin(theta) g for a Hermitian g with g @ g = I.
 
-    Free fields are unitary conjugates of Paulis, and link generators are
-    products of two, so both square to I. That premise is not re-tested
-    here: for a Hermitian g the result u has u^dag u = cos^2 I + sin^2 g^2,
-    so unless sin(theta) is negligible, the unitarity test of
-    ``apply_on_site``/``apply_on_link`` rejects a g whose square is not I.
+    Only Hermiticity is tested here, not the premise g @ g = I: for a
+    Hermitian g the result u has u^dag u - I = sin^2(theta) (g^2 - I), so a
+    g whose square is not I gives a non-unitary u. Pass u to
+    ``apply_on_site``/``apply_on_link``, whose unitarity test rejects it, or
+    bound sin^2(theta) max|g^2 - I| yourself, as ``ts_step`` does with the
+    residue it stores beside each cached field.
     """
     g = np.asarray(g, dtype=complex)
     if not is_hermitian(g, atol=1e-12):

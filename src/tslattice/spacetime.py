@@ -60,6 +60,15 @@ class Hypersurface:
             if not 0 <= h <= self.horizon:
                 raise ValueError(f"height {h} at site {i} outside [0, {self.horizon}]")
 
+    @classmethod
+    def _unchecked(cls, heights, applied_gates, horizon) -> "Hypersurface":
+        """A surface from fields already in canonical form and range; no validation."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "heights", heights)
+        object.__setattr__(s, "applied_gates", applied_gates)
+        object.__setattr__(s, "horizon", horizon)
+        return s
+
     @property
     def n_sites(self) -> int:
         return len(self.heights)
@@ -192,14 +201,18 @@ def is_enabled(s: Hypersurface, d: Deformation) -> bool:
 
 
 def apply_deformation(s: Hypersurface, d: Deformation) -> Hypersurface:
-    """Advance the surface by one enabled deformation."""
+    """Advance the surface by one enabled deformation.
+
+    The result is not validated again: ``is_enabled`` requires the advancing
+    height to be below the horizon, so every height stays in [0, T].
+    """
     if not is_enabled(s, d):
         raise NotEnabledError(f"deformation {d} is not enabled on surface {s.heights}")
-    if isinstance(d, SiteAdvance):
-        heights = list(s.heights)
-        heights[d.site] += 1
-        return Hypersurface(tuple(heights), s.applied_gates, s.horizon)
-    return Hypersurface(s.heights, s.applied_gates | {(d.link, d.time)}, s.horizon)
+    if type(d) is SiteAdvance:
+        i = d.site
+        heights = s.heights[:i] + (s.heights[i] + 1,) + s.heights[i + 1 :]
+        return Hypersurface._unchecked(heights, s.applied_gates, s.horizon)
+    return Hypersurface._unchecked(s.heights, s.applied_gates | {(d.link, d.time)}, s.horizon)
 
 
 def validate_foliation(foliation: Foliation, n_sites: int, horizon: int) -> Hypersurface:

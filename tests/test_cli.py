@@ -5,6 +5,8 @@ import stat
 
 import pytest
 
+import tslattice
+
 from tslattice.cli import (
     ConfigError,
     RunConfig,
@@ -71,6 +73,23 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="'n_sites'.*out of range"):
             parse_config(str(p))
 
+    @pytest.mark.parametrize(
+        "key, lo, hi",
+        [
+            ("n_sites", 2, 14),
+            ("source_site", 0, 13),
+            ("partner_site", -1, 13),
+            ("alice_site", 0, 13),
+            ("bob_site", -1, 13),
+        ],
+    )
+    def test_size_and_site_ranges(self, key, lo, hi):
+        # The ranges come from the model's size table; messages name the key.
+        assert getattr(parse_config(None, {key: str(hi)}), key) == hi
+        for bad in (lo - 1, hi + 1):
+            with pytest.raises(ConfigError, match=rf"^config key '{key}': {bad} out of range \[{lo}, {hi}\]$"):
+                parse_config(None, {key: str(bad)})
+
     def test_flags_override_file(self, tmp_path):
         p = tmp_path / "c.cfg"
         p.write_text("seed = 1\nexperiment = sweep\n")
@@ -110,6 +129,11 @@ class TestRenderers:
         text = render_structured(self.make_report())
         order = [ln.split(":")[0] for ln in text.splitlines() if ln and not ln.startswith(" ")]
         assert order == ["experiment", "version", "config", "metrics", "thresholds", "verdict", "details"]
+
+    def test_version_line_names_the_kernels(self):
+        version = render_structured(self.make_report()).splitlines()[1]
+        assert tslattice.KERNEL_BACKEND == "python"
+        assert version == f"version: tslattice {tslattice.__version__} (kernels: python)"
 
     def test_renderers_deterministic(self):
         a, b = self.make_report(), self.make_report()

@@ -26,6 +26,8 @@ from tslattice.quantum_core import (
     SiteOperator,
     StateVector,
     TwoSiteOperator,
+    apply_on_link,
+    apply_on_site,
     bell_pair_state,
     entanglement_entropy,
     expectation,
@@ -328,7 +330,9 @@ class TestClosedFormGates:
             return wrapper
 
         monkeypatch.setattr(dynamics, "expm_hermitian", counted("eigh", expm_hermitian))
-        monkeypatch.setattr(dynamics, "expm_involution", counted("closed", expm_involution))
+        monkeypatch.setattr(
+            dynamics, "_closed_form_gate", counted("closed", dynamics._closed_form_gate)
+        )
         cfg = make_config(n_sites=4, horizon=2, **nl)
         _, record = evolve(plus_state(4), canonical_foliation(4, 2, "synchronous"), cfg)
         two_site_advances = sum(
@@ -340,6 +344,115 @@ class TestClosedFormGates:
         else:
             assert two_site_advances == 0
         assert calls == {"eigh": two_site_advances, "closed": len(record) - two_site_advances}
+
+
+def reference_step(state, surface, d, cfg):
+    """One step from the public, fully checked pieces: generator, eigh, apply."""
+    gen, c = step_generator(state, surface, d, cfg)
+    u = expm_hermitian(gen.matrix, cfg.dt if isinstance(d, SiteAdvance) else 1.0)
+    if isinstance(gen, SiteOperator):
+        state = apply_on_site(state, SiteOperator(u, gen.site))
+    else:
+        state = apply_on_link(state, TwoSiteOperator(u, gen.sites))
+    return state, apply_deformation(surface, d), c, u
+
+
+def _foliations(n, horizon):
+    return {
+        "synchronous": canonical_foliation(n, horizon, "synchronous"),
+        "staircase": canonical_foliation(n, horizon, "staircase"),
+        "random": random_foliation(n, horizon, 31 * n + horizon),
+    }
+
+
+class TestLeanStepAgainstReference:
+    """ts_step checks once where its data is made; it must still match the checked pieces."""
+
+    @pytest.mark.parametrize("nl", ALL_KINDS, ids=[k["kind"] for k in ALL_KINDS])
+    @pytest.mark.parametrize("base", ["x", "y", "z"])
+    @pytest.mark.parametrize("n, horizon", [(4, 3), (5, 2)])
+    def test_matches_reference_on_every_foliation(self, nl, base, n, horizon):
+        cfg = make_config(n_sites=n, horizon=horizon, base_operator=base, **nl)
+        for name, fol in _foliations(n, horizon).items():
+            psi = ref = plus_state(n)
+            s = s_ref = initial_surface(n, horizon)
+            for d in fol.steps:
+                psi, s, entry = ts_step(psi, s, d, cfg)
+                ref, s_ref, c, u = reference_step(ref, s_ref, d, cfg)
+                assert s == s_ref
+                assert entry.coefficient == pytest.approx(c, rel=0, abs=1e-14)
+                assert_allclose(entry.unitary, u, rtol=0, atol=1e-14)
+                assert_allclose(psi.amplitudes, ref.amplitudes, rtol=0, atol=1e-14, err_msg=name)
+            assert s.is_final()
+
+
+@pytest.fixture
+def fresh_generator_caches():
+    """Empty the field and link caches around a test that patches the base operators."""
+    import tslattice.dynamics as dynamics
+
+    dynamics._free_field.cache_clear()
+    dynamics._link_generator.cache_clear()
+    yield dynamics
+    dynamics._free_field.cache_clear()
+    dynamics._link_generator.cache_clear()
+
+
+def gate_then_site_surface():
+    """A 3-site surface with site 0 enabled, reached without ts_step."""
+    s = apply_deformation(initial_surface(3, 2), LinkApply((0, 1), 0))
+    assert SiteAdvance(0) in enabled_deformations(s)
+    return s
+
+
+class TestMovedChecksStillFail:
+    """Faults the per-step checks used to catch, now caught where their data is made."""
+
+    def test_non_hermitian_field_fails_at_the_cache(self, monkeypatch, fresh_generator_caches):
+        bad = np.array([[0.0, 1.0], [1.0 + 1e-13, 0.0]], dtype=complex)
+        monkeypatch.setitem(fresh_generator_caches.BASE_OPERATORS, "x", bad)
+        cfg = make_config(n_sites=3, horizon=2, kind="local", lam=0.5)
+        message = r"^operator at site 0 is not Hermitian within 1e-14$"
+        with pytest.raises(ValueError, match=message):
+            ts_step(plus_state(3), gate_then_site_surface(), SiteAdvance(0), cfg)
+        # A link gate's fields meet the same test (per step it was 1e-12).
+        with pytest.raises(ValueError, match=message):
+            ts_step(plus_state(3), initial_surface(3, 2), LinkApply((0, 1), 0), cfg)
+
+    def test_generator_squaring_off_identity_fails_unitarity(
+        self, monkeypatch, fresh_generator_caches
+    ):
+        monkeypatch.setitem(fresh_generator_caches.BASE_OPERATORS, "x", 2.0 * PAULI_X)
+        cfg = make_config(n_sites=3, horizon=2, kind="local", lam=0.5)
+        with pytest.raises(ValueError, match=r"^operator at site 0 is not unitary within 1e-12$"):
+            ts_step(plus_state(3), gate_then_site_surface(), SiteAdvance(0), cfg)
+        with pytest.raises(
+            ValueError, match=r"^operator on sites \(0, 1\) is not unitary within 1e-12$"
+        ):
+            ts_step(plus_state(3), initial_surface(3, 2), LinkApply((0, 1), 0), cfg)
+
+    def test_nan_in_the_state_fails_the_step(self):
+        cfg = make_config(n_sites=3, horizon=2, kind="local", lam=0.5)
+        psi = plus_state(3)
+        psi.amplitudes[5] = np.nan
+        # The frozen coefficient turns NaN, and so does the gate angle.
+        with pytest.raises(ValueError, match=r"^operator at site 0 is not unitary within 1e-12$"):
+            ts_step(psi, gate_then_site_surface(), SiteAdvance(0), cfg)
+        # A link gate reads no coefficient; the norm test stops the NaN.
+        with pytest.raises(ValueError, match=r"^state norm nan deviates from 1 beyond 1e-12$"):
+            ts_step(psi, initial_surface(3, 2), LinkApply((0, 1), 0), cfg)
+
+    def test_norm_drift_fails_the_step(self):
+        cfg = make_config(n_sites=3, horizon=2)
+        psi = plus_state(3)
+        psi.amplitudes[0] *= 1.0 + 1e-9
+        with pytest.raises(ValueError, match="deviates from 1 beyond 1e-12"):
+            ts_step(psi, initial_surface(3, 2), LinkApply((0, 1), 0), cfg)
+
+    def test_state_smaller_than_the_surface_is_rejected(self):
+        cfg = make_config(n_sites=3, horizon=2)
+        with pytest.raises(ValueError, match=r"^site 1 out of range for 1 sites$"):
+            ts_step(StateVector(np.array([1.0, 0.0]), 1), initial_surface(3, 2), LinkApply((0, 1), 0), cfg)
 
 
 class TestSpacelikeInvariance:

@@ -341,6 +341,43 @@ class TestMapNonlinearityCheck:
         assert r.metric("superposition_defect") <= 1e-12
 
 
+def random_unitary(dim, rng):
+    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    return q
+
+
+class TestUnitarityDefect:
+    """The row-blocked max|u^dag u - I| against the whole dense expression."""
+
+    @staticmethod
+    def dense(u):
+        return float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("block", [1, 3, 16, 128])
+    def test_matches_dense_expression(self, monkeypatch, n, block):
+        monkeypatch.setattr(experiments, "_DEFECT_BLOCK", block)
+        rng = np.random.default_rng(700 + n)
+        u = random_unitary(2**n, rng)
+        # Each entry of u^dag u near 1 carries rounding of order 1e-16.
+        for m in (u, u + 1e-6 * rng.standard_normal(u.shape)):
+            assert experiments._unitarity_defect(m) == pytest.approx(self.dense(m), rel=0, abs=1e-15)
+
+    def test_peak_memory_at_ten_sites(self):
+        # The dense expression holds four 16 MiB arrays at once at n = 10; a
+        # block of 128 rows holds a 2 MiB product and a 2 MiB column copy.
+        u = random_unitary(1 << 10, np.random.default_rng(710))
+        want = self.dense(u)
+        tracemalloc.start()
+        try:
+            got = experiments._unitarity_defect(u)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got == pytest.approx(want, rel=0, abs=1e-15)
+        assert peak < 8 << 20
+
+
 class TestEntanglementMonitor:
     def test_local_kinds_generate_nothing(self):
         r = entanglement_monitor(cfg_with("local", n_sites=4, horizon=3))

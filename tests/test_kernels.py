@@ -1,23 +1,10 @@
-"""Gate kernels: the numpy kernels against dense operators, and backend agreement."""
-
-import os
-import subprocess
-import sys
-from pathlib import Path
+"""Gate kernels: the numpy view kernels against dense operators."""
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-import tslattice
-from tslattice._kernels import BACKEND, _pykernels, available_backends
-
-try:
-    from tslattice._kernels import _cykernels
-except ImportError:
-    _cykernels = None
-
-needs_cython = pytest.mark.skipif(_cykernels is None, reason="compiled kernels not built")
+from tslattice._kernels import _pykernels
 
 
 def random_vec(n, rng):
@@ -198,50 +185,6 @@ class TestPyKernelsPurity:
         assert not np.shares_memory(out, v) and not np.shares_memory(out, m)
 
 
-@needs_cython
-def test_apply_1q_backends_agree():
-    rng = np.random.default_rng(0)
-    for n in (1, 2, 5, 8):
-        v = random_vec(n, rng)
-        m = random_matrix(2, rng)
-        for site in range(n):
-            assert_allclose(
-                _cykernels.apply_1q(v, m, site, n),
-                _pykernels.apply_1q(v, m, site, n),
-                atol=1e-14,
-            )
-
-
-@needs_cython
-def test_apply_2q_backends_agree():
-    rng = np.random.default_rng(1)
-    for n in (2, 4, 7):
-        v = random_vec(n, rng)
-        m = random_matrix(4, rng)
-        pairs = [(0, 1), (n - 1, 0), (1, n - 1)]
-        for a, b in pairs:
-            if a == b:
-                continue
-            assert_allclose(
-                _cykernels.apply_2q(v, m, a, b, n),
-                _pykernels.apply_2q(v, m, a, b, n),
-                atol=1e-14,
-            )
-
-
-@needs_cython
-def test_expect_1q_backends_agree():
-    rng = np.random.default_rng(2)
-    for n in (1, 3, 6):
-        v = random_vec(n, rng)
-        h = random_matrix(2, rng)
-        h = h + h.conj().T
-        for site in range(n):
-            a = _cykernels.expect_1q(v, h, site, n)
-            b = _pykernels.expect_1q(v, h, site, n)
-            assert a == pytest.approx(b, abs=1e-13)
-
-
 def test_pykernel_ordering_convention():
     # site 0 is the MSB: X on site 0 of |00> lands on index 0b10
     v = np.zeros(4, dtype=complex)
@@ -251,32 +194,3 @@ def test_pykernel_ordering_convention():
     assert np.argmax(np.abs(out)) == 0b10
     out = _pykernels.apply_1q(v, x, 1, 2)
     assert np.argmax(np.abs(out)) == 0b01
-
-
-def test_backend_is_reported():
-    assert BACKEND in ("cython", "python")
-    assert "python" in available_backends()
-
-
-def subprocess_env(**extra):
-    """The test's environment, with the imported tslattice on the child's path."""
-    src = str(Path(tslattice.__file__).resolve().parent.parent)
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    return dict(os.environ, PYTHONPATH=path, **extra)
-
-
-def test_env_var_forces_python_backend():
-    code = "import tslattice._kernels as k; print(k.BACKEND)"
-    env = subprocess_env(TSLATTICE_KERNELS="python")
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    assert out.stdout.strip() == "python"
-
-
-def test_env_var_rejects_unknown_backend():
-    code = "import tslattice._kernels"
-    env = subprocess_env(TSLATTICE_KERNELS="fortran")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-    assert out.returncode != 0
-    assert "TSLATTICE_KERNELS" in out.stderr

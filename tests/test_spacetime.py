@@ -7,6 +7,7 @@ import pytest
 from tslattice.spacetime import (
     Foliation,
     FoliationError,
+    Hypersurface,
     LinkApply,
     NotEnabledError,
     SiteAdvance,
@@ -167,6 +168,20 @@ class TestApplyDeformation:
     def test_rejects_blocked_advance(self):
         with pytest.raises(NotEnabledError):
             apply_deformation(initial_surface(2, 1), SiteAdvance(0))
+
+    @pytest.mark.parametrize("n, T, seed", [(3, 2, 0), (4, 3, 1), (5, 4, 2)])
+    def test_result_equals_the_validated_surface(self, n, T, seed):
+        # apply_deformation skips Hypersurface's validation; every surface on
+        # a foliation must still equal, and hash like, the validated one.
+        s = initial_surface(n, T)
+        for d in random_foliation(n, T, seed).steps:
+            s = apply_deformation(s, d)
+            checked = Hypersurface(s.heights, s.applied_gates, s.horizon)
+            assert s == checked and hash(s) == hash(checked)
+            assert type(s.heights) is tuple and all(type(h) is int for h in s.heights)
+            assert all(0 <= h <= T for h in s.heights)
+            assert type(s.applied_gates) is frozenset
+        assert s.is_final()
 
 
 class TestFoliations:
