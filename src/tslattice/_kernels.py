@@ -1,4 +1,4 @@
-"""Pure-numpy gate kernels.
+"""Gate kernels on dense amplitude vectors, in pure numpy.
 
 Site 0 is the most significant bit of the basis index. A gate never moves
 the amplitude vector's axes: a one-site gate acts on the middle axis of the
@@ -36,7 +36,8 @@ _FOLD_MAX_WIDTH = 16
 
 
 @lru_cache(maxsize=None)
-def _identity(k):
+def _identity(k: int) -> np.ndarray:
+    """The read-only k x k complex identity, shared by every caller."""
     eye = np.eye(k, dtype=complex)
     eye.flags.writeable = False
     return eye

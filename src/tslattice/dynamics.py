@@ -37,7 +37,6 @@ from .quantum_core import (
     _check_site,
     _identity,
     _real_expectation,
-    expm_hermitian,
     is_hermitian,
     is_unitary,
 )
@@ -193,13 +192,12 @@ def _free_field(
 
 
 @lru_cache(maxsize=4096)
-def _link_generator(
-    link: tuple[int, int], t: int, omega: float, base_operator: str
+def _pair_generator(
+    i: int, tau_i: int, j: int, tau_j: int, omega: float, base_operator: str
 ) -> tuple[np.ndarray, float]:
-    """``(O(i, t) ⊗ O(j, t), its residue)`` for link (i, j); tested Hermitian."""
-    i, j = link
-    oi = _free_field(i, t, omega, base_operator)[0].matrix
-    oj = _free_field(j, t, omega, base_operator)[0].matrix
+    """``(O(i, tau_i) ⊗ O(j, tau_j), its residue)``, a link's or operator_nonlocal's; tested Hermitian."""
+    oi = _free_field(i, tau_i, omega, base_operator)[0].matrix
+    oj = _free_field(j, tau_j, omega, base_operator)[0].matrix
     g = _kron2(oi, oj)
     if not is_hermitian(g):
         raise ValueError(f"operator on sites ({i}, {j}) is not Hermitian within {HERMITIAN_ATOL}")
@@ -251,33 +249,40 @@ def _kron2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _generator_terms(
     state: StateVector, surface: Hypersurface, d: Deformation, config: ModelConfig
 ):
-    """``(sites, g, scale, c, residue)``: the deformation's generator is ``scale * g``.
+    """``(sites, c, terms)``: the deformation's generator is the sum of ``scale * g``.
 
-    g is a cached free field or link generator, so g @ g = I up to its
-    stored ``residue``. The exception is operator_nonlocal's two-site
-    advance, whose generator mu*O(i) ⊗ 1 + lambda*O(i) ⊗ O(j) squares to a
-    non-scalar: there g is the whole generator and scale and residue are
-    None.
+    Each term ``(g, residue, scale)`` holds a cached involution g, with
+    g @ g = I up to its stored ``residue``. Site advances and link gates have
+    one term. operator_nonlocal's two-site advance has two,
+    mu * O(i) ⊗ 1 and lambda * O(i) ⊗ O(j); they commute, because both
+    products are O(i)^2 ⊗ O(j), so the step's gate is the product of
+    their rotations. O(i) ⊗ 1 has O(i)'s residue.
+
+    A nonlocal kind whose own site (coefficient_nonlocal's source,
+    operator_nonlocal's partner) advances drops the nonlinear term for that
+    step, so c = 0 and the generator stays linear.
     """
     nl = config.nonlinearity
     omega, base = config.omega, config.base_operator
     if isinstance(d, LinkApply):
-        g, residue = _link_generator(d.link, d.time, omega, base)
-        return d.link, g, config.link_coupling, 0.0, residue
+        (i, j), t = d.link, d.time
+        g, residue = _pair_generator(i, t, j, t, omega, base)
+        return d.link, 0.0, ((g, residue, config.link_coupling),)
     i = d.site
-    oi, residue = _free_field(i, surface.heights[i], omega, base)
+    tau_i = surface.heights[i]
+    oi, residue = _free_field(i, tau_i, omega, base)
     if nl.kind == "operator_nonlocal" and nl.active_at(i) and nl.partner_site != i:
         j = nl.partner_site
-        oj = _free_field(j, surface.heights[j], omega, base)[0].matrix
-        gen = config.mu * _kron2(oi.matrix, IDENTITY_2) + nl.lam * _kron2(oi.matrix, oj)
-        return (i, j), gen, None, nl.lam, None
-    if nl.kind in ("coefficient_nonlocal", "operator_nonlocal") and (
-        nl.source_site == i or nl.partner_site == i
+        pair, pair_residue = _pair_generator(i, tau_i, j, surface.heights[j], omega, base)
+        linear = _kron2(oi.matrix, IDENTITY_2)
+        return (i, j), nl.lam, ((linear, residue, config.mu), (pair, pair_residue, nl.lam))
+    if (nl.kind == "coefficient_nonlocal" and nl.source_site == i) or (
+        nl.kind == "operator_nonlocal" and nl.partner_site == i
     ):
         c = 0.0
     else:
         c = nonlinear_coefficient(state, surface, i, config)
-    return (i,), oi.matrix, config.mu + c, c, residue
+    return (i,), c, ((oi.matrix, residue, config.mu + c),)
 
 
 def step_generator(
@@ -289,8 +294,11 @@ def step_generator(
     would pair the advancing site with itself, the nonlinear term is dropped
     for that step and the generator stays linear.
     """
-    sites, g, scale, c, _ = _generator_terms(state, surface, d, config)
-    gen = g if scale is None else scale * g
+    sites, c, terms = _generator_terms(state, surface, d, config)
+    (g, _, scale), *rest = terms
+    gen = scale * g
+    for g, _, scale in rest:
+        gen = gen + scale * g
     if len(sites) == 1:
         return SiteOperator(gen, sites[0]), c
     return TwoSiteOperator(gen, sites), c
@@ -320,30 +328,32 @@ def ts_step(
     """Apply one deformation: returns (state', surface', TrajectoryStep).
 
     Site advances integrate over ``dt``; link gates fold the unit step into
-    the link coupling. A generator scale * g with g @ g = I is exponentiated
-    in closed form (``_closed_form_gate``); only operator_nonlocal's
-    two-site generator goes through ``expm_hermitian``.
+    the link coupling. Every gate is built in closed form
+    (``_closed_form_gate``) from the terms of ``_generator_terms``: one
+    rotation, or for operator_nonlocal's two-site advance the product of
+    its two commuting rotations.
 
     Each check runs where its data is made, with the tolerance and error it
     has elsewhere: ``apply_deformation`` raises NotEnabledError, every free
-    field and link generator was tested Hermitian when its cache entry was
-    built, the closed-form gate is tested unitary from the generator's
-    stored residue (the eigh gate by ``is_unitary``), and the new state's
+    field and pair generator was tested Hermitian when its cache entry was
+    built, each rotation is tested unitary from its generator's stored
+    residue (a product of two also by ``is_unitary``), and the new state's
     norm is tested with one inner product. The returned state and surface
     are not validated a second time.
     """
     surface_next = apply_deformation(surface, d)
-    sites, g, scale, c, residue = _generator_terms(state, surface, d, config)
+    sites, c, terms = _generator_terms(state, surface, d, config)
     n = state.n_sites
     for site in sites:
         _check_site(state, site)
     step_dt = config.dt if isinstance(d, SiteAdvance) else 1.0
-    if scale is None:
-        u = expm_hermitian(g, step_dt)
+    g, residue, scale = terms[0]
+    u = _closed_form_gate(g, residue, step_dt * scale, sites)
+    if len(terms) == 2:
+        g, residue, scale = terms[1]
+        u = u @ _closed_form_gate(g, residue, step_dt * scale, sites)
         if not is_unitary(u):
             raise _not_unitary(sites)
-    else:
-        u = _closed_form_gate(g, residue, step_dt * scale, sites)
     if len(sites) == 1:
         out = _kernels.apply_1q(state.amplitudes, u, sites[0], n)
     else:

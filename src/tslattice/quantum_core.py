@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from . import _kernels
+from ._kernels import _identity
 
 NORM_ATOL = 1e-12
 HERMITIAN_ATOL = 1e-14
@@ -25,13 +25,6 @@ PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 IDENTITY_2 = np.eye(2, dtype=complex)
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
-
-
-@lru_cache(maxsize=None)
-def _identity(k: int) -> np.ndarray:
-    eye = np.eye(k, dtype=complex)
-    eye.flags.writeable = False
-    return eye
 
 
 def is_hermitian(m: np.ndarray, atol: float = HERMITIAN_ATOL) -> bool:
@@ -281,32 +274,15 @@ def entanglement_entropy(state: StateVector, cut) -> float:
 def expm_hermitian(h: np.ndarray, dt: float) -> np.ndarray:
     """exp(-i*dt*h) by exact eigendecomposition of the Hermitian h.
 
-    The lattice steps need it only for operator_nonlocal's two-site
-    generator, whose square is not a multiple of I; every other step
-    generator is a multiple of an involution, which ``ts_step``
-    exponentiates in the closed form of ``expm_involution``.
+    No lattice step calls it: ``ts_step`` builds every gate from closed-form
+    rotations of involutions. It is the independent reference those gates
+    are tested against.
     """
     h = np.asarray(h, dtype=complex)
     if not is_hermitian(h, atol=1e-12):
         raise ValueError("matrix is not Hermitian within 1e-12")
     w, v = np.linalg.eigh(h)
     return (v * np.exp(-1j * dt * w)) @ v.conj().T
-
-
-def expm_involution(g: np.ndarray, theta: float) -> np.ndarray:
-    """exp(-i*theta*g) = cos(theta) I - i sin(theta) g for a Hermitian g with g @ g = I.
-
-    Only Hermiticity is tested here, not the premise g @ g = I: for a
-    Hermitian g the result u has u^dag u - I = sin^2(theta) (g^2 - I), so a
-    g whose square is not I gives a non-unitary u. Pass u to
-    ``apply_on_site``/``apply_on_link``, whose unitarity test rejects it, or
-    bound sin^2(theta) max|g^2 - I| yourself, as ``ts_step`` does with the
-    residue it stores beside each cached field.
-    """
-    g = np.asarray(g, dtype=complex)
-    if not is_hermitian(g, atol=1e-12):
-        raise ValueError("matrix is not Hermitian within 1e-12")
-    return math.cos(theta) * _identity(g.shape[0]) - (1j * math.sin(theta)) * g
 
 
 def state_distance(a: StateVector, b: StateVector) -> float:

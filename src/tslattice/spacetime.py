@@ -10,6 +10,7 @@ Open boundaries: links are (i, i+1) for 0 <= i < n-1.
 
 from __future__ import annotations
 
+import operator
 from collections import Counter
 from dataclasses import dataclass
 
@@ -167,11 +168,22 @@ def enabled_deformations(s: Hypersurface) -> tuple[Deformation, ...]:
     return tuple(out)
 
 
+def _is_index(x) -> bool:
+    """Whether x is an integer (``operator.index`` accepts it); a plain int is checked first."""
+    if type(x) is int:
+        return True
+    try:
+        operator.index(x)
+    except TypeError:
+        return False
+    return True
+
+
 def is_enabled(s: Hypersurface, d: Deformation) -> bool:
     """Whether ``d`` is one of ``enabled_deformations(s)``, from d's own conditions.
 
     Tests the same conditions the enumeration applies, for the one candidate
-    only; site, link and time fields are integers.
+    only. A site, link or time field that is not an integer is never enabled.
     """
     n, t_max, heights, applied = s.n_sites, s.horizon, s.heights, s.applied_gates
     if type(d) is LinkApply:
@@ -179,6 +191,8 @@ def is_enabled(s: Hypersurface, d: Deformation) -> bool:
         if not isinstance(link, tuple) or len(link) != 2:
             return False
         i = link[0]
+        if not (_is_index(i) and _is_index(link[1]) and _is_index(t)):
+            return False
         return (
             0 <= i
             and link[1] == i + 1 < n
@@ -187,7 +201,7 @@ def is_enabled(s: Hypersurface, d: Deformation) -> bool:
             and t % 2 == i % 2
             and (link, t) not in applied
         )
-    if type(d) is not SiteAdvance or not 0 <= d.site < n:
+    if type(d) is not SiteAdvance or not _is_index(d.site) or not 0 <= d.site < n:
         return False
     i = d.site
     tau = heights[i]

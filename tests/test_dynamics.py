@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+import tslattice.dynamics as dynamics
 from tslattice.dynamics import (
     ModelConfig,
     NonlinearitySpec,
@@ -32,7 +34,7 @@ from tslattice.quantum_core import (
     entanglement_entropy,
     expectation,
     expm_hermitian,
-    expm_involution,
+    is_unitary,
     plus_state,
     product_state,
     random_state,
@@ -40,6 +42,7 @@ from tslattice.quantum_core import (
     zero_state,
 )
 from tslattice.spacetime import (
+    Hypersurface,
     LinkApply,
     SiteAdvance,
     apply_deformation,
@@ -264,12 +267,37 @@ class TestTsStep:
             psi, s, _ = ts_step(psi, s, d, cfg)
             assert abs(np.linalg.norm(psi.amplitudes) - 1.0) <= 1e-12
 
+    @pytest.mark.parametrize("nl", ALL_KINDS, ids=[k["kind"] for k in ALL_KINDS])
+    def test_coefficient_matches_nonlinear_coefficient(self, nl):
+        # Both site fields set: each kind drops the nonlinear term only where
+        # its own site (the source, or the partner) advances.
+        nl = {**nl, "source_site": 0, "partner_site": 2}
+        own = {"coefficient_nonlocal": 0, "operator_nonlocal": 2}.get(nl["kind"])
+        cfg = make_config(n_sites=3, horizon=2, **nl)
+        psi, s = plus_state(3), initial_surface(3, 2)
+        for d in random_foliation(3, 2, 5).steps:
+            psi_next, s_next, entry = ts_step(psi, s, d, cfg)
+            if isinstance(d, SiteAdvance):
+                if d.site == own:
+                    assert entry.coefficient == 0.0
+                    with pytest.raises(ValueError, match="coincides with the advancing site"):
+                        nonlinear_coefficient(psi, s, d.site, cfg)
+                else:
+                    assert entry.coefficient == nonlinear_coefficient(psi, s, d.site, cfg)
+            psi, s = psi_next, s_next
+
     def test_rejects_disabled_deformation(self):
         cfg = make_config(n_sites=2, horizon=1)
         from tslattice.spacetime import NotEnabledError
 
         with pytest.raises(NotEnabledError):
             ts_step(zero_state(2), initial_surface(2, 1), SiteAdvance(0), cfg)
+        # A non-integer field is never enabled; it does not reach the heights.
+        with pytest.raises(NotEnabledError):
+            ts_step(zero_state(2), initial_surface(2, 1), LinkApply((0, 1), 0.0), cfg)
+        s = apply_deformation(initial_surface(2, 1), LinkApply((0, 1), 0))
+        with pytest.raises(NotEnabledError):
+            ts_step(zero_state(2), s, SiteAdvance(0.0), cfg)
 
 
 class TestClosedFormGates:
@@ -279,57 +307,66 @@ class TestClosedFormGates:
     def test_field_generators_match_eigh(self, base):
         rng = np.random.default_rng({"x": 11, "y": 12, "z": 13}[base])
         for _ in range(50):
-            cfg = make_config(omega=float(rng.uniform(-5, 5)), base_operator=base)
+            omega = float(rng.uniform(-5, 5))
             tau_i, tau_j = (int(t) for t in rng.integers(0, 1000, size=2))
-            oi = free_field(0, tau_i, cfg).matrix
-            oj = free_field(1, tau_j, cfg).matrix
+            oi, res_i = dynamics._free_field(0, tau_i, omega, base)
+            oj = free_field(1, tau_j, make_config(omega=omega, base_operator=base)).matrix
             dt = float(rng.uniform(0.01, 1.0))
             scale = float(rng.uniform(-3, 3))  # mu + c for a site, J for a link
             assert_allclose(
-                expm_involution(oi, dt * scale), expm_hermitian(scale * oi, dt), rtol=0, atol=1e-14
+                dynamics._closed_form_gate(oi.matrix, res_i, dt * scale, (0,)),
+                expm_hermitian(scale * oi.matrix, dt),
+                rtol=0,
+                atol=1e-14,
             )
-            link = np.kron(oi, oj)
+            pair, res_pair = dynamics._pair_generator(0, tau_i, 1, tau_j, omega, base)
             assert_allclose(
-                expm_involution(link, scale), expm_hermitian(scale * link, 1.0), rtol=0, atol=1e-14
+                dynamics._closed_form_gate(pair, res_pair, scale, (0, 1)),
+                expm_hermitian(scale * np.kron(oi.matrix, oj), 1.0),
+                rtol=0,
+                atol=1e-14,
             )
 
     @pytest.mark.parametrize("base", ["x", "y", "z"])
     def test_ts_step_unitaries_match_eigh(self, base):
         # Random couplings and a random path through the surfaces, so that
-        # tau, the frozen coefficient c and J all vary.
+        # tau, the frozen coefficient c and J all vary, for every kind.
         rng = np.random.default_rng({"x": 21, "y": 22, "z": 23}[base])
         for _ in range(10):
-            cfg = make_config(
-                n_sites=4, horizon=4, base_operator=base,
+            couplings = dict(
                 omega=float(rng.uniform(-3, 3)), mu=float(rng.uniform(-2, 2)),
                 link_coupling=float(rng.uniform(-2, 2)), dt=float(rng.uniform(0.01, 1.0)),
-                kind="local", lam=float(rng.uniform(-2, 2)),
+                lam=float(rng.uniform(-2, 2)),
+                source_site=int(rng.integers(4)), partner_site=int(rng.integers(4)),
             )
-            psi, s = random_state(4, rng), initial_surface(4, 4)
-            while enabled := enabled_deformations(s):
-                d = enabled[int(rng.integers(len(enabled)))]
-                gen, c = step_generator(psi, s, d, cfg)
-                step_dt = cfg.dt if isinstance(d, SiteAdvance) else 1.0
-                psi, s, entry = ts_step(psi, s, d, cfg)
-                assert entry.coefficient == c
-                assert_allclose(
-                    entry.unitary, expm_hermitian(gen.matrix, step_dt), rtol=0, atol=1e-14
-                )
+            for kind in ("none", "local", "coefficient_nonlocal", "operator_nonlocal"):
+                cfg = make_config(n_sites=4, horizon=4, base_operator=base, kind=kind, **couplings)
+                psi, s = random_state(4, rng), initial_surface(4, 4)
+                while enabled := enabled_deformations(s):
+                    d = enabled[int(rng.integers(len(enabled)))]
+                    gen, c = step_generator(psi, s, d, cfg)
+                    step_dt = cfg.dt if isinstance(d, SiteAdvance) else 1.0
+                    psi, s, entry = ts_step(psi, s, d, cfg)
+                    assert entry.coefficient == c
+                    assert_allclose(
+                        entry.unitary, expm_hermitian(gen.matrix, step_dt), rtol=0, atol=1e-14
+                    )
 
     @pytest.mark.parametrize("nl", ALL_KINDS, ids=[k["kind"] for k in ALL_KINDS])
-    def test_only_operator_nonlocal_goes_through_eigh(self, monkeypatch, nl):
-        import tslattice.dynamics as dynamics
+    def test_no_kind_goes_through_eigh(self, monkeypatch, nl):
+        import tslattice.quantum_core as quantum_core
 
         calls = {"eigh": 0, "closed": 0}
 
         def counted(name, real):
-            def wrapper(*args):
+            def wrapper(*args, **kwargs):
                 calls[name] += 1
-                return real(*args)
+                return real(*args, **kwargs)
 
             return wrapper
 
-        monkeypatch.setattr(dynamics, "expm_hermitian", counted("eigh", expm_hermitian))
+        monkeypatch.setattr(quantum_core, "expm_hermitian", counted("eigh", expm_hermitian))
+        monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
         monkeypatch.setattr(
             dynamics, "_closed_form_gate", counted("closed", dynamics._closed_form_gate)
         )
@@ -343,7 +380,37 @@ class TestClosedFormGates:
             assert two_site_advances > 0
         else:
             assert two_site_advances == 0
-        assert calls == {"eigh": two_site_advances, "closed": len(record) - two_site_advances}
+        # A two-site advance is the product of two rotations.
+        assert calls == {"eigh": 0, "closed": len(record) + two_site_advances}
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        base=st.sampled_from(["x", "y", "z"]),
+        omega=st.floats(-5, 5),
+        tau_i=st.integers(0, 64),
+        tau_j=st.integers(0, 64),
+        mu=st.floats(-2, 2),
+        lam=st.floats(-2, 2),
+        dt=st.floats(0.01, 1.0),
+        pair=st.permutations(range(4)).map(lambda p: (p[0], p[1])),
+    )
+    def test_two_site_advance_matches_eigh(self, base, omega, tau_i, tau_j, mu, lam, dt, pair):
+        i, j = pair
+        cfg = make_config(
+            n_sites=4, horizon=65, base_operator=base, omega=omega, mu=mu, dt=dt,
+            kind="operator_nonlocal", lam=lam, partner_site=j,
+        )
+        heights = [0] * 4
+        heights[i], heights[j] = tau_i, tau_j
+        # Every gate incident to site i at height tau_i is applied, so i may advance.
+        gates = {((a, a + 1), tau_i) for a in (i - 1, i) if 0 <= a < 3}
+        s = Hypersurface(tuple(heights), frozenset(gates), 65)
+        psi = plus_state(4)
+        gen, _ = step_generator(psi, s, SiteAdvance(i), cfg)
+        _, _, entry = ts_step(psi, s, SiteAdvance(i), cfg)
+        assert entry.sites == (i, j)
+        assert_allclose(entry.unitary, expm_hermitian(gen.matrix, dt), rtol=0, atol=1e-14)
+        assert is_unitary(entry.unitary, atol=1e-12)
 
 
 def reference_step(state, surface, d, cfg):
@@ -388,14 +455,12 @@ class TestLeanStepAgainstReference:
 
 @pytest.fixture
 def fresh_generator_caches():
-    """Empty the field and link caches around a test that patches the base operators."""
-    import tslattice.dynamics as dynamics
-
+    """Empty the field and pair caches around a test that patches the base operators."""
     dynamics._free_field.cache_clear()
-    dynamics._link_generator.cache_clear()
+    dynamics._pair_generator.cache_clear()
     yield dynamics
     dynamics._free_field.cache_clear()
-    dynamics._link_generator.cache_clear()
+    dynamics._pair_generator.cache_clear()
 
 
 def gate_then_site_surface():
@@ -430,6 +495,12 @@ class TestMovedChecksStillFail:
             ValueError, match=r"^operator on sites \(0, 1\) is not unitary within 1e-12$"
         ):
             ts_step(plus_state(3), initial_surface(3, 2), LinkApply((0, 1), 0), cfg)
+        # Both rotations of operator_nonlocal's two-site advance meet the same test.
+        cfg = make_config(n_sites=3, horizon=2, kind="operator_nonlocal", lam=0.5, partner_site=2)
+        with pytest.raises(
+            ValueError, match=r"^operator on sites \(0, 2\) is not unitary within 1e-12$"
+        ):
+            ts_step(plus_state(3), gate_then_site_surface(), SiteAdvance(0), cfg)
 
     def test_nan_in_the_state_fails_the_step(self):
         cfg = make_config(n_sites=3, horizon=2, kind="local", lam=0.5)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from tslattice._kernels import _pykernels
+from tslattice import _kernels
 
 
 def random_vec(n, rng):
@@ -45,7 +45,7 @@ class TestPyKernelsAgainstDense:
         for site in range(n):
             m = random_matrix(2, rng)
             assert_allclose(
-                _pykernels.apply_1q(v, m, site, n), embedded(m, [site], n) @ v, rtol=0, atol=1e-13
+                _kernels.apply_1q(v, m, site, n), embedded(m, [site], n) @ v, rtol=0, atol=1e-13
             )
 
     @pytest.mark.parametrize("n", range(2, 9))
@@ -55,7 +55,7 @@ class TestPyKernelsAgainstDense:
         for a, b in ordered_pairs(n):
             m = random_matrix(4, rng)
             assert_allclose(
-                _pykernels.apply_2q(v, m, a, b, n), embedded(m, [a, b], n) @ v, rtol=0, atol=1e-13
+                _kernels.apply_2q(v, m, a, b, n), embedded(m, [a, b], n) @ v, rtol=0, atol=1e-13
             )
 
     @pytest.mark.parametrize("n", range(1, 9))
@@ -66,7 +66,7 @@ class TestPyKernelsAgainstDense:
             h = random_matrix(2, rng)
             h = h + h.conj().T
             want = np.vdot(v, embedded(h, [site], n) @ v)
-            assert _pykernels.expect_1q(v, h, site, n) == pytest.approx(want, abs=1e-13)
+            assert _kernels.expect_1q(v, h, site, n) == pytest.approx(want, abs=1e-13)
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_map_layout_of_compose_map(self, n):
@@ -77,11 +77,11 @@ class TestPyKernelsAgainstDense:
         mat = random_matrix(dim, rng)
         for site in range(n):
             u = random_matrix(2, rng)
-            got = _pykernels.apply_1q(mat.ravel(), u, site, 2 * n).reshape(dim, dim)
+            got = _kernels.apply_1q(mat.ravel(), u, site, 2 * n).reshape(dim, dim)
             assert_allclose(got, embedded(u, [site], n) @ mat, rtol=0, atol=1e-12)
         for a, b in ordered_pairs(n):
             u = random_matrix(4, rng)
-            got = _pykernels.apply_2q(mat.ravel(), u, a, b, 2 * n).reshape(dim, dim)
+            got = _kernels.apply_2q(mat.ravel(), u, a, b, 2 * n).reshape(dim, dim)
             assert_allclose(got, embedded(u, [a, b], n) @ mat, rtol=0, atol=1e-12)
 
 
@@ -109,13 +109,13 @@ def spy_routes(monkeypatch):
     """Record which of the fold and gather routes the kernels take."""
     taken = []
     for name, route in (("_folded", "fold"), ("_gathered", "gather")):
-        real = getattr(_pykernels, name)
+        real = getattr(_kernels, name)
 
         def spy(*args, _real=real, _route=route):
             taken.append(_route)
             return _real(*args)
 
-        monkeypatch.setattr(_pykernels, name, spy)
+        monkeypatch.setattr(_kernels, name, spy)
     return taken
 
 
@@ -130,7 +130,7 @@ class TestPyKernelsWideShapes:
         view = v.reshape(2**site, 2, -1)
         want = np.einsum("ij,ajr->air", m, view).ravel()
         taken = spy_routes(monkeypatch)
-        assert_allclose(_pykernels.apply_1q(v, m, site, n), want, rtol=0, atol=1e-13)
+        assert_allclose(_kernels.apply_1q(v, m, site, n), want, rtol=0, atol=1e-13)
         assert taken == ([] if route == "matmul" else [route])
 
     @pytest.mark.parametrize("n, a, b, route", WIDE_2Q)
@@ -144,7 +144,7 @@ class TestPyKernelsWideShapes:
         spec = "ikjl,ajblr->aibkr" if a < b else "kilj,ajblr->aibkr"
         want = np.einsum(spec, m4, view).ravel()
         taken = spy_routes(monkeypatch)
-        assert_allclose(_pykernels.apply_2q(v, m, a, b, n), want, rtol=0, atol=1e-13)
+        assert_allclose(_kernels.apply_2q(v, m, a, b, n), want, rtol=0, atol=1e-13)
         assert taken == ([] if route == "matmul" else [route])
 
 
@@ -167,8 +167,8 @@ class TestPyKernelsPurity:
         v = self.frozen(random_vec(n, rng))
         m = self.frozen(random_matrix(2, rng))
         v0, m0 = v.copy(), m.copy()
-        out = _pykernels.apply_1q(v, m, site, n)
-        _pykernels.expect_1q(v, m, site, n)
+        out = _kernels.apply_1q(v, m, site, n)
+        _kernels.expect_1q(v, m, site, n)
         assert np.array_equal(v, v0) and np.array_equal(m, m0)
         assert out.shape == v.shape and out.flags.writeable
         assert not np.shares_memory(out, v) and not np.shares_memory(out, m)
@@ -179,7 +179,7 @@ class TestPyKernelsPurity:
         v = self.frozen(random_vec(n, rng))
         m = self.frozen(random_matrix(4, rng))
         v0, m0 = v.copy(), m.copy()
-        out = _pykernels.apply_2q(v, m, a, b, n)
+        out = _kernels.apply_2q(v, m, a, b, n)
         assert np.array_equal(v, v0) and np.array_equal(m, m0)
         assert out.shape == v.shape and out.flags.writeable
         assert not np.shares_memory(out, v) and not np.shares_memory(out, m)
@@ -190,7 +190,7 @@ def test_pykernel_ordering_convention():
     v = np.zeros(4, dtype=complex)
     v[0] = 1.0
     x = np.array([[0, 1], [1, 0]], dtype=complex)
-    out = _pykernels.apply_1q(v, x, 0, 2)
+    out = _kernels.apply_1q(v, x, 0, 2)
     assert np.argmax(np.abs(out)) == 0b10
-    out = _pykernels.apply_1q(v, x, 1, 2)
+    out = _kernels.apply_1q(v, x, 1, 2)
     assert np.argmax(np.abs(out)) == 0b01

@@ -8,6 +8,7 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+from tslattice.dynamics import _closed_form_gate, _involution_residue
 from tslattice.quantum_core import (
     HADAMARD,
     IDENTITY_2,
@@ -25,7 +26,6 @@ from tslattice.quantum_core import (
     entanglement_entropy,
     expectation,
     expm_hermitian,
-    expm_involution,
     is_hermitian,
     is_unitary,
     plus_state,
@@ -334,24 +334,20 @@ class TestExpmHermitian:
 
 
 class TestExpmInvolution:
+    """The closed form every lattice step uses, exp(-i theta g) for an involution g."""
+
     def test_matches_scipy_expm_for_paulis_and_products(self):
         gens = (PAULI_X, PAULI_Y, PAULI_Z, np.kron(PAULI_X, PAULI_Y), np.kron(PAULI_Z, PAULI_Z))
         for g in gens:
+            residue = _involution_residue(g)
+            sites = (0,) if g.shape == (2, 2) else (0, 1)
             for theta in (-2.3, 0.0, 0.4, math.pi / 2):
                 assert_allclose(
-                    expm_involution(g, theta), scipy.linalg.expm(-1j * theta * g), rtol=0, atol=1e-14
+                    _closed_form_gate(g, residue, theta, sites),
+                    scipy.linalg.expm(-1j * theta * g),
+                    rtol=0,
+                    atol=1e-14,
                 )
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError, match="Hermitian"):
-            expm_involution(np.array([[0, 1], [0, 0]]), 1.0)
-
-    def test_non_involution_fails_the_unitarity_test(self):
-        # 2 sigma_x is Hermitian but squares to 4 I, so the closed form is wrong
-        # for it, and the gate it gives is caught where it would be applied.
-        u = expm_involution(2.0 * PAULI_X, 0.7)
-        with pytest.raises(ValueError, match="not unitary"):
-            apply_on_site(zero_state(1), SiteOperator(u, 0))
 
 
 class TestValidationPredicates:

@@ -153,6 +153,27 @@ class TestIsEnabled:
                     with pytest.raises(NotEnabledError):
                         apply_deformation(s, d)
 
+    @pytest.mark.parametrize(
+        "d",
+        [SiteAdvance(1.0), SiteAdvance("1"), LinkApply((0, 1.0), 0), LinkApply((0.0, 1), 0),
+         LinkApply((0, 1), 0.0)],
+        ids=repr,
+    )
+    def test_non_integer_field_is_not_enabled(self, d):
+        s = initial_surface(3, 2)
+        assert not is_enabled(s, d)
+        with pytest.raises(NotEnabledError):
+            apply_deformation(s, d)
+        with pytest.raises(FoliationError, match="^step 0 invalid"):
+            validate_foliation(Foliation((d,)), 3, 2)
+
+    def test_numpy_integer_fields_are_integers(self):
+        np = pytest.importorskip("numpy")
+        s = initial_surface(3, 2)
+        assert is_enabled(s, LinkApply((np.int64(0), np.int64(1)), np.int64(0)))
+        s = apply_deformation(s, LinkApply((0, 1), 0))
+        assert is_enabled(s, SiteAdvance(np.int64(0)))
+
 
 class TestApplyDeformation:
     def test_gate_records_without_height_change(self):
