@@ -19,6 +19,10 @@ the gate is picked by the view's shape ``(lead, d, rest)``:
 - otherwise (non-adjacent pairs, mid-sized blocks): the gate axes are
   gathered to the front in one strided copy, multiplied, and scattered back.
 
+The gates take their leading extent from the array: a ``(B, 2^n)`` stack of
+B states, C-contiguous, is one view with B times as many leading blocks, so
+one call applies the gate to every row, and the result has the input's shape.
+
 Every kernel is pure: the input is only read, and the result is a fresh
 array.
 """
@@ -61,7 +65,7 @@ def _gathered(v, g, axes):
 
 
 def _apply_middle(v, g):
-    """g on the middle axis of the view ``(lead, d, rest)``; returns a flat array."""
+    """g on the middle axis of the view ``(lead, d, rest)``; returns an array of v's size."""
     lead, d, rest = v.shape
     if d * rest <= _FOLD_MAX_WIDTH and lead > _FOLD_MAX_WIDTH:
         out = v.reshape(lead, d * rest) @ _folded(g, rest)
@@ -69,16 +73,16 @@ def _apply_middle(v, g):
         out = np.matmul(g, v)
     else:
         out = _gathered(v, g, (1,))
-    return out.reshape(-1)
+    return out
 
 
 def apply_1q(amps, m, site, n):
-    """Apply a 2x2 matrix to one tensor factor of a 2^n amplitude vector."""
-    return _apply_middle(amps.reshape(1 << site, 2, 1 << (n - 1 - site)), m)
+    """Apply a 2x2 matrix to one tensor factor of a 2^n amplitude vector or stack."""
+    return _apply_middle(amps.reshape(-1, 2, 1 << (n - 1 - site)), m).reshape(amps.shape)
 
 
 def apply_2q(amps, m, site_a, site_b, n):
-    """Apply a 4x4 matrix to sites (a, b); row index is (bit_a << 1) | bit_b."""
+    """Apply a 4x4 matrix (row index (bit_a << 1) | bit_b) to sites (a, b) of a vector or stack."""
     if site_a < site_b:
         lo, hi = site_a, site_b
     else:
@@ -87,9 +91,9 @@ def apply_2q(amps, m, site_a, site_b, n):
         m = m.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4)
     rest = 1 << (n - 1 - hi)
     if hi == lo + 1:
-        return _apply_middle(amps.reshape(1 << lo, 4, rest), m)
-    v = amps.reshape(1 << lo, 2, 1 << (hi - lo - 1), 2, rest)
-    return _gathered(v, m, (1, 3)).reshape(-1)
+        return _apply_middle(amps.reshape(-1, 4, rest), m).reshape(amps.shape)
+    v = amps.reshape(-1, 2, 1 << (hi - lo - 1), 2, rest)
+    return _gathered(v, m, (1, 3)).reshape(amps.shape)
 
 
 def expect_1q(amps, m, site, n):

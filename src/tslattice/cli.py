@@ -331,6 +331,14 @@ def run(cfg: RunConfig) -> int:
     except OSError as exc:
         print(f"error: cannot write to output directory {cfg.out!r}: {exc}", file=sys.stderr)
         return 1
+    if cfg.base_operator == "z" and cfg.lam != 0.0 and cfg.kind != "none":
+        # Every z field is diagonal, so every generator commutes and no
+        # nonlinear effect can appear; the verdicts are left as they fall.
+        print(
+            f"warning: base_operator z makes every field diagonal; kind {cfg.kind} "
+            f"with lambda {cfg.lam:g} has no nonlinear effect",
+            file=sys.stderr,
+        )
     all_pass = True
     try:
         for name in selected:

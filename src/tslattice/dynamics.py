@@ -26,6 +26,7 @@ from . import _kernels
 from .quantum_core import (
     HERMITIAN_ATOL,
     IDENTITY_2,
+    IMAG_ATOL,
     NORM_ATOL,
     PAULI_X,
     PAULI_Y,
@@ -37,6 +38,7 @@ from .quantum_core import (
     _check_site,
     _identity,
     _real_expectation,
+    _row_products,
     is_hermitian,
     is_unitary,
 )
@@ -246,17 +248,21 @@ def _kron2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(4, 4)
 
 
-def _generator_terms(
-    state: StateVector, surface: Hypersurface, d: Deformation, config: ModelConfig
-):
-    """``(sites, c, terms)``: the deformation's generator is the sum of ``scale * g``.
+def _step_plan(surface: Hypersurface, d: Deformation, config: ModelConfig):
+    """``(sites, c, read, terms)`` of one deformation, from its surface alone.
 
-    Each term ``(g, residue, scale)`` holds a cached involution g, with
-    g @ g = I up to its stored ``residue``. Site advances and link gates have
-    one term. operator_nonlocal's two-site advance has two,
-    mu * O(i) ⊗ 1 and lambda * O(i) ⊗ O(j); they commute, because both
-    products are O(i)^2 ⊗ O(j), so the step's gate is the product of
-    their rotations. O(i) ⊗ 1 has O(i)'s residue.
+    The generator is the sum of ``scale * g`` over ``terms``. Each term
+    ``(g, residue, scale)`` holds a cached involution g, with g @ g = I up to
+    its stored ``residue``. Site advances and link gates have one term.
+    operator_nonlocal's two-site advance has two, mu * O(i) ⊗ 1 and
+    lambda * O(i) ⊗ O(j); they commute, because both products are
+    O(i)^2 ⊗ O(j), so the step's gate is the product of their rotations.
+    O(i) ⊗ 1 has O(i)'s residue.
+
+    ``read`` is None when the coefficient c is fixed. Otherwise it is the
+    ``(site, tau)`` of the field whose expectation in the pre-step state sets
+    c = lambda * <O(site, tau)> (``nonlinear_coefficient``); the step then
+    has one term, whose scale mu is raised by c.
 
     A nonlocal kind whose own site (coefficient_nonlocal's source,
     operator_nonlocal's partner) advances drops the nonlinear term for that
@@ -267,22 +273,35 @@ def _generator_terms(
     if isinstance(d, LinkApply):
         (i, j), t = d.link, d.time
         g, residue = _pair_generator(i, t, j, t, omega, base)
-        return d.link, 0.0, ((g, residue, config.link_coupling),)
+        return d.link, 0.0, None, ((g, residue, config.link_coupling),)
     i = d.site
     tau_i = surface.heights[i]
     oi, residue = _free_field(i, tau_i, omega, base)
-    if nl.kind == "operator_nonlocal" and nl.active_at(i) and nl.partner_site != i:
-        j = nl.partner_site
-        pair, pair_residue = _pair_generator(i, tau_i, j, surface.heights[j], omega, base)
-        linear = _kron2(oi.matrix, IDENTITY_2)
-        return (i, j), nl.lam, ((linear, residue, config.mu), (pair, pair_residue, nl.lam))
-    if (nl.kind == "coefficient_nonlocal" and nl.source_site == i) or (
-        nl.kind == "operator_nonlocal" and nl.partner_site == i
-    ):
-        c = 0.0
-    else:
-        c = nonlinear_coefficient(state, surface, i, config)
-    return (i,), c, ((oi.matrix, residue, config.mu + c),)
+    linear = ((oi.matrix, residue, config.mu),)
+    if nl.kind == "none" or not nl.active_at(i):
+        return (i,), 0.0, None, linear
+    if nl.kind == "local":
+        return (i,), None, (i, tau_i), linear
+    j = nl.source_site if nl.kind == "coefficient_nonlocal" else nl.partner_site
+    if j == i:
+        return (i,), 0.0, None, linear
+    if nl.kind == "coefficient_nonlocal":
+        return (i,), None, (j, surface.heights[j]), linear
+    pair, pair_residue = _pair_generator(i, tau_i, j, surface.heights[j], omega, base)
+    terms = ((_kron2(oi.matrix, IDENTITY_2), residue, config.mu), (pair, pair_residue, nl.lam))
+    return (i, j), nl.lam, None, terms
+
+
+def _generator_terms(
+    state: StateVector, surface: Hypersurface, d: Deformation, config: ModelConfig
+):
+    """``(sites, c, terms)`` of ``_step_plan``, with c read from ``state`` where the plan reads it."""
+    sites, c, read, terms = _step_plan(surface, d, config)
+    if read is not None:
+        c = nonlinear_coefficient(state, surface, sites[0], config)
+        ((g, residue, scale),) = terms
+        terms = ((g, residue, scale + c),)
+    return sites, c, terms
 
 
 def step_generator(
@@ -322,6 +341,28 @@ def _closed_form_gate(g: np.ndarray, residue: float, theta: float, sites) -> np.
     return math.cos(theta) * _identity(g.shape[0]) - (1j * sin) * g
 
 
+def _gate(sites, terms, step_dt: float) -> np.ndarray:
+    """The closed-form rotation of each term, multiplied; a product of two is tested by ``is_unitary``."""
+    g, residue, scale = terms[0]
+    u = _closed_form_gate(g, residue, step_dt * scale, sites)
+    if len(terms) == 2:
+        g, residue, scale = terms[1]
+        u = u @ _closed_form_gate(g, residue, step_dt * scale, sites)
+        if not is_unitary(u):
+            raise _not_unitary(sites)
+    return u
+
+
+def _apply_gate(amps: np.ndarray, u: np.ndarray, sites, n: int) -> np.ndarray:
+    if len(sites) == 1:
+        return _kernels.apply_1q(amps, u, sites[0], n)
+    return _kernels.apply_2q(amps, u, sites[0], sites[1], n)
+
+
+def _norm_error(nrm: float) -> ValueError:
+    return ValueError(f"state norm {nrm} deviates from 1 beyond {NORM_ATOL}")
+
+
 def ts_step(
     state: StateVector, surface: Hypersurface, d: Deformation, config: ModelConfig
 ):
@@ -329,7 +370,7 @@ def ts_step(
 
     Site advances integrate over ``dt``; link gates fold the unit step into
     the link coupling. Every gate is built in closed form
-    (``_closed_form_gate``) from the terms of ``_generator_terms``: one
+    (``_closed_form_gate``) from the terms of ``_step_plan``: one
     rotation, or for operator_nonlocal's two-site advance the product of
     its two commuting rotations.
 
@@ -347,22 +388,82 @@ def ts_step(
     for site in sites:
         _check_site(state, site)
     step_dt = config.dt if isinstance(d, SiteAdvance) else 1.0
-    g, residue, scale = terms[0]
-    u = _closed_form_gate(g, residue, step_dt * scale, sites)
-    if len(terms) == 2:
-        g, residue, scale = terms[1]
-        u = u @ _closed_form_gate(g, residue, step_dt * scale, sites)
-        if not is_unitary(u):
-            raise _not_unitary(sites)
-    if len(sites) == 1:
-        out = _kernels.apply_1q(state.amplitudes, u, sites[0], n)
-    else:
-        out = _kernels.apply_2q(state.amplitudes, u, sites[0], sites[1], n)
+    u = _gate(sites, terms, step_dt)
+    out = _apply_gate(state.amplitudes, u, sites, n)
     nrm = math.sqrt(np.vdot(out, out).real)
     if not abs(nrm - 1.0) <= NORM_ATOL:
-        raise ValueError(f"state norm {nrm} deviates from 1 beyond {NORM_ATOL}")
+        raise _norm_error(nrm)
     entry = TrajectoryStep(deformation=d, coefficient=c, sites=sites, unitary=u)
     return StateVector._unchecked(out, n), surface_next, entry
+
+
+def ts_step_batch(
+    states: np.ndarray, sources, surfaces, deformations, config: ModelConfig
+) -> np.ndarray:
+    """``ts_step``'s new amplitudes for many states at once, as a ``(B, 2^n)`` stack.
+
+    Row r steps ``states[sources[r]]`` by ``deformations[r]`` from
+    ``surfaces[r]``, which the caller has found enabled there; surfaces are
+    not advanced and no trajectory is recorded.
+
+    Rows are grouped by what fixes the generator: a link and time, or the
+    advancing site and the heights its fields read. A group with a fixed
+    coefficient takes one closed-form gate in one kernel call. A group whose
+    coefficient reads the state forms G psi_r in one kernel call (O psi_r
+    for a remote source in one more), reads c_r = lambda <psi_r|O psi_r>
+    from it, and combines cos(theta_r) psi_r - i sin(theta_r) G psi_r.
+
+    Each check of ``ts_step`` runs with its tolerance, error type and
+    message, per row where rows differ: the expectation's imaginary part,
+    sin^2(theta_r) * residue <= UNITARY_ATOL (a NaN fails it), and the norm.
+    With several failing rows, the error is one of theirs.
+    """
+    n = config.n_sites
+    if states.ndim != 2 or states.shape[1] != 1 << n:
+        raise ValueError(f"stack of shape {states.shape} is not (M, 2^{n})")
+    sources = np.asarray(sources, dtype=np.intp)
+    nl = config.nonlinearity
+    j = {"coefficient_nonlocal": nl.source_site, "operator_nonlocal": nl.partner_site}.get(nl.kind)
+    groups: dict = {}
+    for r, (s, d) in enumerate(zip(surfaces, deformations)):
+        if type(d) is LinkApply:
+            key = (d.link, d.time)
+        else:
+            key = (d.site, s.heights[d.site], None if j is None else s.heights[j])
+        groups.setdefault(key, []).append(r)
+    out = np.empty((len(sources), 1 << n), dtype=complex)
+    for rows in groups.values():
+        d = deformations[rows[0]]
+        sites, _, read, terms = _step_plan(surfaces[rows[0]], d, config)
+        step_dt = config.dt if type(d) is SiteAdvance else 1.0
+        sub = states[sources[rows]]
+        if read is None:
+            out[rows] = _apply_gate(sub, _gate(sites, terms, step_dt), sites, n)
+            continue
+        ((g, residue, scale),) = terms
+        g_psi = _kernels.apply_1q(sub, g, sites[0], n)
+        if read[0] == sites[0]:
+            o_psi = g_psi
+        else:
+            field = _free_field(read[0], read[1], config.omega, config.base_operator)[0]
+            o_psi = _kernels.apply_1q(sub, field.matrix, read[0], n)
+        raw = _row_products(sub, o_psi)
+        imag = np.abs(raw.imag) > IMAG_ATOL
+        if imag.any():
+            residue_im = float(raw.imag[imag.argmax()])
+            raise ArithmeticError(f"expectation has imaginary residue {residue_im}")
+        theta = step_dt * (scale + nl.lam * raw.real)
+        sin = np.sin(theta)
+        if not (sin * sin * residue <= UNITARY_ATOL).all():
+            raise _not_unitary(sites)
+        g_psi *= (-1j * sin)[:, None]
+        g_psi += np.cos(theta)[:, None] * sub
+        out[rows] = g_psi
+    nrm = np.sqrt(_row_products(out, out).real)
+    bad = ~(np.abs(nrm - 1.0) <= NORM_ATOL)
+    if bad.any():
+        raise _norm_error(float(nrm[bad.argmax()]))
+    return out
 
 
 def evolve(state0: StateVector, foliation: Foliation, config: ModelConfig):

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import deque
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -27,11 +26,13 @@ from .dynamics import (
     free_field,
     linear_config,
     ts_step,
+    ts_step_batch,
 )
 from .quantum_core import (
     DensityMatrix,
     SiteOperator,
     StateVector,
+    _state_distances,
     basis_state,
     bell_pair_state,
     entanglement_entropy,
@@ -45,10 +46,10 @@ from .quantum_core import (
 from .spacetime import (
     Foliation,
     canonical_foliation,
-    enabled_deformations,
     foliation_to_text,
     initial_surface,
     random_foliation,
+    surface_levels,
 )
 
 # Verdict bounds shared with the acceptance suite. The inequality direction
@@ -151,52 +152,116 @@ def _fmt_deformation(d) -> str:
 # -- order-swap exactness -------------------------------------------------------
 
 
-def _swap_scan(config: ModelConfig, budget: int):
-    """BFS over reachable surfaces; order-swap every enabled pair at each.
+# Amplitudes in one chunk's legs: a surface with m enabled deformations has
+# m first and m(m - 1) second legs. 2^18 (4 MiB) holds a whole level up to
+# n = 6; at n = 8, horizon 2, the widest level's 15,236 legs of 256
+# amplitudes would be 60 MiB.
+_SWAP_BLOCK = 1 << 18
+
+
+def _swap_chunks(successors, take: int, n: int):
+    """Runs ``(lo, hi)`` of at least one of a level's first ``take`` surfaces, within ``_SWAP_BLOCK``."""
+    limit = max(1, _SWAP_BLOCK >> n)
+    lo = rows = 0
+    for p in range(take):
+        m = len(successors[p])
+        if rows and rows + m * m > limit:
+            yield lo, p
+            lo, rows = p, 0
+        rows += m * m
+    yield lo, take
+
+
+def _swap_level(config: ModelConfig, states, level, after, take: int, expand: bool):
+    """Order-swap the pairs on the first ``take`` surfaces of ``level``, whose states are ``states``.
+
+    Returns (the states of ``after``, the next level, if ``expand``, else
+    None; pairs checked; the level's witness row, or None if no residue is
+    above 0).
+    """
+    n = config.n_sites
+    surfaces, successors = level
+    next_surfaces, next_successors = after or ((), ())
+    next_states = np.empty((len(next_surfaces), 1 << n), dtype=complex) if expand else None
+    # Successors are numbered in discovery order: a leg discovers its
+    # surface when its index is above every earlier leg's.
+    discovered = -1
+    pairs = 0
+    witness = None
+    for lo, hi in _swap_chunks(successors, take, n):
+        sources, legs, steps, targets = [], [], [], []
+        for p in range(lo, hi):
+            for d, q in successors[p].items():
+                sources.append(p)
+                legs.append(surfaces[p])
+                steps.append(d)
+                targets.append(q)
+        if not legs:
+            continue
+        first = ts_step_batch(states, sources, legs, steps, config)
+        if expand:
+            for row, q in enumerate(targets):
+                if q > discovered:
+                    next_states[q] = first[row]
+                    discovered = q
+        opened, sources, legs, steps = [], [], [], []
+        row = 0  # surface p's first leg in the first-leg stack
+        for p in range(lo, hi):
+            s, out = surfaces[p], tuple(successors[p].items())
+            for (e1, (d1, a)), (e2, (d2, b)) in itertools.combinations(enumerate(out), 2):
+                s_ab = next_successors[a].get(d2)
+                if s_ab is None or s_ab != next_successors[b].get(d1):
+                    raise AssertionError(
+                        f"diamond property violated at {s.heights} for {d1}, {d2}"
+                    )
+                opened.append((s, d1, d2))
+                sources += (row + e1, row + e2)
+                legs += (next_surfaces[a], next_surfaces[b])
+                steps += (d2, d1)
+            row += len(out)
+        if not opened:
+            continue
+        second = ts_step_batch(first, sources, legs, steps, config)
+        residues = _state_distances(second[0::2], second[1::2])
+        pairs += len(opened)
+        w = int(np.argmax(residues))
+        if residues[w] > (0.0 if witness is None else witness[3]):
+            s, d1, d2 = opened[w]
+            witness = (
+                " ".join(map(str, s.heights)),
+                _fmt_deformation(d1),
+                _fmt_deformation(d2),
+                float(residues[w]),
+            )
+    return next_states, pairs, witness
+
+
+def _swap_scans(configs, budget: int):
+    """Order-swap scans of configs of one lattice over one walk of its surface levels.
 
     Returns (max residue, witness row, surfaces visited, pairs checked,
-    exhausted flag). The state attached to a surface is the one reached along
-    the breadth-first discovery path. Each enabled deformation's step from
-    the surface is taken once and serves as the first leg of every pair it
-    opens and as the BFS expansion.
+    exhausted flag) per config.
     """
-    surface = initial_surface(config.n_sites, config.horizon)
-    state = default_initial_state(config)
-    seen = {surface}
-    queue = deque([(surface, state)])
-    max_residue = 0.0
-    witness = ("", "", "", 0.0)
+    results = [[0.0, ("", "", "", 0.0), 0] for _ in configs]  # max residue, witness, pairs
+    states = [default_initial_state(config).amplitudes[None, :] for config in configs]
+    levels = surface_levels(configs[0].n_sites, configs[0].horizon)
+    level = next(levels)
     visited = 0
-    pairs = 0
-    while queue and visited < budget:
-        s, psi = queue.popleft()
-        visited += 1
-        enabled = enabled_deformations(s)
-        first = {d: ts_step(psi, s, d, config) for d in enabled}
-        for d1, d2 in itertools.combinations(enabled, 2):
-            psi_a, s_a, _ = first[d1]
-            psi_ab, s_ab, _ = ts_step(psi_a, s_a, d2, config)
-            psi_b, s_b, _ = first[d2]
-            psi_ba, s_ba, _ = ts_step(psi_b, s_b, d1, config)
-            if s_ab != s_ba:
-                raise AssertionError(
-                    f"diamond property violated at {s.heights} for {d1}, {d2}"
-                )
-            r = state_distance(psi_ab, psi_ba)
-            pairs += 1
-            if r > max_residue:
-                max_residue = r
-                witness = (
-                    " ".join(map(str, s.heights)),
-                    _fmt_deformation(d1),
-                    _fmt_deformation(d2),
-                    r,
-                )
-        for nxt_state, nxt_surface, _ in first.values():
-            if nxt_surface not in seen:
-                seen.add(nxt_surface)
-                queue.append((nxt_surface, nxt_state))
-    return max_residue, witness, visited, pairs, not queue
+    while True:
+        after = next(levels, None)
+        take = min(len(level[0]), budget - visited)
+        visited += take
+        expand = visited < budget and after is not None
+        for k, config in enumerate(configs):
+            states[k], pairs, witness = _swap_level(config, states[k], level, after, take, expand)
+            results[k][2] += pairs
+            if witness is not None and witness[3] > results[k][0]:
+                results[k][:2] = witness[3], witness
+        if not expand:
+            break
+        level = after
+    exhausted = after is None and take == len(level[0])
+    return [(residue, witness, visited, pairs, exhausted) for residue, witness, pairs in results]
 
 
 def integrability_check(config: ModelConfig, exploration_budget: int = 2000) -> ExperimentReport:
@@ -205,9 +270,32 @@ def integrability_check(config: ModelConfig, exploration_budget: int = 2000) -> 
     The second leg of each ordering recomputes its frozen coefficient after
     the first leg, so a nonzero residue is a genuine integrability defect and
     not a bookkeeping artifact.
+
+    The scan covers the first ``exploration_budget`` reachable surfaces in
+    breadth-first order; a surface carries the state reached along the edge
+    that discovered it. ``surface_levels`` builds the surface graph once,
+    one level (step count) at a time, and the lambda = 0 control and the
+    main scan both read each level, so two levels are held at a time. A
+    level is cut into chunks of whole surfaces whose legs hold at most
+    ``_SWAP_BLOCK`` amplitudes. A chunk's first legs, one per enabled
+    deformation, are one ``ts_step_batch`` call; each opens every pair it
+    belongs to, and the edge that discovered a surface gives the next level
+    its state. The chunk's second legs are one more call. Within a call,
+    rows that share a generator are one group and one kernel call. The
+    witness is the first strict maximum in surface order, then
+    ``itertools.combinations`` order.
+
+    Checks: ``apply_deformation`` (so ``is_enabled``) makes every edge of
+    the graph; the diamond property (both orders enabled and reaching one
+    surface) is asserted for every pair; ``ts_step_batch`` runs each check
+    of ``ts_step`` (Hermiticity at cache fill, expectation imaginary part,
+    unitarity and norm per row).
     """
-    control, _, _, _, _ = _swap_scan(linear_config(config), exploration_budget)
-    residue, witness, visited, pairs, exhausted = _swap_scan(config, exploration_budget)
+    if exploration_budget < 1:
+        raise ValueError(f"exploration_budget must be >= 1, got {exploration_budget}")
+    (control, *_), (residue, witness, visited, pairs, exhausted) = _swap_scans(
+        (linear_config(config), config), exploration_budget
+    )
     metrics = (
         ("max_swap_residue", residue),
         ("control_max_swap_residue", control),

@@ -297,3 +297,16 @@ def state_distance(a: StateVector, b: StateVector) -> float:
     z = np.vdot(a.amplitudes, b.amplitudes)
     phase = z.conjugate() / abs(z) if abs(z) > 1e-300 else 1.0
     return float(np.linalg.norm(a.amplitudes - phase * b.amplitudes))
+
+
+def _row_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """<a_r|b_r> for each row r of two ``(B, 2^n)`` amplitude stacks."""
+    return np.einsum("ri,ri->r", a.conj(), b)
+
+
+def _state_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``state_distance`` of each row pair of two ``(B, 2^n)`` amplitude stacks."""
+    z = _row_products(a, b)
+    size = np.abs(z)
+    phase = np.divide(z.conj(), size, out=np.ones_like(z), where=size > 1e-300)
+    return np.linalg.norm(a - phase[:, None] * b, axis=1)

@@ -310,28 +310,42 @@ def step_multiset(foliation: Foliation) -> Counter:
     return Counter(foliation.steps)
 
 
+def surface_levels(n_sites: int, horizon: int):
+    """The graph of reachable surfaces, one level (step count) at a time.
+
+    Each level is a pair ``(surfaces, successors)``: the surfaces in
+    discovery order, and for each a dict from its enabled deformations, in
+    canonical order, to the index in the next level of the surface each
+    leads to. Indices are numbered in discovery order. Every path to a
+    surface takes one step per deformation applied, so the levels in turn
+    are the breadth-first order. Edges are made by ``apply_deformation``.
+    """
+    surfaces = [initial_surface(n_sites, horizon)]
+    while surfaces:
+        index: dict[Hypersurface, int] = {}
+        successors = []
+        for s in surfaces:
+            row = {}
+            for d in enabled_deformations(s):
+                row[d] = index.setdefault(apply_deformation(s, d), len(index))
+            successors.append(row)
+        yield surfaces, successors
+        surfaces = list(index)
+
+
 def reachable_surfaces(n_sites: int, horizon: int, limit: int | None = None):
     """Breadth-first enumeration of surfaces reachable from the initial one.
 
-    Yields surfaces in deterministic BFS order; stops after ``limit`` when set.
+    Yields surfaces in deterministic BFS order, level by level from
+    ``surface_levels``; stops after ``limit`` when set.
     """
-    from collections import deque
-
-    start = initial_surface(n_sites, horizon)
-    seen = {start}
-    queue = deque([start])
     emitted = 0
-    while queue:
-        s = queue.popleft()
-        yield s
-        emitted += 1
-        if limit is not None and emitted >= limit:
-            return
-        for d in enabled_deformations(s):
-            nxt = apply_deformation(s, d)
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
+    for surfaces, _ in surface_levels(n_sites, horizon):
+        for s in surfaces:
+            yield s
+            emitted += 1
+            if limit is not None and emitted >= limit:
+                return
 
 
 # -- plain-text serialization (one step per line) ------------------------------

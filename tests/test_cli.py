@@ -16,6 +16,7 @@ from tslattice.cli import (
     render_rows,
     render_structured,
     run,
+    run_experiment,
 )
 from tslattice.experiments import foliation_sweep
 from tslattice.dynamics import ModelConfig, NonlinearitySpec
@@ -286,3 +287,44 @@ class TestMain:
         assert (tmp_path / "a" / "sweep.rows").read_text() != (
             tmp_path / "b" / "sweep.rows"
         ).read_text()
+
+
+class TestDiagonalBaseWarning:
+    """base_operator z commutes every generator: one stderr warning, reports unchanged."""
+
+    def test_warns_once_for_a_nonlinear_kind(self, tmp_path, capsys):
+        cfgfile = write_cfg(
+            tmp_path,
+            "n_sites = 4\nhorizon = 2\nn_foliations = 3\nexploration_budget = 100\n"
+            "kind = coefficient_nonlocal\nbase_operator = z\n",
+        )
+        code = main(["all", "--config", cfgfile, "--out", str(tmp_path / "r")])
+        err = capsys.readouterr().err
+        # The nonlocal verdicts expect breakage that z cannot produce.
+        assert code == 2
+        assert err == (
+            "warning: base_operator z makes every field diagonal; "
+            "kind coefficient_nonlocal with lambda 0.5 has no nonlinear effect\n"
+        )
+
+    def test_report_is_the_one_written_without_a_warning(self, tmp_path, capsys):
+        cfg = parse_config(
+            write_cfg(tmp_path, "experiment = integrability\nn_sites = 3\nhorizon = 2\nbase_operator = z\n"),
+            {"out": str(tmp_path / "r")},
+        )
+        assert run(cfg) == 0
+        assert capsys.readouterr().err.count("warning:") == 1
+        report = render_structured(run_experiment("integrability", cfg))
+        assert (tmp_path / "r" / "integrability.report").read_text() == report
+
+    @pytest.mark.parametrize(
+        "text",
+        ["base_operator = z\nkind = none\n", "base_operator = z\nlambda = 0\n", "base_operator = y\n"],
+    )
+    def test_silent_when_no_nonlinearity_is_lost(self, tmp_path, capsys, text):
+        cfg = parse_config(
+            write_cfg(tmp_path, "experiment = integrability\nn_sites = 3\nhorizon = 2\n" + text),
+            {"out": str(tmp_path / "r")},
+        )
+        run(cfg)
+        assert "warning" not in capsys.readouterr().err

@@ -1,6 +1,7 @@
 """Stepper, frozen coefficients, trajectory records, and the composed map."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -722,3 +723,124 @@ class TestConfigValidation:
     def test_nonlocal_site_in_range(self):
         with pytest.raises(ValueError, match="out of range"):
             make_config(n_sites=3, horizon=2, kind="operator_nonlocal", lam=0.5, partner_site=7)
+
+
+def batch_rows(n, horizon, seed, size, pool):
+    """``size`` rows of (state, surface, deformation) for ``ts_step_batch``.
+
+    The steps come from a pool of ``pool`` random enabled steps, so several
+    rows share one generator group with their own coefficients; the states
+    come from a pool of ``size`` random states, so some rows share a state.
+    """
+    rng = np.random.default_rng(seed)
+    steps = []
+    for k in range(pool):
+        fol = random_foliation(n, horizon, seed + k)
+        s = initial_surface(n, horizon)
+        for d in fol.steps[: int(rng.integers(len(fol.steps)))]:
+            s = apply_deformation(s, d)
+        enabled = enabled_deformations(s)
+        steps.append((s, enabled[int(rng.integers(len(enabled)))]))
+    states = [random_state(n, rng) for _ in range(size)]
+    return [(states[int(rng.integers(size))],) + steps[int(rng.integers(pool))] for _ in range(size)]
+
+
+def step_rows(rows, cfg):
+    """ts_step_batch on ``rows``, each state drawn by index from a stack of the distinct states."""
+    states = list({id(psi): psi for psi, _, _ in rows}.values())
+    stack = np.array([psi.amplitudes for psi in states])
+    sources = [next(k for k, x in enumerate(states) if x is psi) for psi, _, _ in rows]
+    surfaces, steps = [s for _, s, _ in rows], [d for _, _, d in rows]
+    return dynamics.ts_step_batch(stack, sources, surfaces, steps, cfg)
+
+
+class TestBatchedStep:
+    """ts_step_batch against ts_step, row by row."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        kind=st.sampled_from(["none", "local", "coefficient_nonlocal", "operator_nonlocal"]),
+        base=st.sampled_from(["x", "y", "z"]),
+        n=st.integers(2, 6),
+        horizon=st.integers(1, 3),
+        size=st.integers(1, 8),
+        pool=st.integers(1, 3),
+        seed=st.integers(0, 2**16),
+        remote=st.integers(0, 5),
+        masked=st.booleans(),
+        lam=st.floats(-2, 2),
+    )
+    def test_matches_ts_step_per_row(
+        self, kind, base, n, horizon, size, pool, seed, remote, masked, lam
+    ):
+        cfg = make_config(
+            n_sites=n, horizon=horizon, base_operator=base, kind=kind, lam=lam,
+            source_site=remote % n, partner_site=remote % n,
+            active_sites=frozenset(range(0, n, 2)) if masked else None,
+        )
+        rows = batch_rows(n, horizon, seed, size, pool)
+        got = step_rows(rows, cfg)
+        assert got.shape == (size, 1 << n)
+        for row, (psi, s, d) in zip(got, rows):
+            want, _, _ = ts_step(psi, s, d, cfg)
+            assert_allclose(row, want.amplitudes, rtol=0, atol=1e-14)
+
+    def test_rejects_a_stack_of_the_wrong_width(self):
+        cfg = make_config(n_sites=3, horizon=2)
+        with pytest.raises(ValueError, match=r"^stack of shape \(2, 4\) is not \(M, 2\^3\)$"):
+            dynamics.ts_step_batch(np.zeros((2, 4), complex), [], [], [], cfg)
+
+
+class TestBatchedStepFaults:
+    """Each fault ts_step catches stops ts_step_batch with ts_step's error and message."""
+
+    @staticmethod
+    def assert_same_error(rows, cfg, failing):
+        with pytest.raises(Exception) as want:
+            ts_step(*rows[failing], cfg)
+        with pytest.raises(type(want.value), match=f"^{re.escape(str(want.value))}$"):
+            step_rows(rows, cfg)
+
+    @staticmethod
+    def rows_with(psi, surface, d, n=3):
+        """``psi`` stepped with two good states around it, all in one group."""
+        return [(plus_state(n), surface, d), (psi, surface, d), (zero_state(n), surface, d)]
+
+    def test_non_hermitian_field(self, monkeypatch, fresh_generator_caches):
+        bad = np.array([[0.0, 1.0], [1.0 + 1e-13, 0.0]], dtype=complex)
+        monkeypatch.setitem(fresh_generator_caches.BASE_OPERATORS, "x", bad)
+        cfg = make_config(n_sites=3, horizon=2, kind="local", lam=0.5)
+        for s, d in ((gate_then_site_surface(), SiteAdvance(0)), (initial_surface(3, 2), LinkApply((0, 1), 0))):
+            self.assert_same_error(self.rows_with(plus_state(3), s, d), cfg, 1)
+
+    def test_generator_squaring_off_identity(self, monkeypatch, fresh_generator_caches):
+        monkeypatch.setitem(fresh_generator_caches.BASE_OPERATORS, "x", 2.0 * PAULI_X)
+        site = (gate_then_site_surface(), SiteAdvance(0))
+        link = (initial_surface(3, 2), LinkApply((0, 1), 0))
+        for kind, extra in (("local", {}), ("operator_nonlocal", {"partner_site": 2})):
+            cfg = make_config(n_sites=3, horizon=2, kind=kind, lam=0.5, **extra)
+            for s, d in (site, link):
+                self.assert_same_error(self.rows_with(plus_state(3), s, d), cfg, 1)
+
+    def test_nan_row(self):
+        psi = plus_state(3)
+        psi.amplitudes[5] = np.nan
+        for kind, extra in (("local", {}), ("coefficient_nonlocal", {"source_site": 2}), ("none", {})):
+            cfg = make_config(n_sites=3, horizon=2, kind=kind, lam=0.5, **extra)
+            # A coefficient kind fails the angle's test; a fixed gate fails the norm's.
+            for s, d in ((gate_then_site_surface(), SiteAdvance(0)), (initial_surface(3, 2), LinkApply((0, 1), 0))):
+                self.assert_same_error(self.rows_with(psi, s, d), cfg, 1)
+
+    def test_norm_drift(self):
+        cfg = make_config(n_sites=3, horizon=2, kind="local", lam=0.5)
+        psi = plus_state(3)
+        psi.amplitudes[0] *= 1.0 + 1e-9
+        for s, d in ((gate_then_site_surface(), SiteAdvance(0)), (initial_surface(3, 2), LinkApply((0, 1), 0))):
+            rows = self.rows_with(psi, s, d)
+            with pytest.raises(ValueError) as want:
+                ts_step(*rows[1], cfg)
+            with pytest.raises(ValueError, match=r"^state norm (\S+) deviates from 1 beyond 1e-12$") as got:
+                step_rows(rows, cfg)
+            # The value is the row's own norm, formed by another summation.
+            reported = [float(str(exc.value).split()[2]) for exc in (got, want)]
+            assert reported[0] == pytest.approx(reported[1], rel=0, abs=1e-15)

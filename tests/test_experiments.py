@@ -19,7 +19,7 @@ from tslattice.dynamics import (
 from tslattice.experiments import (
     ExperimentReport,
     _fmt_deformation,
-    _swap_scan,
+    _swap_scans,
     default_initial_state,
     degeneracy_experiment,
     entanglement_monitor,
@@ -35,7 +35,11 @@ from tslattice.spacetime import (
     enabled_deformations,
     initial_surface,
     random_foliation,
+    reachable_surfaces,
+    surface_levels,
 )
+
+KINDS = ["none", "local", "coefficient_nonlocal", "operator_nonlocal"]
 
 
 def cfg_with(kind="local", lam=0.5, n_sites=4, horizon=3, **kw):
@@ -99,6 +103,11 @@ class TestIntegrabilityCheck:
         assert r.metric("surfaces_visited") <= 5
         assert r.metric("exhaustive") == 0.0
 
+    @pytest.mark.parametrize("budget", [0, -5])
+    def test_rejects_budget_below_one(self, budget):
+        with pytest.raises(ValueError, match=rf"^exploration_budget must be >= 1, got {budget}$"):
+            integrability_check(cfg_with("local"), exploration_budget=budget)
+
     def test_witness_row_present(self):
         r = integrability_check(cfg_with("coefficient_nonlocal"), exploration_budget=10000)
         assert len(r.details) == 1
@@ -106,11 +115,16 @@ class TestIntegrabilityCheck:
 
 
 def reference_swap_scan(config, budget):
-    """Order-swap BFS that takes all four steps of every pair afresh."""
+    """Order-swap BFS that takes all four steps of every pair afresh with ts_step.
+
+    Returns the scan's five results and, as a sixth, every pair's row
+    (surface heights, first, second, residue) in scan order.
+    """
     surface = initial_surface(config.n_sites, config.horizon)
     seen = {surface}
     queue = deque([(surface, default_initial_state(config))])
     max_residue, witness, visited, pairs = 0.0, ("", "", "", 0.0), 0, 0
+    rows = []
     while queue and visited < budget:
         s, psi = queue.popleft()
         visited += 1
@@ -123,31 +137,91 @@ def reference_swap_scan(config, budget):
             assert s_ab == s_ba
             r = state_distance(psi_ab, psi_ba)
             pairs += 1
+            row = (" ".join(map(str, s.heights)), _fmt_deformation(d1), _fmt_deformation(d2), r)
+            rows.append(row)
             if r > max_residue:
                 max_residue = r
-                witness = (
-                    " ".join(map(str, s.heights)),
-                    _fmt_deformation(d1),
-                    _fmt_deformation(d2),
-                    r,
-                )
+                witness = row
         for d in enabled:
             nxt_state, nxt_surface, _ = ts_step(psi, s, d, config)
             if nxt_surface not in seen:
                 seen.add(nxt_surface)
                 queue.append((nxt_surface, nxt_state))
-    return max_residue, witness, visited, pairs, not queue
+    return max_residue, witness, visited, pairs, not queue, rows
+
+
+def swap_scan(config, budget):
+    return _swap_scans((config,), budget)[0]
+
+
+def assert_scan_matches_reference(got, want):
+    """Counts exactly; residues within 1e-14; the witness wherever it has no rival within 1e-14."""
+    residue, witness, visited, pairs, exhausted = got
+    want_residue, want_witness, want_visited, want_pairs, want_exhausted, rows = want
+    assert (visited, pairs, exhausted) == (want_visited, want_pairs, want_exhausted)
+    assert residue == pytest.approx(want_residue, rel=0, abs=1e-14)
+    assert witness[3] == residue
+    rivals = [row[:3] for row in rows if row[3] >= want_residue - 1e-14]
+    if want_residue <= 1e-14:
+        rivals.append(("", "", ""))  # the empty witness: no pair above 0
+    assert witness[:3] in rivals
+    if len(rivals) == 1:
+        assert witness[:3] == want_witness[:3]
 
 
 class TestSwapScanSharedLegs:
-    @pytest.mark.parametrize("kind", ["none", "local", "coefficient_nonlocal", "operator_nonlocal"])
+    @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("n_sites,horizon", [(2, 3), (3, 2), (4, 3)])
     @pytest.mark.parametrize("budget", [7, 10000])
     def test_matches_four_step_reference(self, kind, n_sites, horizon, budget):
         cfg = cfg_with(kind, n_sites=n_sites, horizon=horizon)
-        got = _swap_scan(cfg, budget)
-        assert got == reference_swap_scan(cfg, budget)
+        got = swap_scan(cfg, budget)
+        assert_scan_matches_reference(got, reference_swap_scan(cfg, budget))
         assert got[4] == (budget == 10000)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_every_budget_matches_reference(self, kind):
+        # 26 surfaces in 9 levels of widths 1, 2, 3, 4, 4, 4, 4, 3, 1, so most
+        # budgets cut a level part-way.
+        cfg = cfg_with(kind, n_sites=3, horizon=2)
+        total = sum(1 for _ in reachable_surfaces(3, 2))
+        assert total == 26
+        for budget in range(1, total + 2):
+            got = swap_scan(cfg, budget)
+            assert_scan_matches_reference(got, reference_swap_scan(cfg, budget))
+            assert got[2] == min(budget, total)
+            assert got[4] == (budget >= total)
+
+    @pytest.mark.parametrize("budget", [5, 10000])
+    def test_one_walk_serves_each_config_as_its_own_scan(self, budget):
+        cfgs = [cfg_with(kind, n_sites=4, horizon=3) for kind in KINDS]
+        assert _swap_scans(cfgs, budget) == [swap_scan(cfg, budget) for cfg in cfgs]
+
+    @pytest.mark.parametrize("block", [1, 64, 1 << 10])
+    def test_chunked_levels_match_whole_levels(self, monkeypatch, block):
+        # At block 1 every chunk is one surface; larger blocks cut levels elsewhere.
+        cfg = cfg_with("coefficient_nonlocal", n_sites=4, horizon=3)
+        monkeypatch.setattr(experiments, "_SWAP_BLOCK", block)
+        assert_scan_matches_reference(swap_scan(cfg, 10000), reference_swap_scan(cfg, 10000))
+
+    def test_peak_memory_is_chunked_at_eight_sites(self):
+        # The widest of the 24 levels at n = 8, horizon 2 holds 624 surfaces
+        # and 15,236 first and second legs of 256 amplitudes: 60 MiB as one
+        # stack. Chunks of 2^18 amplitudes keep every stack at 4 MiB, and
+        # the scan holds two levels of the surface graph at a time.
+        cfg = cfg_with("local", n_sites=8, horizon=2)
+        widths = [len(surfaces) for surfaces, _ in surface_levels(8, 2)]
+        widest = widths.index(max(widths))
+        budget = sum(widths[: widest + 1])
+        assert (max(widths), budget) == (624, 3209)
+        tracemalloc.start()
+        try:
+            (_, _, visited, _, _), = _swap_scans((cfg,), budget)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert visited == budget
+        assert peak < 32 << 20
 
 
 class TestFoliationSweep:

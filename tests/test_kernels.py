@@ -194,3 +194,61 @@ def test_pykernel_ordering_convention():
     assert np.argmax(np.abs(out)) == 0b10
     out = _kernels.apply_1q(v, x, 1, 2)
     assert np.argmax(np.abs(out)) == 0b01
+
+
+def forced_route(monkeypatch, route, d, rest):
+    """Set the route limits so that ``_apply_middle`` takes ``route`` on a (lead, d, rest) view."""
+    if route == "fold":
+        monkeypatch.setattr(_kernels, "_FOLD_MAX_WIDTH", d * rest)
+        return
+    monkeypatch.setattr(_kernels, "_FOLD_MAX_WIDTH", 0)
+    monkeypatch.setattr(_kernels, "_MATMUL_MAX_LEAD", 1 << 30 if route == "matmul" else -1)
+    monkeypatch.setattr(_kernels, "_MATMUL_MIN_REST", 1 << 30)
+
+
+def stack_routes(d, rest, lead):
+    """The routes a (lead, d, rest) view can take: folding needs more leading blocks than d * rest."""
+    return ["matmul", "gather"] + (["fold"] if lead > d * rest else [])
+
+
+class TestStackedKernels:
+    """A (B, 2^n) stack in one call equals B calls on its rows, on every route."""
+
+    @pytest.mark.parametrize("rows", [1, 3, 8])
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_apply_1q(self, monkeypatch, n, rows):
+        rng = np.random.default_rng(500 + 10 * n + rows)
+        stack = TestPyKernelsPurity.frozen(np.array([random_vec(n, rng) for _ in range(rows)]))
+        for site in range(n):
+            m = TestPyKernelsPurity.frozen(random_matrix(2, rng))
+            want = np.array([_kernels.apply_1q(v, m, site, n) for v in stack])
+            rest = 1 << (n - 1 - site)
+            for route in stack_routes(2, rest, rows << site):
+                with monkeypatch.context() as patch:
+                    forced_route(patch, route, 2, rest)
+                    taken = spy_routes(patch)
+                    got = _kernels.apply_1q(stack, m, site, n)
+                assert taken == ([] if route == "matmul" else [route])
+                assert got.shape == stack.shape and not np.shares_memory(got, stack)
+                assert_allclose(got, want, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("rows", [1, 3, 8])
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_apply_2q(self, monkeypatch, n, rows):
+        rng = np.random.default_rng(600 + 10 * n + rows)
+        stack = TestPyKernelsPurity.frozen(np.array([random_vec(n, rng) for _ in range(rows)]))
+        for a, b in ordered_pairs(n):
+            m = TestPyKernelsPurity.frozen(random_matrix(4, rng))
+            want = np.array([_kernels.apply_2q(v, m, a, b, n) for v in stack])
+            lo, hi = min(a, b), max(a, b)
+            rest = 1 << (n - 1 - hi)
+            # A non-adjacent pair has only the gather route.
+            routes = stack_routes(4, rest, rows << lo) if hi == lo + 1 else ["gather"]
+            for route in routes:
+                with monkeypatch.context() as patch:
+                    forced_route(patch, route, 4, rest)
+                    taken = spy_routes(patch)
+                    got = _kernels.apply_2q(stack, m, a, b, n)
+                assert taken == ([] if route == "matmul" else [route])
+                assert got.shape == stack.shape and not np.shares_memory(got, stack)
+                assert_allclose(got, want, rtol=0, atol=1e-14)

@@ -19,6 +19,7 @@ from tslattice.quantum_core import (
     SiteOperator,
     StateVector,
     TwoSiteOperator,
+    _state_distances,
     apply_on_link,
     apply_on_site,
     basis_state,
@@ -393,6 +394,19 @@ class TestStateDistance:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
             state_distance(zero_state(2), zero_state(3))
+
+    def test_row_distances_match_state_distance(self):
+        # Random pairs, a phase-rotated pair, an identical pair, and an
+        # orthogonal pair (no overlap, so no phase to align).
+        rng = np.random.default_rng(43)
+        pairs = [(random_state(3, rng), random_state(3, rng)) for _ in range(4)]
+        psi = random_state(3, rng)
+        pairs += [(psi, StateVector(np.exp(0.7j) * psi.amplitudes, 3)), (psi, psi)]
+        pairs.append((basis_state(3, 0), basis_state(3, 5)))
+        a = np.array([x.amplitudes for x, _ in pairs])
+        b = np.array([y.amplitudes for _, y in pairs])
+        want = [state_distance(x, y) for x, y in pairs]
+        assert_allclose(_state_distances(a, b), want, rtol=0, atol=1e-15)
 
 
 class TestNormAndCommutation:

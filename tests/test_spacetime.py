@@ -1,6 +1,7 @@
 """Surface mechanics, the brickwork causal order, and foliation generation."""
 
 import itertools
+from collections import deque
 
 import pytest
 
@@ -25,6 +26,7 @@ from tslattice.spacetime import (
     random_foliation,
     reachable_surfaces,
     step_multiset,
+    surface_levels,
     validate_foliation,
 )
 
@@ -305,3 +307,44 @@ class TestSerialization:
     def test_garbage_rejected(self):
         with pytest.raises(FoliationError, match="line 1"):
             foliation_from_text("Q 1 2\n")
+
+
+def queue_bfs(n, T):
+    """Breadth-first order from one FIFO queue, the enumeration levels must reproduce."""
+    start = initial_surface(n, T)
+    seen, queue, order = {start}, deque([start]), []
+    while queue:
+        s = queue.popleft()
+        order.append(s)
+        for d in enabled_deformations(s):
+            nxt = apply_deformation(s, d)
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+    return order
+
+
+class TestSurfaceLevels:
+    @pytest.mark.parametrize("n,t", [(1, 2), (2, 3), (3, 2), (4, 3), (5, 2)])
+    def test_levels_are_the_queue_order_split_by_step_count(self, n, t):
+        levels = list(surface_levels(n, t))
+        assert [s for surfaces, _ in levels for s in surfaces] == queue_bfs(n, t)
+        assert len(levels) == foliation_length(n, t) + 1
+        for k, (surfaces, _) in enumerate(levels):
+            assert {sum(s.heights) + len(s.applied_gates) for s in surfaces} == {k}
+
+    @pytest.mark.parametrize("n,t", [(2, 3), (3, 2), (4, 3)])
+    def test_successors_index_the_next_level_in_discovery_order(self, n, t):
+        levels = list(surface_levels(n, t))
+        for (surfaces, successors), (after, _) in zip(levels, levels[1:]):
+            top = -1
+            for s, edges in zip(surfaces, successors):
+                assert tuple(edges) == enabled_deformations(s)
+                for d, q in edges.items():
+                    assert after[q] == apply_deformation(s, d)
+                    # A new surface takes the next index; a seen one an earlier index.
+                    assert q <= top + 1
+                    top = max(top, q)
+            assert top == len(after) - 1
+        final, successors = levels[-1]
+        assert final[0].is_final() and successors == [{}]
