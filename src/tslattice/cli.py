@@ -21,6 +21,7 @@ from .dynamics import (
     MAX_SITES,
     MIN_SITES,
     NONLINEARITY_KINDS,
+    REMOTE_SITE_FIELDS,
     ModelConfig,
     NonlinearitySpec,
 )
@@ -40,25 +41,43 @@ class ConfigError(ValueError):
     """A config file or flag value that cannot be accepted as-is."""
 
 
-EXPERIMENTS = ("integrability", "sweep", "signal", "degeneracy", "nonlinearity", "entanglement")
+# The experiments in the order ``all`` runs them. Each has a runner, called
+# with the model, the run config and the replayed foliation (or None), and
+# the names accepted for it besides its own.
+EXPERIMENTS = {
+    "integrability": (
+        lambda model, cfg, replayed: integrability_check(model, exploration_budget=cfg.exploration_budget),
+        ("integrability_check",),
+    ),
+    "sweep": (
+        lambda model, cfg, replayed: foliation_sweep(
+            model, n_foliations=cfg.n_foliations, seed=cfg.seed, extra_foliation=replayed
+        ),
+        ("foliation_sweep",),
+    ),
+    "signal": (
+        lambda model, cfg, replayed: signaling_experiment(
+            model, alice_site=cfg.alice_site, bob_site=cfg.bob_site, foliation=replayed
+        ),
+        ("signaling", "signaling_experiment"),
+    ),
+    "degeneracy": (
+        lambda model, cfg, replayed: degeneracy_experiment(model, foliation=replayed),
+        ("degeneracy_experiment",),
+    ),
+    "nonlinearity": (
+        lambda model, cfg, replayed: map_nonlinearity_check(model, foliation=replayed),
+        ("map_nonlinearity", "map_nonlinearity_check"),
+    ),
+    "entanglement": (
+        lambda model, cfg, replayed: entanglement_monitor(model),
+        ("entanglement_monitor",),
+    ),
+}
 
 _EXPERIMENT_ALIASES = {
-    "integrability": "integrability",
-    "integrability_check": "integrability",
-    "sweep": "sweep",
-    "foliation_sweep": "sweep",
-    "signal": "signal",
-    "signaling": "signal",
-    "signaling_experiment": "signal",
-    "degeneracy": "degeneracy",
-    "degeneracy_experiment": "degeneracy",
-    "nonlinearity": "nonlinearity",
-    "map_nonlinearity": "nonlinearity",
-    "map_nonlinearity_check": "nonlinearity",
-    "entanglement": "entanglement",
-    "entanglement_monitor": "entanglement",
-    "all": "all",
-}
+    alias: name for name, (_, aliases) in EXPERIMENTS.items() for alias in (name, *aliases)
+} | {"all": "all"}
 
 _FORMATS = ("rows", "structured", "both")
 
@@ -89,7 +108,7 @@ def _parse_choice(key: str, raw: str, choices) -> str:
 def _parse_experiment(key: str, raw: str) -> str:
     if raw not in _EXPERIMENT_ALIASES:
         raise ConfigError(
-            f"config key {key!r}: {raw!r} is not one of {'|'.join(EXPERIMENTS + ('all',))}"
+            f"config key {key!r}: {raw!r} is not one of {'|'.join((*EXPERIMENTS, 'all'))}"
         )
     return _EXPERIMENT_ALIASES[raw]
 
@@ -129,12 +148,10 @@ class RunConfig:
 
     def to_model_config(self) -> ModelConfig:
         cfg = self.resolved()
-        nl = NonlinearitySpec(
-            kind=cfg.kind,
-            lam=cfg.lam,
-            source_site=cfg.source_site if cfg.kind == "coefficient_nonlocal" else None,
-            partner_site=cfg.partner_site if cfg.kind == "operator_nonlocal" else None,
-        )
+        # Only the kind's own remote site field is passed on; the other stays None.
+        remote = REMOTE_SITE_FIELDS.get(cfg.kind)
+        sites = {} if remote is None else {remote: getattr(cfg, remote)}
+        nl = NonlinearitySpec(kind=cfg.kind, lam=cfg.lam, **sites)
         try:
             return ModelConfig(
                 n_sites=cfg.n_sites,
@@ -289,8 +306,8 @@ def _load_replay(cfg: RunConfig) -> Foliation | None:
         text = Path(cfg.foliation_file).read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read foliation file {cfg.foliation_file!r}: {exc}") from None
-    fol = foliation_from_text(text)
     try:
+        fol = foliation_from_text(text)
         validate_foliation(fol, cfg.n_sites, cfg.horizon)
     except FoliationError as exc:
         raise ConfigError(f"foliation file {cfg.foliation_file!r}: {exc}") from None
@@ -300,23 +317,10 @@ def _load_replay(cfg: RunConfig) -> Foliation | None:
 def run_experiment(name: str, cfg: RunConfig) -> ExperimentReport:
     model = cfg.to_model_config()
     replayed = _load_replay(cfg)
-    if name == "integrability":
-        return integrability_check(model, exploration_budget=cfg.exploration_budget)
-    if name == "sweep":
-        return foliation_sweep(
-            model, n_foliations=cfg.n_foliations, seed=cfg.seed, extra_foliation=replayed
-        )
-    if name == "signal":
-        return signaling_experiment(
-            model, alice_site=cfg.alice_site, bob_site=cfg.bob_site, foliation=replayed
-        )
-    if name == "degeneracy":
-        return degeneracy_experiment(model, foliation=replayed)
-    if name == "nonlinearity":
-        return map_nonlinearity_check(model, foliation=replayed)
-    if name == "entanglement":
-        return entanglement_monitor(model)
-    raise ConfigError(f"unknown experiment {name!r}")
+    if name not in EXPERIMENTS:
+        raise ConfigError(f"unknown experiment {name!r}")
+    runner, _ = EXPERIMENTS[name]
+    return runner(model, cfg, replayed)
 
 
 def run(cfg: RunConfig) -> int:

@@ -37,6 +37,8 @@ from .quantum_core import (
     TwoSiteOperator,
     _check_site,
     _identity,
+    _imaginary_residue,
+    _norm_error,
     _real_expectation,
     _row_products,
     is_hermitian,
@@ -54,6 +56,9 @@ from .spacetime import (
 BASE_OPERATORS = {"x": PAULI_X, "y": PAULI_Y, "z": PAULI_Z}
 
 NONLINEARITY_KINDS = ("none", "local", "coefficient_nonlocal", "operator_nonlocal")
+
+# The nonlocal kinds and the field naming each one's fixed remote site.
+REMOTE_SITE_FIELDS = {"coefficient_nonlocal": "source_site", "operator_nonlocal": "partner_site"}
 
 # Lattice sizes the model accepts, and the largest lattice whose dense
 # 2^N x 2^N map (composed map, degeneracy and nonlinearity experiments) is
@@ -94,15 +99,20 @@ class NonlinearitySpec:
             raise ValueError(
                 f"nonlinearity kind {self.kind!r} not in {'|'.join(NONLINEARITY_KINDS)}"
             )
-        if self.kind == "coefficient_nonlocal" and self.source_site is None:
-            raise ValueError("coefficient_nonlocal requires source_site")
-        if self.kind == "operator_nonlocal" and self.partner_site is None:
-            raise ValueError("operator_nonlocal requires partner_site")
+        remote = REMOTE_SITE_FIELDS.get(self.kind)
+        if remote is not None and getattr(self, remote) is None:
+            raise ValueError(f"{self.kind} requires {remote}")
         if self.active_sites is not None:
             object.__setattr__(self, "active_sites", frozenset(self.active_sites))
 
     def active_at(self, site: int) -> bool:
         return self.active_sites is None or site in self.active_sites
+
+    @property
+    def remote_site(self) -> int | None:
+        """coefficient_nonlocal's source site, operator_nonlocal's partner site; else None."""
+        remote = REMOTE_SITE_FIELDS.get(self.kind)
+        return None if remote is None else getattr(self, remote)
 
 
 @dataclass(frozen=True)
@@ -207,40 +217,21 @@ def _pair_generator(
     return g, _involution_residue(g)
 
 
-def _field_expectation(state: StateVector, site: int, tau: int, config: ModelConfig) -> float:
-    _check_site(state, site)
-    field = _free_field(site, tau, config.omega, config.base_operator)[0]
-    return _real_expectation(state, field.matrix, site)
-
-
 def nonlinear_coefficient(
     state: StateVector, surface: Hypersurface, site: int, config: ModelConfig
 ) -> float:
     """Frozen scalar coefficient of the nonlinear term for advancing ``site``.
 
-    The coefficient kinds read one expectation of a cached free field (whose
-    Hermiticity was tested when the cache was filled); an imaginary residue
-    above IMAG_ATOL raises ArithmeticError, as in ``expectation``.
+    The value ``ts_step`` records for ``SiteAdvance(site)`` (see
+    ``_step_plan``): 0.0 for kind none, an inactive site, or a nonlocal kind
+    whose own site is ``site``; lambda for operator_nonlocal; otherwise
+    lambda times one expectation of a cached free field (whose Hermiticity
+    was tested when the cache was filled), where an imaginary residue above
+    IMAG_ATOL raises ArithmeticError, as in ``expectation``.
     """
-    nl = config.nonlinearity
     if not 0 <= site < config.n_sites:
         raise ValueError(f"site {site} out of range for {config.n_sites} sites")
-    if not nl.active_at(site) or nl.kind == "none":
-        return 0.0
-    if nl.kind == "local":
-        return nl.lam * _field_expectation(state, site, surface.heights[site], config)
-    if nl.kind == "coefficient_nonlocal":
-        j = nl.source_site
-        if j == site:
-            raise ValueError(
-                f"coefficient source site {j} coincides with the advancing site"
-            )
-        return nl.lam * _field_expectation(state, j, surface.heights[j], config)
-    # operator_nonlocal: the coefficient is the bare coupling; the
-    # nonlocality lives in the generator.
-    if nl.partner_site == site:
-        raise ValueError(f"partner site {site} coincides with the advancing site")
-    return nl.lam
+    return _generator_terms(state, surface, SiteAdvance(site), config)[1]
 
 
 def _kron2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -261,12 +252,13 @@ def _step_plan(surface: Hypersurface, d: Deformation, config: ModelConfig):
 
     ``read`` is None when the coefficient c is fixed. Otherwise it is the
     ``(site, tau)`` of the field whose expectation in the pre-step state sets
-    c = lambda * <O(site, tau)> (``nonlinear_coefficient``); the step then
-    has one term, whose scale mu is raised by c.
+    c = lambda * <O(site, tau)>; the step then has one term, whose scale mu
+    is raised by c.
 
-    A nonlocal kind whose own site (coefficient_nonlocal's source,
-    operator_nonlocal's partner) advances drops the nonlinear term for that
-    step, so c = 0 and the generator stays linear.
+    This is the one place the nonlinearity kind picks a step's generator and
+    coefficient. A nonlocal kind whose own site (``remote_site``) advances
+    drops the nonlinear term for that step, so c = 0 and the generator stays
+    linear.
     """
     nl = config.nonlinearity
     omega, base = config.omega, config.base_operator
@@ -282,7 +274,7 @@ def _step_plan(surface: Hypersurface, d: Deformation, config: ModelConfig):
         return (i,), 0.0, None, linear
     if nl.kind == "local":
         return (i,), None, (i, tau_i), linear
-    j = nl.source_site if nl.kind == "coefficient_nonlocal" else nl.partner_site
+    j = nl.remote_site
     if j == i:
         return (i,), 0.0, None, linear
     if nl.kind == "coefficient_nonlocal":
@@ -298,7 +290,10 @@ def _generator_terms(
     """``(sites, c, terms)`` of ``_step_plan``, with c read from ``state`` where the plan reads it."""
     sites, c, read, terms = _step_plan(surface, d, config)
     if read is not None:
-        c = nonlinear_coefficient(state, surface, sites[0], config)
+        site, tau = read
+        _check_site(state, site)
+        field = _free_field(site, tau, config.omega, config.base_operator)[0]
+        c = config.nonlinearity.lam * _real_expectation(state, field.matrix, site)
         ((g, residue, scale),) = terms
         terms = ((g, residue, scale + c),)
     return sites, c, terms
@@ -357,10 +352,6 @@ def _apply_gate(amps: np.ndarray, u: np.ndarray, sites, n: int) -> np.ndarray:
     if len(sites) == 1:
         return _kernels.apply_1q(amps, u, sites[0], n)
     return _kernels.apply_2q(amps, u, sites[0], sites[1], n)
-
-
-def _norm_error(nrm: float) -> ValueError:
-    return ValueError(f"state norm {nrm} deviates from 1 beyond {NORM_ATOL}")
 
 
 def ts_step(
@@ -423,7 +414,7 @@ def ts_step_batch(
         raise ValueError(f"stack of shape {states.shape} is not (M, 2^{n})")
     sources = np.asarray(sources, dtype=np.intp)
     nl = config.nonlinearity
-    j = {"coefficient_nonlocal": nl.source_site, "operator_nonlocal": nl.partner_site}.get(nl.kind)
+    j = nl.remote_site
     groups: dict = {}
     for r, (s, d) in enumerate(zip(surfaces, deformations)):
         if type(d) is LinkApply:
@@ -450,8 +441,7 @@ def ts_step_batch(
         raw = _row_products(sub, o_psi)
         imag = np.abs(raw.imag) > IMAG_ATOL
         if imag.any():
-            residue_im = float(raw.imag[imag.argmax()])
-            raise ArithmeticError(f"expectation has imaginary residue {residue_im}")
+            raise _imaginary_residue(float(raw.imag[imag.argmax()]))
         theta = step_dt * (scale + nl.lam * raw.real)
         sin = np.sin(theta)
         if not (sin * sin * residue <= UNITARY_ATOL).all():
@@ -492,10 +482,7 @@ def compose_map(record: TrajectoryRecord, config: ModelConfig) -> np.ndarray:
     # A (dim x dim) matrix in C order is a statevector on 2n sites whose first
     # n axes are the row index, so row-side gates reuse the state kernels.
     for step in record.steps:
-        if len(step.sites) == 1:
-            m = _kernels.apply_1q(m, step.unitary, step.sites[0], 2 * n)
-        else:
-            m = _kernels.apply_2q(m, step.unitary, step.sites[0], step.sites[1], 2 * n)
+        m = _apply_gate(m, step.unitary, step.sites, 2 * n)
     return m.reshape(dim, dim)
 
 

@@ -3,8 +3,8 @@
 Every experiment returns an ExperimentReport carrying the resolved
 configuration, named scalar metrics, the thresholds used for the verdict, and
 per-sample detail rows. Each one embeds its lambda = 0 control; the verdict
-is a pure function of metrics and thresholds. Reports are deterministic for a
-fixed configuration and seed.
+is a pure function of metrics and thresholds, computed by the report type
+itself. Reports are deterministic for a fixed configuration and seed.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from .dynamics import (
     BASE_OPERATORS,
     ModelConfig,
     NonlinearitySpec,
+    _apply_gate,
     check_dense_sites,
     compose_map,
     evolve,
@@ -77,13 +78,12 @@ NONLOCAL_KINDS = ("coefficient_nonlocal", "operator_nonlocal")
 
 @dataclass(frozen=True)
 class ExperimentReport:
-    """Config echo, metrics, thresholds, verdict, and detail rows."""
+    """Config echo, metrics, thresholds, detail rows, and the verdict they give."""
 
     name: str
     config: tuple[tuple[str, str], ...]
     metrics: tuple[tuple[str, float], ...]
     thresholds: tuple[tuple[str, str, float], ...]
-    verdict: str
     detail_header: tuple[str, ...]
     details: tuple[tuple, ...]
     foliation_text: str | None = None
@@ -93,6 +93,10 @@ class ExperimentReport:
             if key == name:
                 return value
         raise KeyError(f"report has no metric {name!r}")
+
+    @property
+    def verdict(self) -> str:
+        return verdict_from(self.metrics, self.thresholds)
 
 
 def verdict_from(metrics, thresholds) -> str:
@@ -313,7 +317,6 @@ def integrability_check(config: ModelConfig, exploration_budget: int = 2000) -> 
         config=config_echo(config, exploration_budget=exploration_budget),
         metrics=metrics,
         thresholds=thresholds,
-        verdict=verdict_from(metrics, thresholds),
         detail_header=("surface_heights", "first", "second", "residue"),
         details=(witness,),
     )
@@ -390,7 +393,6 @@ def foliation_sweep(
         config=config_echo(config, n_foliations=n_foliations, seed=seed),
         metrics=metrics,
         thresholds=thresholds,
-        verdict=verdict_from(metrics, thresholds),
         detail_header=header,
         details=tuple(rows),
     )
@@ -525,7 +527,6 @@ def signaling_experiment(
         ),
         metrics=metrics,
         thresholds=thresholds,
-        verdict=verdict_from(metrics, thresholds),
         detail_header=("branch", "probability", "bob_rho00", "bob_rho11", "bob_rho01_re", "bob_rho01_im"),
         details=details,
         foliation_text=foliation_to_text(foliation),
@@ -561,11 +562,7 @@ def _coevolved_expectations(pending, adjoints, base, probe_site, n):
             live += 1
         m = (cols.shape[1] - 1).bit_length()
         u_dag, sites = adjoints[j]
-        if len(sites) == 1:
-            out = _kernels.apply_1q(cols.reshape(-1), u_dag, sites[0], n + m)
-        else:
-            out = _kernels.apply_2q(cols.reshape(-1), u_dag, sites[0], sites[1], n + m)
-        cols = out.reshape(1 << n, -1)
+        cols = _apply_gate(cols.reshape(-1), u_dag, sites, n + m).reshape(1 << n, -1)
     m = (cols.shape[1] - 1).bit_length()
     o_cols = _kernels.apply_1q(cols.reshape(-1), base, probe_site, n + m).reshape(1 << n, -1)
     values = np.einsum("ij,ij->j", cols.conj(), o_cols).real
@@ -660,7 +657,6 @@ def degeneracy_experiment(
         config=config_echo(config, probe_site=probe_site),
         metrics=metrics,
         thresholds=thresholds,
-        verdict=verdict_from(metrics, thresholds),
         detail_header=("step", "deformation", "probe_height", "coevolved_expectation", "surface_expectation"),
         details=tuple(rows),
         foliation_text=foliation_to_text(foliation),
@@ -698,25 +694,22 @@ def map_nonlinearity_check(
     sum_amps = (psi1.amplitudes + psi2.amplitudes) / math.sqrt(2.0)
     psi_sum = StateVector(sum_amps, n)
 
-    final_sum, record = evolve(psi_sum, foliation, config)
-    final_1, _ = evolve(psi1, foliation, config)
-    final_2, _ = evolve(psi2, foliation, config)
+    def superposition_for(cfg: ModelConfig):
+        """(final state of psi_sum, its record, distance to the normalized sum of the two finals)."""
+        final_sum, record = evolve(psi_sum, foliation, cfg)
+        final_1, _ = evolve(psi1, foliation, cfg)
+        final_2, _ = evolve(psi2, foliation, cfg)
+        lin_amps = final_1.amplitudes + final_2.amplitudes
+        lin = StateVector(lin_amps / np.linalg.norm(lin_amps), n)
+        return final_sum, record, state_distance(final_sum, lin)
+
+    final_sum, record, superposition_defect = superposition_for(config)
     u = compose_map(record, config)
     unitarity_defect = _unitarity_defect(u)
     mapped = u @ psi_sum.amplitudes
     mapped = mapped / np.linalg.norm(mapped)
     compose_consistency = state_distance(StateVector(mapped, n), final_sum)
-    lin_amps = final_1.amplitudes + final_2.amplitudes
-    lin = StateVector(lin_amps / np.linalg.norm(lin_amps), n)
-    superposition_defect = state_distance(final_sum, lin)
-
-    control_cfg = linear_config(config)
-    c_final_sum, _ = evolve(psi_sum, foliation, control_cfg)
-    c_final_1, _ = evolve(psi1, foliation, control_cfg)
-    c_final_2, _ = evolve(psi2, foliation, control_cfg)
-    c_lin_amps = c_final_1.amplitudes + c_final_2.amplitudes
-    c_lin = StateVector(c_lin_amps / np.linalg.norm(c_lin_amps), n)
-    control_defect = state_distance(c_final_sum, c_lin)
+    _, _, control_defect = superposition_for(linear_config(config))
 
     lam = config.nonlinearity.lam
     metrics = (
@@ -740,7 +733,6 @@ def map_nonlinearity_check(
         config=config_echo(config),
         metrics=metrics,
         thresholds=thresholds,
-        verdict=verdict_from(metrics, thresholds),
         detail_header=("quantity", "value"),
         details=(
             ("unitarity_defect", unitarity_defect),
@@ -839,7 +831,6 @@ def entanglement_monitor(config: ModelConfig, cut: frozenset[int] | None = None)
         config=config_echo(config, cut=",".join(map(str, sorted(cut)))),
         metrics=metrics,
         thresholds=thresholds,
-        verdict=verdict_from(metrics, thresholds),
         detail_header=("kind", "max_entropy", "argmax_step", "argmax_cut"),
         details=tuple(rows),
         foliation_text=foliation_to_text(foliation),

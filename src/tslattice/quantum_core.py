@@ -27,6 +27,14 @@ IDENTITY_2 = np.eye(2, dtype=complex)
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
 
 
+def _norm_error(nrm: float) -> ValueError:
+    return ValueError(f"state norm {nrm} deviates from 1 beyond {NORM_ATOL}")
+
+
+def _imaginary_residue(imag: float) -> ArithmeticError:
+    return ArithmeticError(f"expectation has imaginary residue {imag}")
+
+
 def is_hermitian(m: np.ndarray, atol: float = HERMITIAN_ATOL) -> bool:
     # A NaN entry makes the maximum NaN, which fails the comparison.
     return bool(np.abs(m - m.conj().T).max() <= atol)
@@ -53,8 +61,9 @@ class StateVector:
                 f"amplitude vector has length {amps.shape}, expected 2^{self.n_sites}"
             )
         nrm = float(np.linalg.norm(amps))
-        if abs(nrm - 1.0) > NORM_ATOL:
-            raise ValueError(f"state norm {nrm} deviates from 1 beyond {NORM_ATOL}")
+        # A NaN or infinite amplitude makes the norm NaN or inf, which fails the test.
+        if not abs(nrm - 1.0) <= NORM_ATOL:
+            raise _norm_error(nrm)
 
     @classmethod
     def _unchecked(cls, amplitudes: np.ndarray, n_sites: int) -> "StateVector":
@@ -236,7 +245,7 @@ def _real_expectation(state: StateVector, matrix: np.ndarray, site: int) -> floa
     """<psi| matrix_site |psi> for a matrix the caller has found Hermitian."""
     raw = _kernels.expect_1q(state.amplitudes, matrix, site, state.n_sites)
     if abs(raw.imag) > IMAG_ATOL:
-        raise ArithmeticError(f"expectation has imaginary residue {raw.imag}")
+        raise _imaginary_residue(raw.imag)
     return float(raw.real)
 
 

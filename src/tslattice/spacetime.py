@@ -11,7 +11,6 @@ Open boundaries: links are (i, i+1) for 0 <= i < n-1.
 from __future__ import annotations
 
 import operator
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -306,10 +305,6 @@ def count_foliations(n_sites: int, horizon: int) -> int:
     return count(initial_surface(n_sites, horizon))
 
 
-def step_multiset(foliation: Foliation) -> Counter:
-    return Counter(foliation.steps)
-
-
 def surface_levels(n_sites: int, horizon: int):
     """The graph of reachable surfaces, one level (step count) at a time.
 
@@ -333,21 +328,6 @@ def surface_levels(n_sites: int, horizon: int):
         surfaces = list(index)
 
 
-def reachable_surfaces(n_sites: int, horizon: int, limit: int | None = None):
-    """Breadth-first enumeration of surfaces reachable from the initial one.
-
-    Yields surfaces in deterministic BFS order, level by level from
-    ``surface_levels``; stops after ``limit`` when set.
-    """
-    emitted = 0
-    for surfaces, _ in surface_levels(n_sites, horizon):
-        for s in surfaces:
-            yield s
-            emitted += 1
-            if limit is not None and emitted >= limit:
-                return
-
-
 # -- plain-text serialization (one step per line) ------------------------------
 
 
@@ -363,17 +343,22 @@ def foliation_to_text(foliation: Foliation) -> str:
 
 
 def foliation_from_text(text: str) -> Foliation:
+    """Inverse of ``foliation_to_text``; a line it cannot parse raises FoliationError naming it."""
     steps: list[Deformation] = []
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         parts = line.split()
-        if parts[0] == "A" and len(parts) == 2:
-            steps.append(SiteAdvance(int(parts[1])))
-        elif parts[0] == "G" and len(parts) == 3:
-            i = int(parts[1])
-            steps.append(LinkApply((i, i + 1), int(parts[2])))
-        else:
-            raise FoliationError(f"line {ln}: cannot parse foliation step {raw!r}")
+        try:
+            if parts[0] == "A" and len(parts) == 2:
+                steps.append(SiteAdvance(int(parts[1])))
+                continue
+            if parts[0] == "G" and len(parts) == 3:
+                i = int(parts[1])
+                steps.append(LinkApply((i, i + 1), int(parts[2])))
+                continue
+        except ValueError:
+            pass  # a field that is not an integer
+        raise FoliationError(f"line {ln}: cannot parse foliation step {raw!r}")
     return Foliation(tuple(steps))

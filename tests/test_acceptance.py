@@ -35,7 +35,7 @@ from tslattice.spacetime import (
     count_foliations,
     deformation_sites,
     enabled_deformations,
-    reachable_surfaces,
+    surface_levels,
 )
 
 # pinned by the first oracle runs (N=6, T=4 defaults unless stated)
@@ -232,10 +232,11 @@ def test_criterion_8_infrastructure_invariants(tmp_path):
         for t in range(1, 11):
             if n * t > 10:
                 continue
-            for s in reachable_surfaces(n, t):
-                for d1, d2 in itertools.combinations(enabled_deformations(s), 2):
-                    if set(deformation_sites(d1)) & set(deformation_sites(d2)):
-                        disjoint_ok = False
+            for surfaces, _ in surface_levels(n, t):
+                for s in surfaces:
+                    for d1, d2 in itertools.combinations(enabled_deformations(s), 2):
+                        if set(deformation_sites(d1)) & set(deformation_sites(d2)):
+                            disjoint_ok = False
 
     counts_ok = count_foliations(2, 1) == 2 and all(
         count_foliations(1, t) == 1 for t in (1, 4, 9)

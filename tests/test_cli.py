@@ -1,6 +1,7 @@
 """Config parsing, dispatch, report files, and exit codes."""
 
 import os
+import re
 import stat
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 import tslattice
 
 from tslattice.cli import (
+    EXPERIMENTS,
     ConfigError,
     RunConfig,
     main,
@@ -21,6 +23,26 @@ from tslattice.cli import (
 from tslattice.experiments import foliation_sweep
 from tslattice.dynamics import ModelConfig, NonlinearitySpec
 from tslattice.spacetime import canonical_foliation, foliation_to_text
+
+# Every experiment name the command line and config files accept, and the
+# experiment each one runs.
+ACCEPTED_EXPERIMENTS = {
+    "integrability": "integrability",
+    "integrability_check": "integrability",
+    "sweep": "sweep",
+    "foliation_sweep": "sweep",
+    "signal": "signal",
+    "signaling": "signal",
+    "signaling_experiment": "signal",
+    "degeneracy": "degeneracy",
+    "degeneracy_experiment": "degeneracy",
+    "nonlinearity": "nonlinearity",
+    "map_nonlinearity": "nonlinearity",
+    "map_nonlinearity_check": "nonlinearity",
+    "entanglement": "entanglement",
+    "entanglement_monitor": "entanglement",
+    "all": "all",
+}
 
 
 class TestParseConfig:
@@ -106,6 +128,16 @@ class TestParseConfig:
         p = tmp_path / "c.cfg"
         p.write_text("experiment = foliation_sweep\n")
         assert parse_config(str(p)).experiment == "sweep"
+
+    def test_every_accepted_experiment_name(self):
+        for raw, name in ACCEPTED_EXPERIMENTS.items():
+            assert parse_config(None, {"experiment": raw}).experiment == name
+        with pytest.raises(
+            ConfigError,
+            match=r"^config key 'experiment': 'sweeps' is not one of "
+            r"integrability\|sweep\|signal\|degeneracy\|nonlinearity\|entanglement\|all$",
+        ):
+            parse_config(None, {"experiment": "sweeps"})
 
     def test_resolved_sites_default_to_last(self):
         cfg = parse_config(None, {"n_sites": "5"})
@@ -244,6 +276,45 @@ class TestRun:
             from tslattice.cli import run_experiment
 
             run_experiment("degeneracy", run_config_to_model)
+
+    def test_unparsable_foliation_file_names_file_and_line(self, tmp_path, capsys):
+        fpath = tmp_path / "f.txt"
+        fpath.write_text("G 0 0\nA x\n")
+        cfg = parse_config(
+            write_cfg(tmp_path, "experiment = sweep\nn_sites = 4\nhorizon = 2\nn_foliations = 1\n"),
+            {"out": str(tmp_path / "r"), "foliation_file": str(fpath)},
+        )
+        assert run(cfg) == 1
+        assert capsys.readouterr().err == (
+            f"error: sweep: foliation file {str(fpath)!r}: line 2: cannot parse foliation step 'A x'\n"
+        )
+
+
+class TestExperimentTable:
+    def test_every_experiment_reports_under_its_name(self, tmp_path):
+        cfg = parse_config(
+            None,
+            {"n_sites": "4", "horizon": "2", "n_foliations": "1", "exploration_budget": "10",
+             "out": str(tmp_path)},
+        )
+        assert list(EXPERIMENTS) == [
+            "integrability", "sweep", "signal", "degeneracy", "nonlinearity", "entanglement"
+        ]
+        for name in EXPERIMENTS:
+            assert run_experiment(name, cfg).name == name
+
+    def test_unknown_name_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="^unknown experiment 'all'$"):
+            run_experiment("all", parse_config(None, {"n_sites": "4", "horizon": "2"}))
+
+    def test_command_line_choices(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweeps"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'sweeps'" in err
+        listed = re.findall(r"\w+", err.split("choose from", 1)[1])
+        assert listed == sorted(ACCEPTED_EXPERIMENTS)
 
 
 class TestMain:

@@ -52,6 +52,7 @@ from tslattice.spacetime import (
     enabled_deformations,
     initial_surface,
     random_foliation,
+    surface_levels,
 )
 
 
@@ -163,11 +164,42 @@ class TestNonlinearCoefficient:
         s1 = apply_deformation(s1, SiteAdvance(1))
         assert nonlinear_coefficient(psi, s1, 0, cfg) == pytest.approx(-1.0)
 
-    def test_source_equal_to_advancing_site_rejected(self):
-        cfg = make_config(n_sites=2, horizon=1, kind="coefficient_nonlocal", lam=0.5, source_site=0)
+    @pytest.mark.parametrize(
+        "nl",
+        [
+            {"kind": "coefficient_nonlocal", "source_site": 0},
+            {"kind": "operator_nonlocal", "partner_site": 0},
+        ],
+        ids=["coefficient_nonlocal", "operator_nonlocal"],
+    )
+    def test_self_pair_is_zero(self, nl):
+        # The advancing site is the kind's own remote site: the step drops
+        # the nonlinear term, and the coefficient is the 0.0 it records.
+        cfg = make_config(n_sites=2, horizon=1, base_operator="z", lam=0.5, **nl)
         s = initial_surface(2, 1)
-        with pytest.raises(ValueError, match="coincides"):
-            nonlinear_coefficient(zero_state(2), s, 0, cfg)
+        assert nonlinear_coefficient(zero_state(2), s, 0, cfg) == 0.0
+        assert nonlinear_coefficient(zero_state(2), s, 1, cfg) == 0.5
+
+    @pytest.mark.parametrize("kind", ["none", "local", "coefficient_nonlocal", "operator_nonlocal"])
+    def test_is_the_recorded_coefficient_on_every_surface(self, kind):
+        # Every enabled advance on every reachable surface at n <= 4, with
+        # the remote site at each site (so every site is once a self-pair)
+        # and with the odd sites inactive.
+        rng = np.random.default_rng(9)
+        for n, t in ((2, 2), (3, 2), (4, 2), (3, 3)):
+            psi = random_state(n, rng)
+            for remote in range(n):
+                for active in (None, frozenset(range(0, n, 2))):
+                    cfg = make_config(
+                        n_sites=n, horizon=t, kind=kind, lam=0.7,
+                        source_site=remote, partner_site=remote, active_sites=active,
+                    )
+                    for surfaces, successors in surface_levels(n, t):
+                        for s, edges in zip(surfaces, successors):
+                            for d in edges:
+                                if isinstance(d, SiteAdvance):
+                                    _, _, entry = ts_step(psi, s, d, cfg)
+                                    assert nonlinear_coefficient(psi, s, d.site, cfg) == entry.coefficient
 
     def test_site_out_of_range(self):
         cfg = make_config(n_sites=2, horizon=1)
@@ -281,10 +313,7 @@ class TestTsStep:
             if isinstance(d, SiteAdvance):
                 if d.site == own:
                     assert entry.coefficient == 0.0
-                    with pytest.raises(ValueError, match="coincides with the advancing site"):
-                        nonlinear_coefficient(psi, s, d.site, cfg)
-                else:
-                    assert entry.coefficient == nonlinear_coefficient(psi, s, d.site, cfg)
+                assert entry.coefficient == nonlinear_coefficient(psi, s, d.site, cfg)
             psi, s = psi_next, s_next
 
     def test_rejects_disabled_deformation(self):

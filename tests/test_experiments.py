@@ -35,7 +35,6 @@ from tslattice.spacetime import (
     enabled_deformations,
     initial_surface,
     random_foliation,
-    reachable_surfaces,
     surface_levels,
 )
 
@@ -184,7 +183,7 @@ class TestSwapScanSharedLegs:
         # 26 surfaces in 9 levels of widths 1, 2, 3, 4, 4, 4, 4, 3, 1, so most
         # budgets cut a level part-way.
         cfg = cfg_with(kind, n_sites=3, horizon=2)
-        total = sum(1 for _ in reachable_surfaces(3, 2))
+        total = sum(len(surfaces) for surfaces, _ in surface_levels(3, 2))
         assert total == 26
         for budget in range(1, total + 2):
             got = swap_scan(cfg, budget)

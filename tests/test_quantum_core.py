@@ -79,6 +79,21 @@ class TestStateVector:
         with pytest.raises(ValueError):
             StateVector(np.array([1.0, 1.0], dtype=complex), 1)
 
+    @pytest.mark.parametrize(
+        "amps,shown",
+        [
+            (np.full(4, np.nan), "nan"),
+            ([1.0, 0.0, np.nan, 0.0], "nan"),
+            ([1.0, 0.0, 0.0, 1j * np.nan], "nan"),
+            ([np.inf, 0.0, 0.0, 0.0], "inf"),
+            ([1.0, -np.inf, 0.0, 0.0], "inf"),
+            ([np.inf, np.nan, 0.0, 0.0], "nan"),
+        ],
+    )
+    def test_non_finite_amplitudes_rejected(self, amps, shown):
+        with pytest.raises(ValueError, match=f"^state norm {shown} deviates from 1 beyond 1e-12$"):
+            StateVector(np.array(amps, dtype=complex), 2)
+
     def test_basis_and_product_constructors(self):
         psi = product_state([(1, 0), (0, 1)])
         assert_allclose(psi.amplitudes, basis_state(2, 0b01).amplitudes)

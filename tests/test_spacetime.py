@@ -1,7 +1,7 @@
 """Surface mechanics, the brickwork causal order, and foliation generation."""
 
 import itertools
-from collections import deque
+from collections import Counter, deque
 
 import pytest
 
@@ -24,11 +24,14 @@ from tslattice.spacetime import (
     initial_surface,
     is_enabled,
     random_foliation,
-    reachable_surfaces,
-    step_multiset,
     surface_levels,
     validate_foliation,
 )
+
+
+def every_surface(n, T):
+    """Every reachable surface, level by level."""
+    return [s for surfaces, _ in surface_levels(n, T) for s in surfaces]
 
 
 def linear_extensions_oracle(n, T):
@@ -105,13 +108,13 @@ class TestEnabledDeformations:
 
     def test_disjoint_support_exhaustive_small(self):
         for n, t in ((2, 2), (3, 2), (4, 2), (3, 3)):
-            for s in reachable_surfaces(n, t):
+            for s in every_surface(n, t):
                 for d1, d2 in itertools.combinations(enabled_deformations(s), 2):
                     assert not set(deformation_sites(d1)) & set(deformation_sites(d2))
 
     def test_diamond_property_exhaustive_small(self):
         for n, t in ((2, 2), (3, 2), (3, 3)):
-            for s in reachable_surfaces(n, t):
+            for s in every_surface(n, t):
                 for d1, d2 in itertools.combinations(enabled_deformations(s), 2):
                     s1 = apply_deformation(s, d1)
                     s2 = apply_deformation(s, d2)
@@ -136,7 +139,7 @@ class TestIsEnabled:
     @pytest.mark.parametrize("n,t", [(n, t) for n in range(1, 5) for t in range(1, 4)])
     def test_matches_enumeration_on_every_reachable_surface(self, n, t):
         candidates = _candidate_deformations(n, t)
-        for s in reachable_surfaces(n, t):
+        for s in every_surface(n, t):
             enabled = enabled_deformations(s)
             for d in candidates:
                 assert is_enabled(s, d) == (d in enabled), (s, d)
@@ -146,7 +149,7 @@ class TestIsEnabled:
                 assert not is_enabled(s, LinkApply(link, time))
 
     def test_apply_raises_exactly_when_not_enabled(self):
-        for s in reachable_surfaces(3, 3):
+        for s in every_surface(3, 3):
             enabled = enabled_deformations(s)
             for d in _candidate_deformations(3, 3):
                 if d in enabled:
@@ -242,7 +245,7 @@ class TestFoliations:
             random_foliation(3, 2, 0),
             random_foliation(3, 2, 5),
         ]
-        ms = [step_multiset(f) for f in fols]
+        ms = [Counter(f.steps) for f in fols]
         assert all(m == ms[0] for m in ms)
 
     def test_unknown_canonical_kind(self):
@@ -307,6 +310,11 @@ class TestSerialization:
     def test_garbage_rejected(self):
         with pytest.raises(FoliationError, match="line 1"):
             foliation_from_text("Q 1 2\n")
+
+    @pytest.mark.parametrize("bad", ["A x", "G 0 t", "G y 0", "A 1.5", "G 0 0 0", "A"])
+    def test_unparsable_line_named(self, bad):
+        with pytest.raises(FoliationError, match=f"^line 2: cannot parse foliation step '{bad}'$"):
+            foliation_from_text(f"G 0 0\n{bad}\n")
 
 
 def queue_bfs(n, T):
