@@ -206,24 +206,30 @@ def _check_positive(key: str, value: float) -> float:
     return value
 
 
-def _strip_quotes(raw: str) -> str:
-    raw = raw.strip()
-    if len(raw) >= 2 and raw[0] == raw[-1] and raw[0] in "\"'":
-        return raw[1:-1]
-    return raw
+def _parse_value(value: str, ln: int, raw: str) -> str:
+    """A value without its comment; quotes around the whole value are removed and keep a ``#``."""
+    value = value.strip()
+    if value[:1] not in ("'", '"'):
+        return value.split("#", 1)[0].strip()
+    end = value.find(value[0], 1)
+    if end < 0:
+        raise ConfigError(f"line {ln}: unterminated quote in {raw!r}")
+    if value[end + 1 :].strip()[:1] not in ("", "#"):
+        raise ConfigError(f"line {ln}: unexpected text after the closing quote in {raw!r}")
+    return value[1:end]
 
 
 def parse_kv_lines(text: str) -> dict[str, str]:
-    """``key = value`` lines; blank lines and ``#`` comments are skipped."""
+    """``key = value`` lines; blank lines and ``#`` comments are skipped; see ``_parse_value``."""
     out: dict[str, str] = {}
     for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        line = raw.strip()
+        if not line or line.startswith("#"):
             continue
-        if "=" not in line:
+        key, sep, value = line.partition("=")
+        if not sep or "#" in key:
             raise ConfigError(f"line {ln}: expected 'key = value', got {raw!r}")
-        key, value = line.split("=", 1)
-        out[key.strip()] = _strip_quotes(value)
+        out[key.strip()] = _parse_value(value, ln, raw)
     return out
 
 

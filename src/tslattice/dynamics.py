@@ -51,6 +51,7 @@ from .spacetime import (
     LinkApply,
     SiteAdvance,
     apply_deformation,
+    initial_surface,
 )
 
 BASE_OPERATORS = {"x": PAULI_X, "y": PAULI_Y, "z": PAULI_Z}
@@ -354,6 +355,11 @@ def _apply_gate(amps: np.ndarray, u: np.ndarray, sites, n: int) -> np.ndarray:
     return _kernels.apply_2q(amps, u, sites[0], sites[1], n)
 
 
+def _check_sizes(state_sites: int, surface_sites: int, n: int) -> None:
+    if not state_sites == surface_sites == n:
+        raise ValueError(f"sizes differ: state has {state_sites} sites, surface {surface_sites}, config {n}")
+
+
 def ts_step(
     state: StateVector, surface: Hypersurface, d: Deformation, config: ModelConfig
 ):
@@ -371,13 +377,13 @@ def ts_step(
     built, each rotation is tested unitary from its generator's stored
     residue (a product of two also by ``is_unitary``), and the new state's
     norm is tested with one inner product. The returned state and surface
-    are not validated a second time.
+    are not validated a second time. State, surface and config must have
+    one size, so every site the step touches is in range.
     """
+    n = config.n_sites
+    _check_sizes(state.n_sites, surface.n_sites, n)
     surface_next = apply_deformation(surface, d)
     sites, c, terms = _generator_terms(state, surface, d, config)
-    n = state.n_sites
-    for site in sites:
-        _check_site(state, site)
     step_dt = config.dt if isinstance(d, SiteAdvance) else 1.0
     u = _gate(sites, terms, step_dt)
     out = _apply_gate(state.amplitudes, u, sites, n)
@@ -407,7 +413,8 @@ def ts_step_batch(
     Each check of ``ts_step`` runs with its tolerance, error type and
     message, per row where rows differ: the expectation's imaginary part,
     sin^2(theta_r) * residue <= UNITARY_ATOL (a NaN fails it), and the norm.
-    With several failing rows, the error is one of theirs.
+    With several failing rows, the error is one of theirs. Sizes are
+    checked as in ``ts_step``, for one surface per group.
     """
     n = config.n_sites
     if states.ndim != 2 or states.shape[1] != 1 << n:
@@ -424,8 +431,9 @@ def ts_step_batch(
         groups.setdefault(key, []).append(r)
     out = np.empty((len(sources), 1 << n), dtype=complex)
     for rows in groups.values():
-        d = deformations[rows[0]]
-        sites, _, read, terms = _step_plan(surfaces[rows[0]], d, config)
+        d, surface = deformations[rows[0]], surfaces[rows[0]]
+        _check_sizes(n, surface.n_sites, n)
+        sites, _, read, terms = _step_plan(surface, d, config)
         step_dt = config.dt if type(d) is SiteAdvance else 1.0
         sub = states[sources[rows]]
         if read is None:
@@ -456,15 +464,18 @@ def ts_step_batch(
     return out
 
 
-def evolve(state0: StateVector, foliation: Foliation, config: ModelConfig):
-    """Fold ``ts_step`` over a foliation; returns (final state, record)."""
-    from .spacetime import initial_surface
-
-    state = state0
-    surface = initial_surface(config.n_sites, config.horizon)
-    steps: list[TrajectoryStep] = []
+def _trajectory(state0: StateVector, foliation: Foliation, config: ModelConfig):
+    """Fold ``ts_step`` over a foliation, yielding ``(state, surface, entry)`` after each step."""
+    state, surface = state0, initial_surface(config.n_sites, config.horizon)
     for d in foliation.steps:
         state, surface, entry = ts_step(state, surface, d, config)
+        yield state, surface, entry
+
+
+def evolve(state0: StateVector, foliation: Foliation, config: ModelConfig):
+    """Fold ``ts_step`` over a foliation; returns (final state, record)."""
+    state, steps = state0, []
+    for state, _, entry in _trajectory(state0, foliation, config):
         steps.append(entry)
     return state, TrajectoryRecord(tuple(steps), config.n_sites)
 

@@ -21,12 +21,12 @@ from .dynamics import (
     ModelConfig,
     NonlinearitySpec,
     _apply_gate,
+    _trajectory,
     check_dense_sites,
     compose_map,
     evolve,
     free_field,
     linear_config,
-    ts_step,
     ts_step_batch,
 )
 from .quantum_core import (
@@ -48,7 +48,6 @@ from .spacetime import (
     Foliation,
     canonical_foliation,
     foliation_to_text,
-    initial_surface,
     random_foliation,
     surface_levels,
 )
@@ -571,24 +570,23 @@ def _coevolved_expectations(pending, adjoints, base, probe_site, n):
 
 def _degeneracy_metrics(config: ModelConfig, foliation: Foliation, probe_site: int):
     n = config.n_sites
-    psi = default_initial_state(config)
-    surface = initial_surface(n, config.horizon)
+    psi0 = default_initial_state(config)
     base = BASE_OPERATORS[config.base_operator]
-    e0 = expectation(psi, SiteOperator(base, probe_site))
+    e0 = expectation(psi0, SiteOperator(base, probe_site))
     batch = max(1, _COEVOLVE_BLOCK >> n)
     adjoints = []  # (u^dag, sites) of every step taken, in application order
     pending = []  # psi_k of the steps whose co-evolved value is not taken yet
     coevolved = []
     physical = []
-    for k, d in enumerate(foliation.steps, start=1):
-        psi, surface, entry = ts_step(psi, surface, d, config)
+    for k, (psi, surface, entry) in enumerate(_trajectory(psi0, foliation, config), start=1):
         adjoints.append((np.ascontiguousarray(entry.unitary.conj().T), entry.sites))
         pending.append(psi.amplitudes)
         if len(pending) == batch or k == len(foliation.steps):
             coevolved += _coevolved_expectations(pending, adjoints, base, probe_site, n)
             pending = []
         tau = surface.heights[probe_site]
-        physical.append((d, tau, expectation(psi, free_field(probe_site, tau, config))))
+        e_ip = expectation(psi, free_field(probe_site, tau, config))
+        physical.append((entry.deformation, tau, e_ip))
     rows = [(0, "-", 0, e0, e0)]
     rows += [
         (k, _fmt_deformation(d), tau, e_co, e_ip)
@@ -764,12 +762,9 @@ def _monitored_cuts(n: int, cut: frozenset[int]):
 
 
 def _max_entropy_over_run(config: ModelConfig, foliation: Foliation, cuts):
-    psi = default_initial_state(config)
-    surface = initial_surface(config.n_sites, config.horizon)
     worst = 0.0
     arg = (0, cuts[0])
-    for k, d in enumerate(foliation.steps, start=1):
-        psi, surface, _ = ts_step(psi, surface, d, config)
+    for k, (psi, _, _) in enumerate(_trajectory(default_initial_state(config), foliation, config), start=1):
         for c in cuts:
             s = entanglement_entropy(psi, c)
             if s > worst:

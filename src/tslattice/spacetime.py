@@ -92,9 +92,14 @@ class Foliation:
         return len(self.steps)
 
 
+def _has_gate(link_index: int, t: int) -> bool:
+    """The parity rule: link (i, i+1) carries a gate at time t iff t ≡ i (mod 2)."""
+    return t % 2 == link_index % 2
+
+
 def gate_times(link_index: int, horizon: int) -> tuple[int, ...]:
     """Parity-valid gate times for link (i, i+1): t in [0, T), t ≡ i (mod 2)."""
-    return tuple(t for t in range(horizon) if t % 2 == link_index % 2)
+    return tuple(t for t in range(horizon) if _has_gate(link_index, t))
 
 
 def all_gates(n_sites: int, horizon: int) -> frozenset[Gate]:
@@ -131,38 +136,34 @@ def _sort_key(s: Hypersurface, d: Deformation):
     return (s.heights[d.site], d.site, 1)
 
 
-def enabled_deformations(s: Hypersurface) -> tuple[Deformation, ...]:
-    """All deformations applicable to ``s``, in canonical (time, site) order.
+def _pending(s: Hypersurface, i: int, t: int) -> bool:
+    """Whether link (i, i+1) has a parity-valid gate at time t not yet applied."""
+    return _has_gate(i, t) and ((i, i + 1), t) not in s.applied_gates
 
-    A link gate is enabled when both endpoint heights sit exactly at its
-    (parity-valid, unapplied) time. A site advance is enabled when the site is
-    below the horizon and no incident parity-valid gate at the current height
-    is still pending.
-    """
-    n, t_max = s.n_sites, s.horizon
-    out: list[Deformation] = []
-    for i in range(n - 1):
-        t = s.heights[i]
-        if (
-            t < t_max
-            and s.heights[i + 1] == t
-            and t % 2 == i % 2
-            and ((i, i + 1), t) not in s.applied_gates
-        ):
-            out.append(LinkApply((i, i + 1), t))
-    for i in range(n):
-        tau = s.heights[i]
-        if tau >= t_max:
-            continue
-        blocked = False
-        for link in ((i - 1, i), (i, i + 1)):
-            if link[0] < 0 or link[1] >= n:
-                continue
-            if tau % 2 == link[0] % 2 and (link, tau) not in s.applied_gates:
-                blocked = True
-                break
-        if not blocked:
-            out.append(SiteAdvance(i))
+
+def _link_enabled(s: Hypersurface, i: int) -> bool:
+    """Whether both ends of link (i, i+1) sit at one time below the horizon with its gate pending."""
+    t = s.heights[i]
+    return t < s.horizon and s.heights[i + 1] == t and _pending(s, i, t)
+
+
+def _site_enabled(s: Hypersurface, i: int) -> bool:
+    """Whether site i is below the horizon with no gate pending at its height on an incident link."""
+    tau = s.heights[i]
+    return (
+        tau < s.horizon
+        and not (i > 0 and _pending(s, i - 1, tau))
+        and not (i < s.n_sites - 1 and _pending(s, i, tau))
+    )
+
+
+def enabled_deformations(s: Hypersurface) -> tuple[Deformation, ...]:
+    """All deformations applicable to ``s``, in canonical (time, site) order."""
+    n = s.n_sites
+    out: list[Deformation] = [
+        LinkApply((i, i + 1), s.heights[i]) for i in range(n - 1) if _link_enabled(s, i)
+    ]
+    out += [SiteAdvance(i) for i in range(n) if _site_enabled(s, i)]
     out.sort(key=lambda d: _sort_key(s, d))
     return tuple(out)
 
@@ -181,10 +182,11 @@ def _is_index(x) -> bool:
 def is_enabled(s: Hypersurface, d: Deformation) -> bool:
     """Whether ``d`` is one of ``enabled_deformations(s)``, from d's own conditions.
 
-    Tests the same conditions the enumeration applies, for the one candidate
-    only. A site, link or time field that is not an integer is never enabled.
+    Checks that ``d`` names a deformation the enumeration could build, then
+    asks the enumeration's own predicate. A site, link or time field that is
+    not an integer is never enabled.
     """
-    n, t_max, heights, applied = s.n_sites, s.horizon, s.heights, s.applied_gates
+    n = s.n_sites
     if type(d) is LinkApply:
         link, t = d.link, d.time
         if not isinstance(link, tuple) or len(link) != 2:
@@ -192,25 +194,10 @@ def is_enabled(s: Hypersurface, d: Deformation) -> bool:
         i = link[0]
         if not (_is_index(i) and _is_index(link[1]) and _is_index(t)):
             return False
-        return (
-            0 <= i
-            and link[1] == i + 1 < n
-            and heights[i] == t == heights[i + 1]
-            and t < t_max
-            and t % 2 == i % 2
-            and (link, t) not in applied
-        )
+        return 0 <= i and link[1] == i + 1 < n and t == s.heights[i] and _link_enabled(s, i)
     if type(d) is not SiteAdvance or not _is_index(d.site) or not 0 <= d.site < n:
         return False
-    i = d.site
-    tau = heights[i]
-    if tau >= t_max:
-        return False
-    # A pending gate at height tau on an incident link (a, a + 1) blocks it.
-    for a in (i - 1, i):
-        if 0 <= a < n - 1 and tau % 2 == a % 2 and ((a, a + 1), tau) not in applied:
-            return False
-    return True
+    return _site_enabled(s, d.site)
 
 
 def apply_deformation(s: Hypersurface, d: Deformation) -> Hypersurface:
@@ -243,18 +230,24 @@ def validate_foliation(foliation: Foliation, n_sites: int, horizon: int) -> Hype
     return s
 
 
-def random_foliation(n_sites: int, horizon: int, seed: int) -> Foliation:
-    """Uniform choice among enabled deformations at every step, seeded."""
-    rng = np.random.default_rng(seed)
+def _walk(n_sites: int, horizon: int, pick) -> tuple[Deformation, ...]:
+    """Steps from the initial surface: apply ``pick(enabled)``'s deformations until none is enabled."""
     s = initial_surface(n_sites, horizon)
     steps: list[Deformation] = []
     enabled = enabled_deformations(s)
     while enabled:
-        d = enabled[int(rng.integers(len(enabled)))]
-        steps.append(d)
-        s = apply_deformation(s, d)
+        for d in pick(enabled):
+            steps.append(d)
+            s = apply_deformation(s, d)
         enabled = enabled_deformations(s)
-    return Foliation(tuple(steps), seed=seed)
+    return tuple(steps)
+
+
+def random_foliation(n_sites: int, horizon: int, seed: int) -> Foliation:
+    """Uniform choice among enabled deformations at every step, seeded."""
+    rng = np.random.default_rng(seed)
+    steps = _walk(n_sites, horizon, lambda enabled: (enabled[int(rng.integers(len(enabled)))],))
+    return Foliation(steps, seed=seed)
 
 
 def canonical_foliation(n_sites: int, horizon: int, kind: str) -> Foliation:
@@ -265,44 +258,31 @@ def canonical_foliation(n_sites: int, horizon: int, kind: str) -> Foliation:
     with the smallest (time, site, variant) key, giving a maximally skewed
     but still valid sweep.
     """
-    if kind not in ("synchronous", "staircase"):
-        raise ValueError(f"canonical foliation kind {kind!r} not in synchronous|staircase")
-    s = initial_surface(n_sites, horizon)
-    steps: list[Deformation] = []
-    enabled = enabled_deformations(s)
-    while enabled:
-        if kind == "staircase":
-            batch = [enabled[0]]
-        else:
-            gates = [d for d in enabled if isinstance(d, LinkApply)]
-            batch = gates if gates else list(enabled)
-        for d in batch:
-            steps.append(d)
-            s = apply_deformation(s, d)
-        enabled = enabled_deformations(s)
-    return Foliation(tuple(steps))
+    picks = {
+        "synchronous": lambda enabled: [d for d in enabled if type(d) is LinkApply] or enabled,
+        "staircase": lambda enabled: enabled[:1],
+    }
+    if kind not in picks:
+        raise ValueError(f"canonical foliation kind {kind!r} not in {'|'.join(picks)}")
+    return Foliation(_walk(n_sites, horizon, picks[kind]))
 
 
 def count_foliations(n_sites: int, horizon: int) -> int:
-    """Exact number of complete foliations, by enumeration (small instances)."""
+    """Exact number of complete foliations, by counting paths over ``surface_levels``."""
     total = foliation_length(n_sites, horizon)
     if total > 12:
         raise ValueError(
             f"instance has {total} steps; exact enumeration is limited to 12"
         )
-    memo: dict[Hypersurface, int] = {}
-
-    def count(s: Hypersurface) -> int:
-        enabled = enabled_deformations(s)
-        if not enabled:
-            return 1
-        if s in memo:
-            return memo[s]
-        c = sum(count(apply_deformation(s, d)) for d in enabled)
-        memo[s] = c
-        return c
-
-    return count(initial_surface(n_sites, horizon))
+    paths = [1]  # paths from the initial surface to each surface of the level
+    for _, successors in surface_levels(n_sites, horizon):
+        into: dict[int, int] = {}
+        for p, row in zip(paths, successors):
+            for q in row.values():
+                into[q] = into.get(q, 0) + p
+        if into:
+            paths = [into[q] for q in range(len(into))]
+    return paths[0]  # the last level holds the final surface alone
 
 
 def surface_levels(n_sites: int, horizon: int):

@@ -3,6 +3,9 @@
 import os
 import re
 import stat
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -123,6 +126,23 @@ class TestParseConfig:
     def test_comments_and_quotes(self):
         kv = parse_kv_lines("# a comment\nkind = 'local'  # trailing\n\nseed=3\n")
         assert kv == {"kind": "local", "seed": "3"}
+
+    @pytest.mark.parametrize(
+        "line, value",
+        [('out = "runs#1"', "runs#1"), ("out = 'a # b'  # note", "a # b"), ("out = runs#1", "runs"),
+         ("out = bob's", "bob's")],
+    )
+    def test_hash_inside_quotes_belongs_to_the_value(self, line, value):
+        assert parse_kv_lines(line) == {"out": value}
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [('out = "runs#1', "unterminated quote"), ("out = 'runs", "unterminated quote"),
+         ("out = 'a' b", "unexpected text after the closing quote")],
+    )
+    def test_malformed_quotes_name_the_line(self, line, message):
+        with pytest.raises(ConfigError, match=f"^line 2: {message} in "):
+            parse_kv_lines(f"seed = 3\n{line}\n")
 
     def test_experiment_aliases(self, tmp_path):
         p = tmp_path / "c.cfg"
@@ -338,6 +358,11 @@ class TestMain:
         assert f"config key '{key}'" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
 
+    def test_unterminated_quote_exits_1_naming_the_line(self, tmp_path, capsys):
+        cfgfile = write_cfg(tmp_path, 'experiment = sweep\nout = "runs#1\n')
+        assert main(["--config", cfgfile]) == 1
+        assert "line 2: unterminated quote" in capsys.readouterr().err
+
     def test_missing_config_file_exits_1(self, tmp_path):
         assert main(["sweep", "--config", str(tmp_path / "nope.cfg")]) == 1
 
@@ -399,3 +424,17 @@ class TestDiagonalBaseWarning:
         )
         run(cfg)
         assert "warning" not in capsys.readouterr().err
+
+
+def test_program_imports_neither_scipy_nor_hypothesis():
+    # scipy and hypothesis are test-only dependencies.
+    code = (
+        "import sys, tslattice.cli, tslattice.experiments\n"
+        "print(sorted({m.split('.')[0] for m in sys.modules} & {'scipy', 'hypothesis'}))"
+    )
+    src = str(Path(tslattice.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout == "[]\n"

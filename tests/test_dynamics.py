@@ -552,8 +552,32 @@ class TestMovedChecksStillFail:
 
     def test_state_smaller_than_the_surface_is_rejected(self):
         cfg = make_config(n_sites=3, horizon=2)
-        with pytest.raises(ValueError, match=r"^site 1 out of range for 1 sites$"):
+        with pytest.raises(ValueError, match=r"^sizes differ: state has 1 sites, surface 3, config 3$"):
             ts_step(StateVector(np.array([1.0, 0.0]), 1), initial_surface(3, 2), LinkApply((0, 1), 0), cfg)
+
+
+class TestSizeMismatch:
+    """ts_step and ts_step_batch step only a state and surface of the config's size."""
+
+    @pytest.mark.parametrize("kind", dynamics.NONLINEARITY_KINDS)
+    def test_larger_state_and_surface_than_the_config(self, kind):
+        cfg = make_config(n_sites=3, horizon=2, kind=kind, lam=0.5, source_site=0, partner_site=1)
+        s = apply_deformation(initial_surface(4, 2), LinkApply((2, 3), 0))
+        with pytest.raises(ValueError, match=r"^sizes differ: state has 4 sites, surface 4, config 3$"):
+            ts_step(plus_state(4), s, SiteAdvance(3), cfg)
+
+    def test_surface_of_another_size(self):
+        cfg = make_config(n_sites=3, horizon=2)
+        with pytest.raises(ValueError, match=r"^sizes differ: state has 3 sites, surface 2, config 3$"):
+            ts_step(plus_state(3), initial_surface(2, 2), LinkApply((0, 1), 0), cfg)
+
+    def test_batch_checks_each_group_surface(self):
+        cfg = make_config(n_sites=3, horizon=2)
+        good = (initial_surface(3, 2), LinkApply((0, 1), 0))
+        bad = (initial_surface(4, 2), SiteAdvance(3))
+        stack = np.array([plus_state(3).amplitudes])
+        with pytest.raises(ValueError, match=r"^sizes differ: state has 3 sites, surface 4, config 3$"):
+            dynamics.ts_step_batch(stack, [0, 0], *zip(good, bad), cfg)
 
 
 class TestSpacelikeInvariance:

@@ -6,6 +6,7 @@ from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tslattice import _kernels, experiments
 from tslattice.dynamics import (
@@ -14,9 +15,13 @@ from tslattice.dynamics import (
     NonlinearitySpec,
     TrajectoryRecord,
     compose_map,
+    evolve,
+    linear_config,
     ts_step,
 )
 from tslattice.experiments import (
+    COVARIANT_SWEEP_BOUND,
+    LINEAR_SWEEP_BOUND,
     ExperimentReport,
     _fmt_deformation,
     _swap_scans,
@@ -235,6 +240,31 @@ class TestFoliationSweep:
             r = foliation_sweep(cfg_with(kind), n_foliations=10, seed=7)
             assert r.verdict == "pass"
             assert r.metric("max_pairwise_distance") >= 1e-3
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(2, 6),
+        horizon=st.integers(1, 4),
+        kind=st.sampled_from(["none", "local"]),
+        base=st.sampled_from(["x", "y"]),
+        lam=st.floats(-2, 2),
+        mu=st.floats(-2, 2),
+        link_coupling=st.floats(-2, 2),
+        omega=st.floats(0, 3),
+        dt=st.floats(0.01, 0.5),
+        seeds=st.lists(st.integers(0, 2**16), min_size=2, max_size=2, unique=True),
+    )
+    def test_two_random_foliations_reach_one_state(
+        self, n, horizon, kind, base, lam, mu, link_coupling, omega, dt, seeds
+    ):
+        cfg = ModelConfig(
+            n_sites=n, horizon=horizon, omega=omega, mu=mu, link_coupling=link_coupling, dt=dt,
+            base_operator=base, nonlinearity=NonlinearitySpec(kind=kind, lam=lam),
+        )
+        psi0 = default_initial_state(cfg)
+        for config, bound in ((cfg, COVARIANT_SWEEP_BOUND), (linear_config(cfg), LINEAR_SWEEP_BOUND)):
+            a, b = (evolve(psi0, random_foliation(n, horizon, seed), config)[0] for seed in seeds)
+            assert state_distance(a, b) <= bound
 
     def test_detail_rows_cover_all_foliations(self):
         r = foliation_sweep(cfg_with("local"), n_foliations=5, seed=1)

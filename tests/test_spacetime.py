@@ -4,6 +4,7 @@ import itertools
 from collections import Counter, deque
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tslattice.spacetime import (
     Foliation,
@@ -147,6 +148,24 @@ class TestIsEnabled:
             for link, time in s.applied_gates:
                 assert LinkApply(link, time) in candidates
                 assert not is_enabled(s, LinkApply(link, time))
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(1, 8), t=st.integers(1, 4), seed=st.integers(0, 2**16), data=st.data())
+    def test_agrees_with_enumeration_on_drawn_surfaces(self, n, t, seed, data):
+        # A reachable surface (a random foliation's prefix) and any candidate,
+        # malformed ones included, at sizes beyond the exhaustive check.
+        steps = random_foliation(n, t, seed).steps
+        s = initial_surface(n, t)
+        for d in steps[: data.draw(st.integers(0, len(steps)), label="prefix")]:
+            s = apply_deformation(s, d)
+        d = data.draw(st.sampled_from(_candidate_deformations(n, t)), label="candidate")
+        enabled = d in enabled_deformations(s)
+        assert is_enabled(s, d) == enabled
+        if enabled:
+            apply_deformation(s, d)
+        else:
+            with pytest.raises(NotEnabledError):
+                apply_deformation(s, d)
 
     def test_apply_raises_exactly_when_not_enabled(self):
         for s in every_surface(3, 3):
@@ -340,6 +359,17 @@ class TestSurfaceLevels:
         assert len(levels) == foliation_length(n, t) + 1
         for k, (surfaces, _) in enumerate(levels):
             assert {sum(s.heights) + len(s.applied_gates) for s in surfaces} == {k}
+
+    @pytest.mark.parametrize(
+        "n, t, n_surfaces, n_edges",
+        [(5, 4, 754, 2291), (6, 4, 2789, 10153), (7, 4, 9186, 38325)],
+    )
+    def test_reachable_surface_and_edge_counts(self, n, t, n_surfaces, n_edges):
+        # Pinned figures, not derived from the enabling rule under test; the
+        # surface counts agree with perfbench's own brickwork enumeration.
+        levels = list(surface_levels(n, t))
+        assert sum(len(surfaces) for surfaces, _ in levels) == n_surfaces
+        assert sum(len(row) for _, successors in levels for row in successors) == n_edges
 
     @pytest.mark.parametrize("n,t", [(2, 3), (3, 2), (4, 3)])
     def test_successors_index_the_next_level_in_discovery_order(self, n, t):
