@@ -20,25 +20,17 @@ from .dynamics import (
     compose_map,
     evolve,
     free_field,
-    nonlinear_coefficient,
-    step_generator,
     ts_step,
 )
 from .quantum_core import (
     DensityMatrix,
     SiteOperator,
     StateVector,
-    TwoSiteOperator,
-    apply_on_link,
-    apply_on_site,
     basis_state,
     bell_pair_state,
     entanglement_entropy,
     expectation,
-    expm_hermitian,
     plus_state,
-    product_state,
-    random_state,
     reduced_density,
     state_distance,
     trace_distance,
@@ -74,23 +66,15 @@ __all__ = [
     "compose_map",
     "evolve",
     "free_field",
-    "nonlinear_coefficient",
-    "step_generator",
     "ts_step",
     "DensityMatrix",
     "SiteOperator",
     "StateVector",
-    "TwoSiteOperator",
-    "apply_on_link",
-    "apply_on_site",
     "basis_state",
     "bell_pair_state",
     "entanglement_entropy",
     "expectation",
-    "expm_hermitian",
     "plus_state",
-    "product_state",
-    "random_state",
     "reduced_density",
     "state_distance",
     "trace_distance",

@@ -34,8 +34,6 @@ from .quantum_core import (
     UNITARY_ATOL,
     SiteOperator,
     StateVector,
-    TwoSiteOperator,
-    _check_site,
     _identity,
     _imaginary_residue,
     _norm_error,
@@ -60,6 +58,10 @@ NONLINEARITY_KINDS = ("none", "local", "coefficient_nonlocal", "operator_nonloca
 
 # The nonlocal kinds and the field naming each one's fixed remote site.
 REMOTE_SITE_FIELDS = {"coefficient_nonlocal": "source_site", "operator_nonlocal": "partner_site"}
+
+# The kinds whose coefficient ``_step_plan`` reads from the pre-step state:
+# only their state map is nonlinear. The others' steps are fixed gates.
+STATE_READING_KINDS = ("local", "coefficient_nonlocal")
 
 # Lattice sizes the model accepts, and the largest lattice whose dense
 # 2^N x 2^N map (composed map, degeneracy and nonlinearity experiments) is
@@ -218,23 +220,6 @@ def _pair_generator(
     return g, _involution_residue(g)
 
 
-def nonlinear_coefficient(
-    state: StateVector, surface: Hypersurface, site: int, config: ModelConfig
-) -> float:
-    """Frozen scalar coefficient of the nonlinear term for advancing ``site``.
-
-    The value ``ts_step`` records for ``SiteAdvance(site)`` (see
-    ``_step_plan``): 0.0 for kind none, an inactive site, or a nonlocal kind
-    whose own site is ``site``; lambda for operator_nonlocal; otherwise
-    lambda times one expectation of a cached free field (whose Hermiticity
-    was tested when the cache was filled), where an imaginary residue above
-    IMAG_ATOL raises ArithmeticError, as in ``expectation``.
-    """
-    if not 0 <= site < config.n_sites:
-        raise ValueError(f"site {site} out of range for {config.n_sites} sites")
-    return _generator_terms(state, surface, SiteAdvance(site), config)[1]
-
-
 def _kron2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """np.kron of two 2x2 matrices, without np.kron's general-shape overhead."""
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(4, 4)
@@ -283,40 +268,6 @@ def _step_plan(surface: Hypersurface, d: Deformation, config: ModelConfig):
     pair, pair_residue = _pair_generator(i, tau_i, j, surface.heights[j], omega, base)
     terms = ((_kron2(oi.matrix, IDENTITY_2), residue, config.mu), (pair, pair_residue, nl.lam))
     return (i, j), nl.lam, None, terms
-
-
-def _generator_terms(
-    state: StateVector, surface: Hypersurface, d: Deformation, config: ModelConfig
-):
-    """``(sites, c, terms)`` of ``_step_plan``, with c read from ``state`` where the plan reads it."""
-    sites, c, read, terms = _step_plan(surface, d, config)
-    if read is not None:
-        site, tau = read
-        _check_site(state, site)
-        field = _free_field(site, tau, config.omega, config.base_operator)[0]
-        c = config.nonlinearity.lam * _real_expectation(state, field.matrix, site)
-        ((g, residue, scale),) = terms
-        terms = ((g, residue, scale + c),)
-    return sites, c, terms
-
-
-def step_generator(
-    state: StateVector, surface: Hypersurface, d: Deformation, config: ModelConfig
-):
-    """Hermitian generator for one deformation plus its frozen coefficient.
-
-    Returns ``(SiteOperator | TwoSiteOperator, c)``. When a nonlocal kind
-    would pair the advancing site with itself, the nonlinear term is dropped
-    for that step and the generator stays linear.
-    """
-    sites, c, terms = _generator_terms(state, surface, d, config)
-    (g, _, scale), *rest = terms
-    gen = scale * g
-    for g, _, scale in rest:
-        gen = gen + scale * g
-    if len(sites) == 1:
-        return SiteOperator(gen, sites[0]), c
-    return TwoSiteOperator(gen, sites), c
 
 
 def _not_unitary(sites) -> ValueError:
@@ -378,12 +329,24 @@ def ts_step(
     residue (a product of two also by ``is_unitary``), and the new state's
     norm is tested with one inner product. The returned state and surface
     are not validated a second time. State, surface and config must have
-    one size, so every site the step touches is in range.
+    one size, so every site the step touches or reads is in range.
+
+    Where the plan reads the state, the recorded coefficient is
+    c = lambda * <O(site, tau)>, one expectation of a cached free field; an
+    imaginary residue above IMAG_ATOL raises ArithmeticError, as in
+    ``expectation``. Otherwise it is the plan's fixed c: 0.0 for kind none,
+    an inactive site or a self-pair, lambda for operator_nonlocal.
     """
     n = config.n_sites
     _check_sizes(state.n_sites, surface.n_sites, n)
     surface_next = apply_deformation(surface, d)
-    sites, c, terms = _generator_terms(state, surface, d, config)
+    sites, c, read, terms = _step_plan(surface, d, config)
+    if read is not None:
+        site, tau = read
+        field = _free_field(site, tau, config.omega, config.base_operator)[0]
+        c = config.nonlinearity.lam * _real_expectation(state, field.matrix, site)
+        ((g, residue, scale),) = terms
+        terms = ((g, residue, scale + c),)
     step_dt = config.dt if isinstance(d, SiteAdvance) else 1.0
     u = _gate(sites, terms, step_dt)
     out = _apply_gate(state.amplitudes, u, sites, n)

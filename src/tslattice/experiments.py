@@ -18,6 +18,8 @@ import numpy as np
 from . import _kernels
 from .dynamics import (
     BASE_OPERATORS,
+    REMOTE_SITE_FIELDS,
+    STATE_READING_KINDS,
     ModelConfig,
     NonlinearitySpec,
     _apply_gate,
@@ -54,7 +56,8 @@ from .spacetime import (
 
 # Verdict bounds shared with the acceptance suite. The inequality direction
 # depends on the nonlinearity kind: local kinds must stay covariant, nonlocal
-# kinds must visibly break.
+# kinds must visibly break; kinds that read the state must break
+# superposition, the others stay linear.
 COVARIANT_SWAP_BOUND = 1e-12
 LINEAR_SWAP_BOUND = 1e-13
 COVARIANT_SWEEP_BOUND = 1e-10
@@ -70,9 +73,6 @@ SUPERPOSITION_LINEAR_BOUND = 1e-12
 SUPERPOSITION_FLOOR = 1e-3
 ENTROPY_LOCAL_BOUND = 1e-12
 ENTROPY_NONLOCAL_FLOOR = 0.01
-
-LOCAL_KINDS = ("none", "local")
-NONLOCAL_KINDS = ("coefficient_nonlocal", "operator_nonlocal")
 
 
 @dataclass(frozen=True)
@@ -141,7 +141,8 @@ def default_initial_state(config: ModelConfig) -> StateVector:
 
 
 def _expects_breakage(config: ModelConfig) -> bool:
-    return config.nonlinearity.kind in NONLOCAL_KINDS and config.nonlinearity.lam != 0.0
+    """A nonlocal kind (one with a remote site) at lambda != 0 must break covariance."""
+    return config.nonlinearity.kind in REMOTE_SITE_FIELDS and config.nonlinearity.lam != 0.0
 
 
 def _fmt_deformation(d) -> str:
@@ -709,14 +710,14 @@ def map_nonlinearity_check(
     compose_consistency = state_distance(StateVector(mapped, n), final_sum)
     _, _, control_defect = superposition_for(linear_config(config))
 
-    lam = config.nonlinearity.lam
     metrics = (
         ("unitarity_defect", unitarity_defect),
         ("superposition_defect", superposition_defect),
         ("compose_consistency", compose_consistency),
         ("control_superposition_defect", control_defect),
     )
-    if lam != 0.0:
+    nl = config.nonlinearity
+    if nl.kind in STATE_READING_KINDS and nl.lam != 0.0:
         super_threshold = ("superposition_defect", ">=", SUPERPOSITION_FLOOR)
     else:
         super_threshold = ("superposition_defect", "<=", SUPERPOSITION_LINEAR_BOUND)

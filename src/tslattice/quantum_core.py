@@ -24,7 +24,6 @@ PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 IDENTITY_2 = np.eye(2, dtype=complex)
-HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
 
 
 def _norm_error(nrm: float) -> ValueError:
@@ -93,42 +92,6 @@ class SiteOperator:
         if self.site < 0:
             raise ValueError(f"site index must be >= 0, got {self.site}")
 
-    def is_hermitian(self) -> bool:
-        return is_hermitian(self.matrix)
-
-    def is_unitary(self) -> bool:
-        return is_unitary(self.matrix)
-
-
-@dataclass(frozen=True)
-class TwoSiteOperator:
-    """4x4 operator on an ordered pair of distinct sites.
-
-    Row/column index is ``(bit_a << 1) | bit_b`` for ``sites = (a, b)``, i.e.
-    the matrix of ``A ⊗ B`` is ``np.kron(A, B)``.
-    """
-
-    matrix: np.ndarray
-    sites: tuple[int, int]
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "sites", (int(self.sites[0]), int(self.sites[1])))
-        if m.shape != (4, 4):
-            raise ValueError(f"two-site operator must be 4x4, got shape {m.shape}")
-        a, b = self.sites
-        if a == b:
-            raise ValueError(f"two-site operator needs distinct sites, got ({a}, {b})")
-        if a < 0 or b < 0:
-            raise ValueError(f"site indices must be >= 0, got ({a}, {b})")
-
-    def is_hermitian(self) -> bool:
-        return is_hermitian(self.matrix)
-
-    def is_unitary(self) -> bool:
-        return is_unitary(self.matrix)
-
 
 @dataclass(frozen=True)
 class DensityMatrix:
@@ -174,16 +137,6 @@ def plus_state(n_sites: int) -> StateVector:
     return StateVector(amps, n_sites)
 
 
-def product_state(single_site_states) -> StateVector:
-    """Tensor product of per-site 2-vectors (site 0 first)."""
-    amps = np.array([1.0], dtype=complex)
-    for s in single_site_states:
-        v = np.asarray(s, dtype=complex).reshape(2)
-        amps = np.kron(amps, v)
-    amps = amps / np.linalg.norm(amps)
-    return StateVector(amps, len(single_site_states))
-
-
 def bell_pair_state(n_sites: int, site_a: int, site_b: int) -> StateVector:
     """(|0_a 0_b> + |1_a 1_b>)/sqrt(2) with every other site in |0>."""
     if site_a == site_b:
@@ -198,13 +151,6 @@ def bell_pair_state(n_sites: int, site_a: int, site_b: int) -> StateVector:
     return StateVector(amps, n_sites)
 
 
-def random_state(n_sites: int, rng: np.random.Generator) -> StateVector:
-    """Haar-ish random state: normalized complex Gaussian amplitudes."""
-    dim = 2**n_sites
-    amps = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return StateVector(amps / np.linalg.norm(amps), n_sites)
-
-
 # -- operations ---------------------------------------------------------------
 
 
@@ -213,30 +159,10 @@ def _check_site(state: StateVector, site: int) -> None:
         raise ValueError(f"site {site} out of range for {state.n_sites} sites")
 
 
-def apply_on_site(state: StateVector, op: SiteOperator) -> StateVector:
-    """Apply a unitary single-site operator; returns a new state."""
-    _check_site(state, op.site)
-    if not op.is_unitary():
-        raise ValueError(f"operator at site {op.site} is not unitary within {UNITARY_ATOL}")
-    out = _kernels.apply_1q(state.amplitudes, op.matrix, op.site, state.n_sites)
-    return StateVector(out, state.n_sites)
-
-
-def apply_on_link(state: StateVector, op: TwoSiteOperator) -> StateVector:
-    """Apply a unitary two-site operator; returns a new state."""
-    a, b = op.sites
-    _check_site(state, a)
-    _check_site(state, b)
-    if not op.is_unitary():
-        raise ValueError(f"operator on sites {op.sites} is not unitary within {UNITARY_ATOL}")
-    out = _kernels.apply_2q(state.amplitudes, op.matrix, a, b, state.n_sites)
-    return StateVector(out, state.n_sites)
-
-
 def expectation(state: StateVector, op: SiteOperator) -> float:
     """<psi| O_site |psi> for a Hermitian single-site operator."""
     _check_site(state, op.site)
-    if not op.is_hermitian():
+    if not is_hermitian(op.matrix):
         raise ValueError(f"operator at site {op.site} is not Hermitian within {HERMITIAN_ATOL}")
     return _real_expectation(state, op.matrix, op.site)
 
@@ -278,20 +204,6 @@ def entanglement_entropy(state: StateVector, cut) -> float:
     p = sv**2
     p = p[p > 1e-18]
     return float(-np.sum(p * np.log(p)))
-
-
-def expm_hermitian(h: np.ndarray, dt: float) -> np.ndarray:
-    """exp(-i*dt*h) by exact eigendecomposition of the Hermitian h.
-
-    No lattice step calls it: ``ts_step`` builds every gate from closed-form
-    rotations of involutions. It is the independent reference those gates
-    are tested against.
-    """
-    h = np.asarray(h, dtype=complex)
-    if not is_hermitian(h, atol=1e-12):
-        raise ValueError("matrix is not Hermitian within 1e-12")
-    w, v = np.linalg.eigh(h)
-    return (v * np.exp(-1j * dt * w)) @ v.conj().T
 
 
 def state_distance(a: StateVector, b: StateVector) -> float:

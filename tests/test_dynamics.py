@@ -7,6 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
+from reference import (
+    deformation_sites,
+    expm_hermitian,
+    product_state,
+    random_state,
+    reference_generator,
+    reference_step,
+)
 
 import tslattice.dynamics as dynamics
 from tslattice.dynamics import (
@@ -18,37 +26,29 @@ from tslattice.dynamics import (
     evolve,
     free_field,
     linear_config,
-    nonlinear_coefficient,
-    step_generator,
     ts_step,
 )
 from tslattice.quantum_core import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
-    SiteOperator,
     StateVector,
-    TwoSiteOperator,
-    apply_on_link,
-    apply_on_site,
     bell_pair_state,
     entanglement_entropy,
     expectation,
-    expm_hermitian,
+    is_hermitian,
     is_unitary,
     plus_state,
-    product_state,
-    random_state,
     state_distance,
     zero_state,
 )
 from tslattice.spacetime import (
     Hypersurface,
     LinkApply,
+    NotEnabledError,
     SiteAdvance,
     apply_deformation,
     canonical_foliation,
-    deformation_sites,
     enabled_deformations,
     initial_surface,
     random_foliation,
@@ -103,7 +103,7 @@ class TestFreeField:
     def test_always_hermitian(self):
         cfg = make_config(n_sites=2, horizon=4, omega=0.7, base_operator="y")
         for tau in range(5):
-            assert free_field(0, tau, cfg).is_hermitian()
+            assert is_hermitian(free_field(0, tau, cfg).matrix)
 
     @pytest.mark.parametrize("base", ["x", "y", "z"])
     def test_cached_field_matches_closed_form(self, base):
@@ -134,22 +134,41 @@ class TestFreeField:
         assert not np.allclose(a.matrix, c.matrix)
 
 
-class TestNonlinearCoefficient:
+def expected_coefficient(psi, surface, site, cfg):
+    """The coefficient rule, stated apart from ``_step_plan``, for advancing ``site``."""
+    nl = cfg.nonlinearity
+    if nl.kind == "none" or not nl.active_at(site) or nl.remote_site == site:
+        return 0.0
+    if nl.kind == "operator_nonlocal":
+        return nl.lam
+    read = site if nl.kind == "local" else nl.remote_site
+    return nl.lam * expectation(psi, free_field(read, surface.heights[read], cfg))
+
+
+def recorded_coefficient(psi, surface, site, cfg):
+    """The coefficient ``ts_step`` records for advancing ``site``."""
+    return ts_step(psi, surface, SiteAdvance(site), cfg)[2].coefficient
+
+
+def both_sites_enabled():
+    """A 2-site surface whose link gate at t = 0 is applied, so both sites may advance."""
+    return apply_deformation(initial_surface(2, 1), LinkApply((0, 1), 0))
+
+
+class TestRecordedCoefficient:
     def test_kind_none_is_zero(self):
         cfg = make_config(n_sites=2, horizon=1)
-        s = initial_surface(2, 1)
-        assert nonlinear_coefficient(zero_state(2), s, 0, cfg) == 0.0
+        assert recorded_coefficient(zero_state(2), both_sites_enabled(), 0, cfg) == 0.0
 
     def test_local_eigenstate(self):
         cfg = make_config(n_sites=2, horizon=1, base_operator="z", kind="local", lam=0.5)
-        s = initial_surface(2, 1)
-        assert nonlinear_coefficient(zero_state(2), s, 0, cfg) == pytest.approx(0.5)
+        assert recorded_coefficient(zero_state(2), both_sites_enabled(), 0, cfg) == pytest.approx(0.5)
 
     def test_local_bell_marginal_is_zero(self):
         cfg = make_config(n_sites=3, horizon=1, base_operator="z", kind="local", lam=0.7)
-        s = initial_surface(3, 1)
+        s = apply_deformation(initial_surface(3, 1), LinkApply((0, 1), 0))
         psi = bell_pair_state(3, 0, 1)
-        assert nonlinear_coefficient(psi, s, 0, cfg) == pytest.approx(0.0, abs=1e-14)
+        assert recorded_coefficient(psi, s, 0, cfg) == pytest.approx(0.0, abs=1e-14)
 
     def test_nonlocal_reads_source_height(self):
         cfg = make_config(
@@ -157,12 +176,11 @@ class TestNonlinearCoefficient:
             kind="coefficient_nonlocal", lam=1.0, source_site=1,
         )
         psi = plus_state(2)
-        s0 = initial_surface(2, 2)
-        assert nonlinear_coefficient(psi, s0, 0, cfg) == pytest.approx(1.0)
+        s0 = apply_deformation(initial_surface(2, 2), LinkApply((0, 1), 0))
+        assert recorded_coefficient(psi, s0, 0, cfg) == pytest.approx(1.0)
         # after raising the source, the free field there has flipped sign
-        s1 = apply_deformation(s0, LinkApply((0, 1), 0))
-        s1 = apply_deformation(s1, SiteAdvance(1))
-        assert nonlinear_coefficient(psi, s1, 0, cfg) == pytest.approx(-1.0)
+        s1 = apply_deformation(s0, SiteAdvance(1))
+        assert recorded_coefficient(psi, s1, 0, cfg) == pytest.approx(-1.0)
 
     @pytest.mark.parametrize(
         "nl",
@@ -176,12 +194,12 @@ class TestNonlinearCoefficient:
         # The advancing site is the kind's own remote site: the step drops
         # the nonlinear term, and the coefficient is the 0.0 it records.
         cfg = make_config(n_sites=2, horizon=1, base_operator="z", lam=0.5, **nl)
-        s = initial_surface(2, 1)
-        assert nonlinear_coefficient(zero_state(2), s, 0, cfg) == 0.0
-        assert nonlinear_coefficient(zero_state(2), s, 1, cfg) == 0.5
+        s = both_sites_enabled()
+        assert recorded_coefficient(zero_state(2), s, 0, cfg) == 0.0
+        assert recorded_coefficient(zero_state(2), s, 1, cfg) == 0.5
 
     @pytest.mark.parametrize("kind", ["none", "local", "coefficient_nonlocal", "operator_nonlocal"])
-    def test_is_the_recorded_coefficient_on_every_surface(self, kind):
+    def test_follows_the_rule_on_every_surface(self, kind):
         # Every enabled advance on every reachable surface at n <= 4, with
         # the remote site at each site (so every site is once a self-pair)
         # and with the odd sites inactive.
@@ -198,47 +216,51 @@ class TestNonlinearCoefficient:
                         for s, edges in zip(surfaces, successors):
                             for d in edges:
                                 if isinstance(d, SiteAdvance):
-                                    _, _, entry = ts_step(psi, s, d, cfg)
-                                    assert nonlinear_coefficient(psi, s, d.site, cfg) == entry.coefficient
+                                    want = expected_coefficient(psi, s, d.site, cfg)
+                                    assert recorded_coefficient(psi, s, d.site, cfg) == want
 
-    def test_site_out_of_range(self):
-        cfg = make_config(n_sites=2, horizon=1)
-        s = initial_surface(2, 1)
-        with pytest.raises(ValueError, match="out of range"):
-            nonlinear_coefficient(zero_state(2), s, 5, cfg)
+    def test_every_read_site_is_bounded(self):
+        # An advance off the lattice is never enabled, and a remote site off
+        # the lattice never makes a config, so the read needs no range check.
+        cfg = make_config(n_sites=2, horizon=1, kind="local", lam=0.5)
+        with pytest.raises(NotEnabledError):
+            recorded_coefficient(zero_state(2), both_sites_enabled(), 5, cfg)
+        with pytest.raises(ValueError, match="^source_site 5 out of range for 2 sites$"):
+            make_config(n_sites=2, horizon=1, kind="coefficient_nonlocal", lam=0.5, source_site=5)
 
     def test_inactive_site_masked_to_zero(self):
         cfg = make_config(
             n_sites=2, horizon=1, base_operator="z",
             kind="local", lam=0.5, active_sites=frozenset({1}),
         )
-        s = initial_surface(2, 1)
-        assert nonlinear_coefficient(zero_state(2), s, 0, cfg) == 0.0
-        assert nonlinear_coefficient(zero_state(2), s, 1, cfg) == pytest.approx(0.5)
+        s = both_sites_enabled()
+        assert recorded_coefficient(zero_state(2), s, 0, cfg) == 0.0
+        assert recorded_coefficient(zero_state(2), s, 1, cfg) == pytest.approx(0.5)
 
 
-class TestStepGenerator:
+class TestStepPlanGenerator:
+    """The generator and coefficient ``_step_plan`` gives, summed by the reference."""
+
     def test_zero_couplings_zero_generator(self):
         cfg = make_config(n_sites=2, horizon=2, mu=0.0, link_coupling=0.0)
         s = apply_deformation(initial_surface(2, 2), LinkApply((0, 1), 0))
-        gen, c = step_generator(zero_state(2), s, SiteAdvance(0), cfg)
+        _, gen, c = reference_generator(zero_state(2), s, SiteAdvance(0), cfg)
         assert c == 0.0
-        assert_allclose(gen.matrix, np.zeros((2, 2)))
+        assert_allclose(gen, np.zeros((2, 2)))
 
     def test_local_composition(self):
         cfg = make_config(
             n_sites=2, horizon=1, mu=0.0, base_operator="z", kind="local", lam=1.0
         )
-        s = apply_deformation(initial_surface(2, 1), LinkApply((0, 1), 0))
-        gen, c = step_generator(zero_state(2), s, SiteAdvance(0), cfg)
+        _, gen, c = reference_generator(zero_state(2), both_sites_enabled(), SiteAdvance(0), cfg)
         assert c == pytest.approx(1.0)
-        assert_allclose(gen.matrix, PAULI_Z, atol=1e-14)
+        assert_allclose(gen, PAULI_Z, atol=1e-14)
 
     def test_link_generator_definition(self):
         cfg = make_config(n_sites=2, horizon=1, link_coupling=0.3, base_operator="x")
-        gen, c = step_generator(zero_state(2), initial_surface(2, 1), LinkApply((0, 1), 0), cfg)
-        assert c == 0.0
-        assert_allclose(gen.matrix, 0.3 * np.kron(PAULI_X, PAULI_X), atol=1e-14)
+        sites, gen, c = reference_generator(zero_state(2), initial_surface(2, 1), LinkApply((0, 1), 0), cfg)
+        assert sites == (0, 1) and c == 0.0
+        assert_allclose(gen, 0.3 * np.kron(PAULI_X, PAULI_X), atol=1e-14)
 
     def test_operator_nonlocal_two_site_generator(self):
         cfg = make_config(
@@ -249,12 +271,11 @@ class TestStepGenerator:
         # site 1 advances freely at t=0 only if its parity link gate is done;
         # link (1,2) gates at odd t, link (0,1) at even t -> apply (0,1)@0 first
         s = apply_deformation(s, LinkApply((0, 1), 0))
-        gen, c = step_generator(plus_state(4), s, SiteAdvance(1), cfg)
-        assert isinstance(gen, TwoSiteOperator)
-        assert gen.sites == (1, 3)
+        sites, gen, c = reference_generator(plus_state(4), s, SiteAdvance(1), cfg)
+        assert sites == (1, 3)
         assert c == pytest.approx(0.5)
         expected = 0.7 * np.kron(PAULI_X, np.eye(2)) + 0.5 * np.kron(PAULI_X, PAULI_X)
-        assert_allclose(gen.matrix, expected, atol=1e-14)
+        assert_allclose(gen, expected, atol=1e-14)
 
     def test_partner_advance_stays_linear(self):
         cfg = make_config(
@@ -262,9 +283,21 @@ class TestStepGenerator:
             kind="operator_nonlocal", lam=0.5, partner_site=1,
         )
         s = apply_deformation(initial_surface(2, 2), LinkApply((0, 1), 0))
-        gen, c = step_generator(plus_state(2), s, SiteAdvance(1), cfg)
-        assert isinstance(gen, SiteOperator)
+        sites, gen, c = reference_generator(plus_state(2), s, SiteAdvance(1), cfg)
+        assert sites == (1,) and gen.shape == (2, 2)
         assert c == 0.0
+
+    @pytest.mark.parametrize("kind", dynamics.NONLINEARITY_KINDS)
+    def test_state_reading_kinds_are_those_whose_plan_reads(self, kind):
+        # The table the nonlinearity verdict reads agrees with the plan on
+        # every reachable surface, with the remote site at each site.
+        reads = set()
+        for remote in range(3):
+            cfg = make_config(n_sites=3, horizon=2, kind=kind, lam=0.5, source_site=remote, partner_site=remote)
+            for surfaces, successors in surface_levels(3, 2):
+                for s, edges in zip(surfaces, successors):
+                    reads.update(dynamics._step_plan(s, d, cfg)[2] is not None for d in edges)
+        assert (True in reads) == (kind in dynamics.STATE_READING_KINDS)
 
 
 class TestTsStep:
@@ -301,7 +334,7 @@ class TestTsStep:
             assert abs(np.linalg.norm(psi.amplitudes) - 1.0) <= 1e-12
 
     @pytest.mark.parametrize("nl", ALL_KINDS, ids=[k["kind"] for k in ALL_KINDS])
-    def test_coefficient_matches_nonlinear_coefficient(self, nl):
+    def test_coefficient_follows_the_rule(self, nl):
         # Both site fields set: each kind drops the nonlinear term only where
         # its own site (the source, or the partner) advances.
         nl = {**nl, "source_site": 0, "partner_site": 2}
@@ -313,13 +346,11 @@ class TestTsStep:
             if isinstance(d, SiteAdvance):
                 if d.site == own:
                     assert entry.coefficient == 0.0
-                assert entry.coefficient == nonlinear_coefficient(psi, s, d.site, cfg)
+                assert entry.coefficient == expected_coefficient(psi, s, d.site, cfg)
             psi, s = psi_next, s_next
 
     def test_rejects_disabled_deformation(self):
         cfg = make_config(n_sites=2, horizon=1)
-        from tslattice.spacetime import NotEnabledError
-
         with pytest.raises(NotEnabledError):
             ts_step(zero_state(2), initial_surface(2, 1), SiteAdvance(0), cfg)
         # A non-integer field is never enabled; it does not reach the heights.
@@ -374,18 +405,18 @@ class TestClosedFormGates:
                 psi, s = random_state(4, rng), initial_surface(4, 4)
                 while enabled := enabled_deformations(s):
                     d = enabled[int(rng.integers(len(enabled)))]
-                    gen, c = step_generator(psi, s, d, cfg)
-                    step_dt = cfg.dt if isinstance(d, SiteAdvance) else 1.0
+                    _, gen, _ = reference_generator(psi, s, d, cfg)
+                    advance = isinstance(d, SiteAdvance)
+                    c = expected_coefficient(psi, s, d.site, cfg) if advance else 0.0
+                    step_dt = cfg.dt if advance else 1.0
                     psi, s, entry = ts_step(psi, s, d, cfg)
                     assert entry.coefficient == c
                     assert_allclose(
-                        entry.unitary, expm_hermitian(gen.matrix, step_dt), rtol=0, atol=1e-14
+                        entry.unitary, expm_hermitian(gen, step_dt), rtol=0, atol=1e-14
                     )
 
     @pytest.mark.parametrize("nl", ALL_KINDS, ids=[k["kind"] for k in ALL_KINDS])
     def test_no_kind_goes_through_eigh(self, monkeypatch, nl):
-        import tslattice.quantum_core as quantum_core
-
         calls = {"eigh": 0, "closed": 0}
 
         def counted(name, real):
@@ -395,7 +426,6 @@ class TestClosedFormGates:
 
             return wrapper
 
-        monkeypatch.setattr(quantum_core, "expm_hermitian", counted("eigh", expm_hermitian))
         monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
         monkeypatch.setattr(
             dynamics, "_closed_form_gate", counted("closed", dynamics._closed_form_gate)
@@ -436,22 +466,11 @@ class TestClosedFormGates:
         gates = {((a, a + 1), tau_i) for a in (i - 1, i) if 0 <= a < 3}
         s = Hypersurface(tuple(heights), frozenset(gates), 65)
         psi = plus_state(4)
-        gen, _ = step_generator(psi, s, SiteAdvance(i), cfg)
+        _, gen, _ = reference_generator(psi, s, SiteAdvance(i), cfg)
         _, _, entry = ts_step(psi, s, SiteAdvance(i), cfg)
         assert entry.sites == (i, j)
-        assert_allclose(entry.unitary, expm_hermitian(gen.matrix, dt), rtol=0, atol=1e-14)
+        assert_allclose(entry.unitary, expm_hermitian(gen, dt), rtol=0, atol=1e-14)
         assert is_unitary(entry.unitary, atol=1e-12)
-
-
-def reference_step(state, surface, d, cfg):
-    """One step from the public, fully checked pieces: generator, eigh, apply."""
-    gen, c = step_generator(state, surface, d, cfg)
-    u = expm_hermitian(gen.matrix, cfg.dt if isinstance(d, SiteAdvance) else 1.0)
-    if isinstance(gen, SiteOperator):
-        state = apply_on_site(state, SiteOperator(u, gen.site))
-    else:
-        state = apply_on_link(state, TwoSiteOperator(u, gen.sites))
-    return state, apply_deformation(surface, d), c, u
 
 
 def _foliations(n, horizon):
@@ -463,7 +482,7 @@ def _foliations(n, horizon):
 
 
 class TestLeanStepAgainstReference:
-    """ts_step checks once where its data is made; it must still match the checked pieces."""
+    """ts_step checks once where its data is made; it must still match the dense reference step."""
 
     @pytest.mark.parametrize("nl", ALL_KINDS, ids=[k["kind"] for k in ALL_KINDS])
     @pytest.mark.parametrize("base", ["x", "y", "z"])

@@ -443,6 +443,16 @@ class TestMapNonlinearityCheck:
         assert r.verdict == "pass"
         assert r.metric("superposition_defect") <= 1e-12
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_superposition_bound_follows_whether_the_kind_reads_the_state(self, kind):
+        # none and operator_nonlocal step by fixed gates, so their state map
+        # is linear at any lambda; the other two read the state and are not.
+        r = map_nonlinearity_check(cfg_with(kind))
+        reads = kind in ("local", "coefficient_nonlocal")
+        want = (">=", 1e-3) if reads else ("<=", 1e-12)
+        assert ("superposition_defect", *want) in r.thresholds
+        assert r.verdict == "pass"
+
 
 def random_unitary(dim, rng):
     q, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from reference import embedded
 
 from tslattice import _kernels
 
@@ -14,21 +15,6 @@ def random_vec(n, rng):
 
 def random_matrix(dim, rng):
     return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-
-
-def embedded(m, sites, n):
-    """Dense 2^n matrix of m acting on ``sites`` (site 0 = MSB), built by np.kron.
-
-    For a pair (a, b) the row index of m is (bit_a << 1) | bit_b, in the
-    given order, so reversed pairs are covered too.
-    """
-    k = len(sites)
-    full = np.kron(m, np.eye(2 ** (n - k)))
-    # Tensor axis j of ``full`` is site order[j]; put site s back on axis s.
-    order = list(sites) + [s for s in range(n) if s not in sites]
-    back = list(np.argsort(order))
-    t = full.reshape((2,) * (2 * n)).transpose(back + [n + j for j in back])
-    return t.reshape(2**n, 2**n)
 
 
 def ordered_pairs(n):

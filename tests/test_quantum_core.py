@@ -7,10 +7,10 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
+from reference import apply_gate, expm_hermitian, product_state, random_state
 
 from tslattice.dynamics import _closed_form_gate, _involution_residue
 from tslattice.quantum_core import (
-    HADAMARD,
     IDENTITY_2,
     PAULI_X,
     PAULI_Y,
@@ -18,26 +18,21 @@ from tslattice.quantum_core import (
     DensityMatrix,
     SiteOperator,
     StateVector,
-    TwoSiteOperator,
     _state_distances,
-    apply_on_link,
-    apply_on_site,
     basis_state,
     bell_pair_state,
     entanglement_entropy,
     expectation,
-    expm_hermitian,
     is_hermitian,
     is_unitary,
     plus_state,
-    product_state,
-    random_state,
     reduced_density,
     state_distance,
     trace_distance,
     zero_state,
 )
 
+HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
 CNOT = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
 )
@@ -105,19 +100,21 @@ class TestStateVector:
         assert list(nonzero) == [0b0000, 0b1001]
 
 
-class TestApplyOnSite:
+class TestReferenceApplyOnSite:
+    """The tests' dense gate application against definitions and an index-arithmetic oracle."""
+
     def test_identity_leaves_state(self):
         rng = np.random.default_rng(7)
         psi = random_state(3, rng)
-        out = apply_on_site(psi, SiteOperator(IDENTITY_2, 1))
+        out = apply_gate(psi, IDENTITY_2, (1,))
         assert_allclose(out.amplitudes, psi.amplitudes)
 
     def test_pauli_x_flips_msb(self):
-        out = apply_on_site(zero_state(2), SiteOperator(PAULI_X, 0))
+        out = apply_gate(zero_state(2), PAULI_X, (0,))
         assert_allclose(out.amplitudes, basis_state(2, 0b10).amplitudes)
 
     def test_hadamard_definition(self):
-        out = apply_on_site(zero_state(1), SiteOperator(HADAMARD, 0))
+        out = apply_gate(zero_state(1), HADAMARD, (0,))
         assert_allclose(out.amplitudes, [1 / math.sqrt(2), 1 / math.sqrt(2)])
 
     def test_matches_kron_oracle(self):
@@ -126,32 +123,25 @@ class TestApplyOnSite:
             psi = random_state(n, rng)
             u = random_unitary(2, rng)
             site = int(rng.integers(n))
-            out = apply_on_site(psi, SiteOperator(u, site))
+            out = apply_gate(psi, u, (site,))
             expected = embed_oracle(u, (site,), n) @ psi.amplitudes
             assert_allclose(out.amplitudes, expected, atol=1e-13)
 
-    def test_rejects_bad_input(self):
-        psi = zero_state(2)
-        with pytest.raises(ValueError, match="out of range"):
-            apply_on_site(psi, SiteOperator(PAULI_X, 2))
-        with pytest.raises(ValueError, match="not unitary"):
-            apply_on_site(psi, SiteOperator(np.array([[1, 1], [0, 1]]), 0))
 
-
-class TestApplyOnLink:
+class TestReferenceApplyOnLink:
     def test_identity(self):
         rng = np.random.default_rng(3)
         psi = random_state(3, rng)
-        out = apply_on_link(psi, TwoSiteOperator(np.eye(4), (0, 2)))
+        out = apply_gate(psi, np.eye(4), (0, 2))
         assert_allclose(out.amplitudes, psi.amplitudes)
 
     def test_cnot_control_off(self):
-        out = apply_on_link(zero_state(2), TwoSiteOperator(CNOT, (0, 1)))
+        out = apply_gate(zero_state(2), CNOT, (0, 1))
         assert_allclose(out.amplitudes, zero_state(2).amplitudes)
 
     def test_cnot_bell_preparation(self):
-        plus0 = apply_on_site(zero_state(2), SiteOperator(HADAMARD, 0))
-        out = apply_on_link(plus0, TwoSiteOperator(CNOT, (0, 1)))
+        plus0 = apply_gate(zero_state(2), HADAMARD, (0,))
+        out = apply_gate(plus0, CNOT, (0, 1))
         assert_allclose(out.amplitudes, bell_pair_state(2, 0, 1).amplitudes, atol=1e-15)
 
     def test_matches_kron_oracle_arbitrary_pairs(self):
@@ -159,13 +149,9 @@ class TestApplyOnLink:
         for n, sites in ((3, (0, 2)), (4, (3, 1)), (5, (4, 0))):
             psi = random_state(n, rng)
             u = random_unitary(4, rng)
-            out = apply_on_link(psi, TwoSiteOperator(u, sites))
+            out = apply_gate(psi, u, sites)
             expected = embed_oracle(u, sites, n) @ psi.amplitudes
             assert_allclose(out.amplitudes, expected, atol=1e-13)
-
-    def test_rejects_overlapping_sites(self):
-        with pytest.raises(ValueError, match="distinct"):
-            TwoSiteOperator(np.eye(4), (1, 1))
 
 
 class TestExpectation:
@@ -245,7 +231,7 @@ class TestReducedDensity:
         psi = random_state(4, rng)
         u = random_unitary(2, rng)
         before = reduced_density(psi, 3).matrix
-        after = reduced_density(apply_on_site(psi, SiteOperator(u, 1)), 3).matrix
+        after = reduced_density(apply_gate(psi, u, (1,)), 3).matrix
         assert_allclose(after, before, atol=1e-12)
 
 
@@ -317,6 +303,7 @@ class TestEntanglementEntropy:
 
 
 class TestExpmHermitian:
+    """The tests' eigh reference for the closed-form gates, against scipy."""
     def test_zero_generator(self):
         assert_allclose(expm_hermitian(np.zeros((2, 2)), 0.37), np.eye(2))
 
@@ -429,14 +416,13 @@ class TestNormAndCommutation:
         rng = np.random.default_rng(43)
         psi = random_state(4, rng)
         for _ in range(100):
-            psi = apply_on_site(psi, SiteOperator(random_unitary(2, rng), int(rng.integers(4))))
+            psi = apply_gate(psi, random_unitary(2, rng), (int(rng.integers(4)),))
             assert abs(np.linalg.norm(psi.amplitudes) - 1.0) <= 1e-12
 
     def test_disjoint_support_commutes(self):
         rng = np.random.default_rng(47)
         psi = random_state(4, rng)
-        u = SiteOperator(random_unitary(2, rng), 0)
-        v = SiteOperator(random_unitary(2, rng), 3)
-        uv = apply_on_site(apply_on_site(psi, u), v)
-        vu = apply_on_site(apply_on_site(psi, v), u)
+        u, v = random_unitary(2, rng), random_unitary(2, rng)
+        uv = apply_gate(apply_gate(psi, u, (0,)), v, (3,))
+        vu = apply_gate(apply_gate(psi, v, (3,)), u, (0,))
         assert np.max(np.abs(uv.amplitudes - vu.amplitudes)) <= 1e-13

