@@ -59,10 +59,6 @@ NONLINEARITY_KINDS = ("none", "local", "coefficient_nonlocal", "operator_nonloca
 # The nonlocal kinds and the field naming each one's fixed remote site.
 REMOTE_SITE_FIELDS = {"coefficient_nonlocal": "source_site", "operator_nonlocal": "partner_site"}
 
-# The kinds whose coefficient ``_step_plan`` reads from the pre-step state:
-# only their state map is nonlinear. The others' steps are fixed gates.
-STATE_READING_KINDS = ("local", "coefficient_nonlocal")
-
 # Lattice sizes the model accepts, and the largest lattice whose dense
 # 2^N x 2^N map (composed map, degeneracy and nonlinearity experiments) is
 # built; the command line reads its ranges from here.
@@ -268,6 +264,19 @@ def _step_plan(surface: Hypersurface, d: Deformation, config: ModelConfig):
     pair, pair_residue = _pair_generator(i, tau_i, j, surface.heights[j], omega, base)
     terms = ((_kron2(oi.matrix, IDENTITY_2), residue, config.mu), (pair, pair_residue, nl.lam))
     return (i, j), nl.lam, None, terms
+
+
+def _nonlinear_plans(config: ModelConfig) -> tuple:
+    """``(site, sites, read)`` of each site advance whose plan reads the state or spans two sites.
+
+    No plans at lambda = 0. Plans depend on the surface only through the heights
+    their fields read, so the initial surface's site advances show them all.
+    """
+    if config.nonlinearity.lam == 0.0:
+        return ()
+    surface = initial_surface(config.n_sites, config.horizon)
+    plans = ((i, _step_plan(surface, SiteAdvance(i), config)) for i in range(config.n_sites))
+    return tuple((i, sites, read) for i, (sites, _, read, _) in plans if read is not None or len(sites) == 2)
 
 
 def _not_unitary(sites) -> ValueError:

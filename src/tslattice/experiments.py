@@ -18,11 +18,10 @@ import numpy as np
 from . import _kernels
 from .dynamics import (
     BASE_OPERATORS,
-    REMOTE_SITE_FIELDS,
-    STATE_READING_KINDS,
     ModelConfig,
     NonlinearitySpec,
     _apply_gate,
+    _nonlinear_plans,
     _trajectory,
     check_dense_sites,
     compose_map,
@@ -48,16 +47,17 @@ from .quantum_core import (
 )
 from .spacetime import (
     Foliation,
+    SiteAdvance,
     canonical_foliation,
     foliation_to_text,
     random_foliation,
     surface_levels,
 )
 
-# Verdict bounds shared with the acceptance suite. The inequality direction
-# depends on the nonlinearity kind: local kinds must stay covariant, nonlocal
-# kinds must visibly break; kinds that read the state must break
-# superposition, the others stay linear.
+# Verdict bounds shared with the acceptance suite. The direction follows the
+# run's ``_nonlinear_plans``: a step reaching beyond its own site must break
+# covariance, a step reading the state must break superposition, a two-site
+# step must entangle; with no such step, each effect stays within its bound.
 COVARIANT_SWAP_BOUND = 1e-12
 LINEAR_SWAP_BOUND = 1e-13
 COVARIANT_SWEEP_BOUND = 1e-10
@@ -141,14 +141,22 @@ def default_initial_state(config: ModelConfig) -> StateVector:
 
 
 def _expects_breakage(config: ModelConfig) -> bool:
-    """A nonlocal kind (one with a remote site) at lambda != 0 must break covariance."""
-    return config.nonlinearity.kind in REMOTE_SITE_FIELDS and config.nonlinearity.lam != 0.0
+    """Covariance must break where some nonlinear step reads another site or spans two."""
+    return any(len(sites) == 2 or read[0] != site for site, sites, read in _nonlinear_plans(config))
+
+
+def _reads_state(config: ModelConfig) -> bool:
+    """The state map is nonlinear where some step's coefficient reads the state."""
+    return any(read is not None for _, _, read in _nonlinear_plans(config))
+
+
+def _directed(metric: str, expected: bool, floor: float, bound: float):
+    """``metric >= floor`` where the effect is expected, else ``metric <= bound``."""
+    return (metric, ">=", floor) if expected else (metric, "<=", bound)
 
 
 def _fmt_deformation(d) -> str:
-    from .spacetime import SiteAdvance
-
-    if isinstance(d, SiteAdvance):
+    if type(d) is SiteAdvance:
         return f"A{d.site}"
     return f"G{d.link[0]}@{d.time}"
 
@@ -307,11 +315,10 @@ def integrability_check(config: ModelConfig, exploration_budget: int = 2000) -> 
         ("pairs_checked", float(pairs)),
         ("exhaustive", 1.0 if exhausted else 0.0),
     )
-    if _expects_breakage(config):
-        main = ("max_swap_residue", ">=", BREAKAGE_FLOOR)
-    else:
-        main = ("max_swap_residue", "<=", COVARIANT_SWAP_BOUND)
-    thresholds = (main, ("control_max_swap_residue", "<=", LINEAR_SWAP_BOUND))
+    thresholds = (
+        _directed("max_swap_residue", _expects_breakage(config), BREAKAGE_FLOOR, COVARIANT_SWAP_BOUND),
+        ("control_max_swap_residue", "<=", LINEAR_SWAP_BOUND),
+    )
     return ExperimentReport(
         name="integrability",
         config=config_echo(config, exploration_budget=exploration_budget),
@@ -369,11 +376,10 @@ def foliation_sweep(
         ("control_max_pairwise_distance", control_pair),
         ("n_foliations_total", float(len(foliations))),
     )
-    if _expects_breakage(config):
-        main = ("max_pairwise_distance", ">=", BREAKAGE_FLOOR)
-    else:
-        main = ("max_pairwise_distance", "<=", COVARIANT_SWEEP_BOUND)
-    thresholds = (main, ("control_max_pairwise_distance", "<=", LINEAR_SWEEP_BOUND))
+    thresholds = (
+        _directed("max_pairwise_distance", _expects_breakage(config), BREAKAGE_FLOOR, COVARIANT_SWEEP_BOUND),
+        ("control_max_pairwise_distance", "<=", LINEAR_SWEEP_BOUND),
+    )
 
     reference = finals[0]
     rows = []
@@ -473,11 +479,10 @@ def signaling_experiment(
         )
     if foliation is None:
         foliation = canonical_foliation(n, t, "synchronous")
-    lam = config.nonlinearity.lam
     bob_local = replace(
         config,
         nonlinearity=NonlinearitySpec(
-            kind="local", lam=lam, active_sites=frozenset({bob_site})
+            kind="local", lam=config.nonlinearity.lam, active_sites=frozenset({bob_site})
         ),
     )
 
@@ -500,12 +505,8 @@ def signaling_experiment(
         ("control_lambda0_signal", control_linear),
         ("control_product_signal", control_product),
     )
-    if lam != 0.0:
-        main = ("signal", ">=", SIGNAL_FLOOR)
-    else:
-        main = ("signal", "<=", SIGNAL_CONTROL_BOUND)
     thresholds = (
-        main,
+        _directed("signal", _reads_state(bob_local), SIGNAL_FLOOR, SIGNAL_CONTROL_BOUND),
         ("control_lambda0_signal", "<=", SIGNAL_CONTROL_BOUND),
         ("control_product_signal", "<=", SIGNAL_CONTROL_BOUND),
     )
@@ -716,14 +717,9 @@ def map_nonlinearity_check(
         ("compose_consistency", compose_consistency),
         ("control_superposition_defect", control_defect),
     )
-    nl = config.nonlinearity
-    if nl.kind in STATE_READING_KINDS and nl.lam != 0.0:
-        super_threshold = ("superposition_defect", ">=", SUPERPOSITION_FLOOR)
-    else:
-        super_threshold = ("superposition_defect", "<=", SUPERPOSITION_LINEAR_BOUND)
     thresholds = (
         ("unitarity_defect", "<=", UNITARITY_BOUND),
-        super_threshold,
+        _directed("superposition_defect", _reads_state(config), SUPERPOSITION_FLOOR, SUPERPOSITION_LINEAR_BOUND),
         ("compose_consistency", "<=", UNITARITY_BOUND),
         ("control_superposition_defect", "<=", SUPERPOSITION_LINEAR_BOUND),
     )
@@ -752,14 +748,7 @@ def _monitored_cuts(n: int, cut: frozenset[int]):
         cuts.append(tuple(range(k + 1)))
     for i in range(n):
         cuts.append((i,))
-    # dedupe, preserve order
-    seen = set()
-    out = []
-    for c in cuts:
-        if c not in seen:
-            seen.add(c)
-            out.append(c)
-    return out
+    return list(dict.fromkeys(cuts))  # dedupe, preserve order
 
 
 def _max_entropy_over_run(config: ModelConfig, foliation: Foliation, cuts):
@@ -777,9 +766,10 @@ def _max_entropy_over_run(config: ModelConfig, foliation: Foliation, cuts):
 def entanglement_monitor(config: ModelConfig, cut: frozenset[int] | None = None) -> ExperimentReport:
     """Entropy growth from a product state, per nonlinearity kind, at J = 0.
 
-    Local kinds apply only single-site unitaries and must keep every cut at
-    zero entropy; the operator-nonlocal kind pairs advancing sites with a
-    partner across the cut and must entangle.
+    A variant with a nonlinear step spanning two sites (operator_nonlocal
+    at lambda != 0, its partner across the cut) must entangle; the others
+    apply only single-site unitaries and must keep every cut at zero
+    entropy.
     """
     n, t = config.n_sites, config.horizon
     if cut is None:
@@ -809,24 +799,21 @@ def entanglement_monitor(config: ModelConfig, cut: frozenset[int] | None = None)
         ),
     }
     metrics = []
+    thresholds = []
     rows = []
     for kind, nl in variants.items():
         cfg = replace(config, link_coupling=0.0, nonlinearity=nl)
         worst, (step, argcut) = _max_entropy_over_run(cfg, foliation, cuts)
-        metrics.append((f"max_entropy_{kind}", worst))
+        metric = f"max_entropy_{kind}"
+        metrics.append((metric, worst))
+        entangles = any(len(sites) == 2 for _, sites, _ in _nonlinear_plans(cfg))
+        thresholds.append(_directed(metric, entangles, ENTROPY_NONLOCAL_FLOOR, ENTROPY_LOCAL_BOUND))
         rows.append((kind, worst, step, " ".join(map(str, argcut))))
-    thresholds = (
-        ("max_entropy_none", "<=", ENTROPY_LOCAL_BOUND),
-        ("max_entropy_local", "<=", ENTROPY_LOCAL_BOUND),
-        ("max_entropy_coefficient_nonlocal", "<=", ENTROPY_LOCAL_BOUND),
-        ("max_entropy_operator_nonlocal", ">=", ENTROPY_NONLOCAL_FLOOR),
-    )
-    metrics = tuple(metrics)
     return ExperimentReport(
         name="entanglement",
         config=config_echo(config, cut=",".join(map(str, sorted(cut)))),
-        metrics=metrics,
-        thresholds=thresholds,
+        metrics=tuple(metrics),
+        thresholds=tuple(thresholds),
         detail_header=("kind", "max_entropy", "argmax_step", "argmax_cut"),
         details=tuple(rows),
         foliation_text=foliation_to_text(foliation),

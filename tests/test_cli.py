@@ -207,6 +207,13 @@ class TestRun:
         cfg = parse_config(None, {"kind": kind, "out": str(tmp_path)})
         assert run(cfg) == 0, capsys.readouterr().out
 
+    @pytest.mark.parametrize("kind", NONLINEARITY_KINDS)
+    def test_all_at_lambda_zero_passes_for_every_kind(self, tmp_path, capsys, kind):
+        # With no nonlinear step, every verdict expects covariance, a linear
+        # state map, no signal and no entanglement.
+        cfg = parse_config(None, {"kind": kind, "lambda": "0", "out": str(tmp_path)})
+        assert run(cfg) == 0, capsys.readouterr().out
+
     def test_sweep_local_passes_and_writes(self, tmp_path):
         cfg = parse_config(
             write_cfg(

@@ -287,17 +287,62 @@ class TestStepPlanGenerator:
         assert sites == (1,) and gen.shape == (2, 2)
         assert c == 0.0
 
+
+class TestNonlinearPlans:
+    """``_nonlinear_plans``: the site advances whose plan reads the state or spans two sites."""
+
+    @staticmethod
+    def plans(kind, lam=0.5, n=4, remote=3, active=None):
+        cfg = make_config(
+            n_sites=n, horizon=2, kind=kind, lam=lam,
+            source_site=remote, partner_site=remote, active_sites=active,
+        )
+        return dynamics._nonlinear_plans(cfg)
+
+    def test_every_kind(self):
+        assert self.plans("none") == ()
+        assert self.plans("local") == tuple((i, (i,), (i, 0)) for i in range(4))
+        assert self.plans("coefficient_nonlocal") == tuple((i, (i,), (3, 0)) for i in range(3))
+        assert self.plans("operator_nonlocal") == tuple((i, (i, 3), None) for i in range(3))
+
     @pytest.mark.parametrize("kind", dynamics.NONLINEARITY_KINDS)
-    def test_state_reading_kinds_are_those_whose_plan_reads(self, kind):
-        # The table the nonlinearity verdict reads agrees with the plan on
-        # every reachable surface, with the remote site at each site.
-        reads = set()
+    def test_none_at_lambda_zero(self, kind):
+        assert self.plans(kind, lam=0.0) == ()
+        assert self.plans(kind, lam=-0.0) == ()
+
+    def test_masks(self):
+        for kind in dynamics.NONLINEARITY_KINDS:
+            assert self.plans(kind, active=frozenset()) == ()
+        assert self.plans("local", active=frozenset({1})) == ((1, (1,), (1, 0)),)
+        # A nonlocal kind active only at its own remote site never reaches it.
+        assert self.plans("coefficient_nonlocal", active=frozenset({3})) == ()
+        assert self.plans("operator_nonlocal", active=frozenset({3})) == ()
+        assert self.plans("operator_nonlocal", active=frozenset({0, 3})) == ((0, (0, 3), None),)
+
+    def test_self_pair(self):
+        assert self.plans("coefficient_nonlocal", n=2, remote=0) == ((1, (1,), (0, 0)),)
+        assert self.plans("operator_nonlocal", n=2, remote=0) == ((1, (1, 0), None),)
+
+    @pytest.mark.parametrize("kind", dynamics.NONLINEARITY_KINDS)
+    def test_every_reachable_surface_takes_one_of_the_plans(self, kind):
+        # The plans of every enabled advance on every reachable surface are
+        # those of the initial surface, up to the heights their fields read.
         for remote in range(3):
-            cfg = make_config(n_sites=3, horizon=2, kind=kind, lam=0.5, source_site=remote, partner_site=remote)
-            for surfaces, successors in surface_levels(3, 2):
-                for s, edges in zip(surfaces, successors):
-                    reads.update(dynamics._step_plan(s, d, cfg)[2] is not None for d in edges)
-        assert (True in reads) == (kind in dynamics.STATE_READING_KINDS)
+            for active in (None, frozenset({0, remote})):
+                cfg = make_config(
+                    n_sites=3, horizon=2, kind=kind, lam=0.5,
+                    source_site=remote, partner_site=remote, active_sites=active,
+                )
+                seen = set()
+                for surfaces, successors in surface_levels(3, 2):
+                    for s, edges in zip(surfaces, successors):
+                        for d in edges:
+                            if isinstance(d, SiteAdvance):
+                                sites, _, read, _ = dynamics._step_plan(s, d, cfg)
+                                if read is not None or len(sites) == 2:
+                                    seen.add((d.site, sites, None if read is None else read[0]))
+                plans = dynamics._nonlinear_plans(cfg)
+                assert seen == {(i, sites, None if read is None else read[0]) for i, sites, read in plans}
 
 
 class TestTsStep:

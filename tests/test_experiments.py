@@ -1,6 +1,8 @@
 """Experiment-level behavior: verdicts, controls, determinism, consistency."""
 
+import importlib
 import itertools
+import sys
 import tracemalloc
 from collections import deque
 
@@ -20,8 +22,10 @@ from tslattice.dynamics import (
     ts_step,
 )
 from tslattice.experiments import (
+    COVARIANT_SWAP_BOUND,
     COVARIANT_SWEEP_BOUND,
     LINEAR_SWEEP_BOUND,
+    SUPERPOSITION_LINEAR_BOUND,
     ExperimentReport,
     _fmt_deformation,
     _swap_scans,
@@ -36,6 +40,8 @@ from tslattice.experiments import (
 )
 from tslattice.quantum_core import SiteOperator, StateVector, expectation, state_distance
 from tslattice.spacetime import (
+    LinkApply,
+    SiteAdvance,
     canonical_foliation,
     enabled_deformations,
     initial_surface,
@@ -531,3 +537,80 @@ class TestReportDeterminism:
         assert all(np.isfinite(v) for _, v in r.metrics)
         assert r.verdict in ("pass", "fail")
         assert all(len(row) == len(r.detail_header) for row in r.details)
+
+
+# Each config's nonlinearity acts nowhere beyond its own site: local with no
+# active site, coefficient_nonlocal active only at its source, and
+# operator_nonlocal active only at its partner.
+MASKED = {
+    "local-nowhere": NonlinearitySpec(kind="local", lam=0.5, active_sites=frozenset()),
+    "coefficient_nonlocal-at-source": NonlinearitySpec(
+        kind="coefficient_nonlocal", lam=0.5, source_site=1, active_sites=frozenset({1})
+    ),
+    "operator_nonlocal-at-partner": NonlinearitySpec(
+        kind="operator_nonlocal", lam=0.5, partner_site=3, active_sites=frozenset({3})
+    ),
+}
+
+
+class TestVerdictDirection:
+    """Each verdict's direction follows the run's step plans, not the kind's name."""
+
+    @pytest.mark.parametrize("nl", MASKED.values(), ids=MASKED.keys())
+    def test_masked_configs_are_covariant_and_linear(self, nl):
+        cfg = ModelConfig(n_sites=4, horizon=3, nonlinearity=nl)
+        reports = (
+            (map_nonlinearity_check(cfg), "superposition_defect"),
+            (integrability_check(cfg), "max_swap_residue"),
+            (foliation_sweep(cfg, n_foliations=5, seed=3), "max_pairwise_distance"),
+        )
+        for r, metric in reports:
+            assert r.verdict == "pass", r.name
+            assert [op for name, op, _ in r.thresholds if name == metric] == ["<="]
+
+    def test_entanglement_at_lambda_zero_expects_none(self):
+        r = entanglement_monitor(cfg_with("local", lam=0.0))
+        assert r.verdict == "pass"
+        assert all(op == "<=" for _, op, _ in r.thresholds)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(2, 4),
+        horizon=st.integers(1, 3),
+        kind=st.sampled_from(KINDS),
+        lam=st.floats(-2, 2),
+        dt=st.floats(0.01, 0.5),
+        data=st.data(),
+    )
+    def test_covariant_and_linear_wherever_the_plans_say(self, n, horizon, kind, lam, dt, data):
+        # The covariant half of the rule. Its breakage half is left out: at
+        # small lambda * dt, breakage falls below BREAKAGE_FLOOR.
+        remote = data.draw(st.integers(0, n - 1), label="remote")
+        active = data.draw(st.none() | st.frozensets(st.integers(0, n - 1)), label="active_sites")
+        nl = NonlinearitySpec(
+            kind=kind, lam=lam, source_site=remote, partner_site=remote, active_sites=active
+        )
+        cfg = ModelConfig(n_sites=n, horizon=horizon, dt=dt, nonlinearity=nl)
+        if not experiments._expects_breakage(cfg):
+            swaps = integrability_check(cfg, exploration_budget=10**6)
+            assert swaps.metric("exhaustive") == 1.0
+            assert swaps.metric("max_swap_residue") <= COVARIANT_SWAP_BOUND
+            assert swaps.verdict == "pass"
+            sweep = foliation_sweep(cfg, n_foliations=3, seed=data.draw(st.integers(0, 2**16)))
+            assert sweep.metric("max_pairwise_distance") <= COVARIANT_SWEEP_BOUND
+            assert sweep.verdict == "pass"
+        if not experiments._reads_state(cfg):
+            r = map_nonlinearity_check(cfg)
+            assert r.metric("superposition_defect") <= SUPERPOSITION_LINEAR_BOUND
+            assert r.verdict == "pass"
+
+
+def test_fmt_deformation_keeps_its_own_package_classes(monkeypatch):
+    # A second copy of the package in sys.modules (tslattice purged and
+    # imported again) must not change the class this module's copy tests for.
+    for name in [m for m in sys.modules if m == "tslattice" or m.startswith("tslattice.")]:
+        monkeypatch.delitem(sys.modules, name)
+    importlib.import_module("tslattice.experiments")
+    assert sys.modules["tslattice.spacetime"].SiteAdvance is not SiteAdvance
+    assert _fmt_deformation(SiteAdvance(2)) == "A2"
+    assert _fmt_deformation(LinkApply((0, 1), 3)) == "G0@3"
