@@ -170,10 +170,14 @@ class RunConfig:
 # Site keys range over the largest lattice; -1 resolves to the last site.
 _LAST_SITE = MAX_SITES - 1
 
+# At horizon 1 every generator is a tau = 0 field, the bare base operator,
+# so some effects the verdicts expect (the signal among them) are exact zeros.
+MIN_HORIZON = 2
+
 _SETTERS = {
     "experiment": lambda c, k, v: setattr(c, "experiment", _parse_experiment(k, v)),
     "n_sites": lambda c, k, v: setattr(c, "n_sites", _check_range(k, _parse_int(k, v), MIN_SITES, MAX_SITES)),
-    "horizon": lambda c, k, v: setattr(c, "horizon", _check_range(k, _parse_int(k, v), 1, 64)),
+    "horizon": lambda c, k, v: setattr(c, "horizon", _check_range(k, _parse_int(k, v), MIN_HORIZON, 64)),
     "omega": lambda c, k, v: setattr(c, "omega", _parse_real(k, v)),
     "mu": lambda c, k, v: setattr(c, "mu", _parse_real(k, v)),
     "link_coupling": lambda c, k, v: setattr(c, "link_coupling", _parse_real(k, v)),
@@ -186,7 +190,7 @@ _SETTERS = {
     "alice_site": lambda c, k, v: setattr(c, "alice_site", _check_range(k, _parse_int(k, v), 0, _LAST_SITE)),
     "bob_site": lambda c, k, v: setattr(c, "bob_site", _check_range(k, _parse_int(k, v), -1, _LAST_SITE)),
     "n_foliations": lambda c, k, v: setattr(c, "n_foliations", _check_range(k, _parse_int(k, v), 0, 100000)),
-    "seed": lambda c, k, v: setattr(c, "seed", _parse_int(k, v)),
+    "seed": lambda c, k, v: setattr(c, "seed", _check_non_negative(k, _parse_int(k, v))),
     "exploration_budget": lambda c, k, v: setattr(c, "exploration_budget", _check_range(k, _parse_int(k, v), 1, 10**9)),
     "out": lambda c, k, v: setattr(c, "out", v),
     "format": lambda c, k, v: setattr(c, "format", _parse_choice(k, v, _FORMATS)),
@@ -203,6 +207,12 @@ def _check_range(key: str, value: int, lo: int, hi: int) -> int:
 def _check_positive(key: str, value: float) -> float:
     if value <= 0:
         raise ConfigError(f"config key {key!r}: {value} must be > 0")
+    return value
+
+
+def _check_non_negative(key: str, value: int) -> int:
+    if value < 0:
+        raise ConfigError(f"config key {key!r}: {value} must be >= 0")
     return value
 
 

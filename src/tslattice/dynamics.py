@@ -238,9 +238,9 @@ def _step_plan(surface: Hypersurface, d: Deformation, config: ModelConfig):
     is raised by c.
 
     This is the one place the nonlinearity kind picks a step's generator and
-    coefficient. A nonlocal kind whose own site (``remote_site``) advances
-    drops the nonlinear term for that step, so c = 0 and the generator stays
-    linear.
+    coefficient, and the only one deciding a step is linear. At lambda = 0
+    (or -0.0), for kind none, at an inactive site and at a nonlocal kind's
+    own site (``remote_site``), a site advance takes mu * O(i) with c = 0.
     """
     nl = config.nonlinearity
     omega, base = config.omega, config.base_operator
@@ -252,7 +252,7 @@ def _step_plan(surface: Hypersurface, d: Deformation, config: ModelConfig):
     tau_i = surface.heights[i]
     oi, residue = _free_field(i, tau_i, omega, base)
     linear = ((oi.matrix, residue, config.mu),)
-    if nl.kind == "none" or not nl.active_at(i):
+    if nl.kind == "none" or nl.lam == 0.0 or not nl.active_at(i):
         return (i,), 0.0, None, linear
     if nl.kind == "local":
         return (i,), None, (i, tau_i), linear
@@ -269,11 +269,9 @@ def _step_plan(surface: Hypersurface, d: Deformation, config: ModelConfig):
 def _nonlinear_plans(config: ModelConfig) -> tuple:
     """``(site, sites, read)`` of each site advance whose plan reads the state or spans two sites.
 
-    No plans at lambda = 0. Plans depend on the surface only through the heights
-    their fields read, so the initial surface's site advances show them all.
+    Plans depend on the surface only through the heights their fields read, so
+    the initial surface's site advances show them all (none at lambda = 0).
     """
-    if config.nonlinearity.lam == 0.0:
-        return ()
     surface = initial_surface(config.n_sites, config.horizon)
     plans = ((i, _step_plan(surface, SiteAdvance(i), config)) for i in range(config.n_sites))
     return tuple((i, sites, read) for i, (sites, _, read, _) in plans if read is not None or len(sites) == 2)
@@ -343,8 +341,8 @@ def ts_step(
     Where the plan reads the state, the recorded coefficient is
     c = lambda * <O(site, tau)>, one expectation of a cached free field; an
     imaginary residue above IMAG_ATOL raises ArithmeticError, as in
-    ``expectation``. Otherwise it is the plan's fixed c: 0.0 for kind none,
-    an inactive site or a self-pair, lambda for operator_nonlocal.
+    ``expectation``. Otherwise it is the plan's fixed c: lambda for
+    operator_nonlocal, 0.0 for every linear plan, lambda = 0's included.
     """
     n = config.n_sites
     _check_sizes(state.n_sites, surface.n_sites, n)

@@ -248,8 +248,9 @@ def canonical_foliation(n_sites: int, horizon: int, kind: str) -> Foliation:
 
     ``synchronous``: apply the whole current gate layer, then advance every
     site, layer by layer. ``staircase``: always apply the enabled deformation
-    with the smallest (time, site, variant) key, giving a maximally skewed
-    but still valid sweep.
+    with the smallest (time, site, variant) key. The smallest time goes
+    first, so the staircase is time-ordered as well: as in the synchronous
+    sweep, its heights never differ by more than 1.
     """
     picks = {
         "synchronous": lambda enabled: [d for d in enabled if type(d) is LinkApply] or enabled,

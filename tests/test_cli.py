@@ -102,6 +102,7 @@ class TestParseConfig:
         "key, lo, hi",
         [
             ("n_sites", 2, 14),
+            ("horizon", 2, 64),
             ("source_site", 0, 13),
             ("partner_site", -1, 13),
             ("alice_site", 0, 13),
@@ -114,6 +115,13 @@ class TestParseConfig:
         for bad in (lo - 1, hi + 1):
             with pytest.raises(ConfigError, match=rf"^config key '{key}': {bad} out of range \[{lo}, {hi}\]$"):
                 parse_config(None, {key: str(bad)})
+
+    def test_negative_seed_names_key(self, tmp_path):
+        assert parse_config(None, {"seed": "0"}).seed == 0
+        p = tmp_path / "c.cfg"
+        p.write_text("seed = -1\n")
+        with pytest.raises(ConfigError, match=r"^config key 'seed': -1 must be >= 0$"):
+            parse_config(str(p))
 
     def test_flags_override_file(self, tmp_path):
         p = tmp_path / "c.cfg"
@@ -213,6 +221,14 @@ class TestRun:
         # state map, no signal and no entanglement.
         cfg = parse_config(None, {"kind": kind, "lambda": "0", "out": str(tmp_path)})
         assert run(cfg) == 0, capsys.readouterr().out
+
+    @pytest.mark.parametrize("base", ["x", "y"])
+    @pytest.mark.parametrize("kind", NONLINEARITY_KINDS)
+    def test_all_at_the_least_horizon_passes_for_every_kind(self, tmp_path, capsys, kind, base):
+        # Horizon 2 is the least the command line accepts: the first horizon
+        # at which the generators leave the bare base operator.
+        overrides = {"kind": kind, "base_operator": base, "n_sites": "4", "horizon": "2", "out": str(tmp_path)}
+        assert run(parse_config(None, overrides)) == 0, capsys.readouterr().out
 
     def test_sweep_local_passes_and_writes(self, tmp_path):
         cfg = parse_config(
@@ -368,6 +384,17 @@ class TestMain:
         cfgfile = write_cfg(tmp_path, f"experiment = integrability\n{key} = {raw}\n")
         assert main(["--config", cfgfile, "--out", str(tmp_path / "r")]) == 1
         assert f"config key '{key}'" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize(
+        "text, flags, key",
+        [("horizon = 1\n", [], "horizon"), ("seed = -1\n", [], "seed"), ("", ["--seed", "-1"], "seed")],
+        ids=["horizon-file", "seed-file", "seed-flag"],
+    )
+    def test_rejected_key_exits_1_before_any_experiment(self, tmp_path, capsys, text, flags, key):
+        cfgfile = write_cfg(tmp_path, text)
+        assert main(["all", "--config", cfgfile, "--out", str(tmp_path / "r"), *flags]) == 1
+        assert capsys.readouterr().err.startswith(f"error: config key '{key}': ")
         assert not (tmp_path / "r").exists()
 
     def test_unterminated_quote_exits_1_naming_the_line(self, tmp_path, capsys):

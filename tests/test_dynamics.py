@@ -137,7 +137,7 @@ class TestFreeField:
 def expected_coefficient(psi, surface, site, cfg):
     """The coefficient rule, stated apart from ``_step_plan``, for advancing ``site``."""
     nl = cfg.nonlinearity
-    if nl.kind == "none" or not nl.active_at(site) or nl.remote_site == site:
+    if nl.kind == "none" or nl.lam == 0.0 or not nl.active_at(site) or nl.remote_site == site:
         return 0.0
     if nl.kind == "operator_nonlocal":
         return nl.lam
@@ -323,14 +323,16 @@ class TestNonlinearPlans:
         assert self.plans("coefficient_nonlocal", n=2, remote=0) == ((1, (1,), (0, 0)),)
         assert self.plans("operator_nonlocal", n=2, remote=0) == ((1, (1, 0), None),)
 
+    @pytest.mark.parametrize("lam", [0.5, 0.0, -0.0])
     @pytest.mark.parametrize("kind", dynamics.NONLINEARITY_KINDS)
-    def test_every_reachable_surface_takes_one_of_the_plans(self, kind):
+    def test_every_reachable_surface_takes_one_of_the_plans(self, kind, lam):
         # The plans of every enabled advance on every reachable surface are
-        # those of the initial surface, up to the heights their fields read.
+        # those of the initial surface, up to the heights their fields read;
+        # at lambda = 0 there are none on any surface.
         for remote in range(3):
             for active in (None, frozenset({0, remote})):
                 cfg = make_config(
-                    n_sites=3, horizon=2, kind=kind, lam=0.5,
+                    n_sites=3, horizon=2, kind=kind, lam=lam,
                     source_site=remote, partner_site=remote, active_sites=active,
                 )
                 seen = set()
@@ -513,7 +515,8 @@ class TestClosedFormGates:
         psi = plus_state(4)
         _, gen, _ = reference_generator(psi, s, SiteAdvance(i), cfg)
         _, _, entry = ts_step(psi, s, SiteAdvance(i), cfg)
-        assert entry.sites == (i, j)
+        # At lambda = 0 the advance takes the linear one-site plan.
+        assert entry.sites == ((i,) if lam == 0.0 else (i, j))
         assert_allclose(entry.unitary, expm_hermitian(gen, dt), rtol=0, atol=1e-14)
         assert is_unitary(entry.unitary, atol=1e-12)
 

@@ -8,11 +8,12 @@ from collections import deque
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from tslattice import _kernels, experiments
+from tslattice import _kernels, dynamics, experiments
 from tslattice.dynamics import (
     BASE_OPERATORS,
+    REMOTE_SITE_FIELDS,
     ModelConfig,
     NonlinearitySpec,
     TrajectoryRecord,
@@ -22,6 +23,7 @@ from tslattice.dynamics import (
     ts_step,
 )
 from tslattice.experiments import (
+    BREAKAGE_FLOOR,
     COVARIANT_SWAP_BOUND,
     COVARIANT_SWEEP_BOUND,
     LINEAR_SWEEP_BOUND,
@@ -603,6 +605,75 @@ class TestVerdictDirection:
             r = map_nonlinearity_check(cfg)
             assert r.metric("superposition_defect") <= SUPERPOSITION_LINEAR_BOUND
             assert r.verdict == "pass"
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(2, 4),
+        horizon=st.integers(2, 3),
+        kind=st.sampled_from(sorted(REMOTE_SITE_FIELDS)),
+        lam=st.floats(-2, 2),
+        dt=st.floats(0.01, 0.5),
+        base=st.sampled_from(["x", "y"]),
+        data=st.data(),
+    )
+    def test_broken_wherever_the_plans_reach_out(self, n, horizon, kind, lam, dt, base, data):
+        # The breakage half of the rule, where the coupling per step is not
+        # small (ROADMAP item 2) and the fields are not diagonal. sweep is
+        # left out: a few random foliations can all reach one final state.
+        assume(abs(lam) * dt >= 0.01)
+        remote = data.draw(st.integers(0, n - 1), label="remote")
+        active = data.draw(st.none() | st.frozensets(st.integers(0, n - 1)), label="active_sites")
+        nl = NonlinearitySpec(
+            kind=kind, lam=lam, source_site=remote, partner_site=remote, active_sites=active
+        )
+        cfg = ModelConfig(n_sites=n, horizon=horizon, dt=dt, base_operator=base, nonlinearity=nl)
+        assume(experiments._expects_breakage(cfg))
+        swaps = integrability_check(cfg, exploration_budget=10**6)
+        assert swaps.metric("exhaustive") == 1.0
+        assert swaps.metric("max_swap_residue") >= BREAKAGE_FLOOR
+        assert swaps.verdict == "pass"
+
+
+class TestLambdaZeroRunsTheLinearStep:
+    """At lambda = 0 every site advance takes ``_step_plan``'s linear plan."""
+
+    @pytest.mark.parametrize("kind", ["local", "coefficient_nonlocal"])
+    def test_state_reading_kinds_read_no_state(self, monkeypatch, kind):
+        # A ts_step_batch call takes one _row_products for its norms, and one
+        # more for each group whose coefficient reads the state.
+        calls = {"_real_expectation": 0, "_row_products": 0, "ts_step_batch": 0}
+
+        def spy(module, name):
+            real = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        spy(dynamics, "_real_expectation")
+        spy(dynamics, "_row_products")
+        spy(experiments, "ts_step_batch")
+        for lam in (0.5, 0.0):
+            calls.update(dict.fromkeys(calls, 0))
+            cfg = cfg_with(kind, lam=lam)
+            evolve(default_initial_state(cfg), random_foliation(4, 3, 7), cfg)
+            integrability_check(cfg, exploration_budget=50)
+            reads = calls["_real_expectation"], calls["_row_products"] - calls["ts_step_batch"]
+            assert calls["ts_step_batch"] > 0
+            if lam == 0.0:
+                assert reads == (0, 0)
+            else:
+                assert min(reads) > 0, reads
+
+    def test_operator_nonlocal_steps_one_site(self):
+        for lam, width in ((0.5, 2), (0.0, 1)):
+            cfg = cfg_with("operator_nonlocal", lam=lam)
+            _, record = evolve(default_initial_state(cfg), random_foliation(4, 3, 7), cfg)
+            advances = [step for step in record.steps if isinstance(step.deformation, SiteAdvance)]
+            # The partner's own advances are one-site at every lambda.
+            assert max(len(step.sites) for step in advances) == width
 
 
 def test_fmt_deformation_keeps_its_own_package_classes(monkeypatch):
