@@ -24,9 +24,11 @@ from .dynamics import (
     REMOTE_SITE_FIELDS,
     ModelConfig,
     NonlinearitySpec,
+    check_dense_sites,
 )
 from .experiments import (
     ExperimentReport,
+    check_signal_sites,
     degeneracy_experiment,
     entanglement_monitor,
     foliation_sweep,
@@ -41,42 +43,54 @@ class ConfigError(ValueError):
     """A config file or flag value that cannot be accepted as-is."""
 
 
+def _no_rule(cfg) -> None:
+    return None
+
+
 # The experiments in the order ``all`` runs them. Each has a runner, called
-# with the model, the run config and the replayed foliation (or None), and
-# the names accepted for it besides its own.
+# with the model, the run config and the replayed foliation (or None), the
+# names accepted for it besides its own, and its size rule: the check the
+# experiment itself makes of the lattice, called with the run config before
+# any experiment runs, so that ``all`` fails before it writes a report.
 EXPERIMENTS = {
     "integrability": (
         lambda model, cfg, replayed: integrability_check(model, exploration_budget=cfg.exploration_budget),
         ("integrability_check",),
+        _no_rule,
     ),
     "sweep": (
         lambda model, cfg, replayed: foliation_sweep(
             model, n_foliations=cfg.n_foliations, seed=cfg.seed, extra_foliation=replayed
         ),
         ("foliation_sweep",),
+        _no_rule,
     ),
     "signal": (
         lambda model, cfg, replayed: signaling_experiment(
             model, alice_site=cfg.alice_site, bob_site=cfg.bob_site, foliation=replayed
         ),
         ("signaling", "signaling_experiment"),
+        lambda cfg: check_signal_sites(cfg.n_sites, cfg.horizon, cfg.alice_site, cfg.bob_site),
     ),
     "degeneracy": (
         lambda model, cfg, replayed: degeneracy_experiment(model, foliation=replayed),
         ("degeneracy_experiment",),
+        lambda cfg: check_dense_sites("degeneracy experiment", cfg.n_sites),
     ),
     "nonlinearity": (
         lambda model, cfg, replayed: map_nonlinearity_check(model, foliation=replayed),
         ("map_nonlinearity", "map_nonlinearity_check"),
+        lambda cfg: check_dense_sites("composed-map check", cfg.n_sites),
     ),
     "entanglement": (
         lambda model, cfg, replayed: entanglement_monitor(model),
         ("entanglement_monitor",),
+        _no_rule,
     ),
 }
 
 _EXPERIMENT_ALIASES = {
-    alias: name for name, (_, aliases) in EXPERIMENTS.items() for alias in (name, *aliases)
+    alias: name for name, (_, aliases, _) in EXPERIMENTS.items() for alias in (name, *aliases)
 } | {"all": "all"}
 
 _FORMATS = ("rows", "structured", "both")
@@ -335,13 +349,20 @@ def run_experiment(name: str, cfg: RunConfig) -> ExperimentReport:
     replayed = _load_replay(cfg)
     if name not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {name!r}")
-    runner, _ = EXPERIMENTS[name]
+    runner, _, _ = EXPERIMENTS[name]
     return runner(model, cfg, replayed)
 
 
 def run(cfg: RunConfig) -> int:
-    """Run the selected experiments and write report files."""
+    """Check every selected experiment's size rule, then run them and write report files."""
     selected = list(EXPERIMENTS) if cfg.experiment == "all" else [cfg.experiment]
+    for name in selected:
+        _, _, size_rule = EXPERIMENTS[name]
+        try:
+            size_rule(cfg)
+        except ValueError as exc:
+            print(f"error: {name}: {exc}", file=sys.stderr)
+            return 1
     try:
         out_dir = Path(cfg.out)
         out_dir.mkdir(parents=True, exist_ok=True)

@@ -392,12 +392,16 @@ def ts_step_batch(
     sources = np.asarray(sources, dtype=np.intp)
     nl = config.nonlinearity
     j = nl.remote_site
+    # Sites whose plan reads or acts on the remote site, so its height is in their key.
+    reach = {
+        i for i, sites, read in _nonlinear_plans(config) if j in sites or (read is not None and read[0] == j)
+    }
     groups: dict = {}
     for r, (s, d) in enumerate(zip(surfaces, deformations)):
         if type(d) is LinkApply:
             key = (d.link, d.time)
         else:
-            key = (d.site, s.heights[d.site], None if j is None else s.heights[j])
+            key = (d.site, s.heights[d.site], s.heights[j] if d.site in reach else None)
         groups.setdefault(key, []).append(r)
     out = np.empty((len(sources), 1 << n), dtype=complex)
     for rows in groups.values():
@@ -450,11 +454,49 @@ def evolve(state0: StateVector, foliation: Foliation, config: ModelConfig):
     return state, TrajectoryRecord(tuple(steps), config.n_sites)
 
 
+def _on_pair(v: np.ndarray, site: int, sites) -> np.ndarray:
+    """The 4x4 of the one-site gate v at ``site``, one of the pair ``sites``."""
+    return _kron2(v, IDENTITY_2) if site == sites[0] else _kron2(IDENTITY_2, v)
+
+
+def _fused_gates(steps) -> list:
+    """``(u, sites)`` gates whose product, in order, is that of ``steps``.
+
+    Each one-site gate joins the last two-site gate on its site, or, before
+    the first such gate, the next one: gates on other sites commute with it,
+    so it moves there exactly. A site that no two-site gate touches keeps
+    its one-site product, which commutes with every other gate. So there is
+    one gate per two-site step, plus one per such site.
+    """
+    fused = []
+    last = {}  # site -> index in fused of the last two-site gate on it
+    pending = {}  # site -> product of its one-site gates before its first two-site gate
+    for step in steps:
+        u, sites = step.unitary, step.sites
+        if len(sites) == 1:
+            (s,) = sites
+            if s in last:
+                k = last[s]
+                fused[k] = (_on_pair(u, s, fused[k][1]) @ fused[k][0], fused[k][1])
+            else:
+                pending[s] = u @ pending[s] if s in pending else u
+            continue
+        for s in sites:
+            if s in pending:
+                u = u @ _on_pair(pending.pop(s), s, sites)
+            last[s] = len(fused)
+        fused.append((u, sites))
+    fused.extend((v, (s,)) for s, v in pending.items())
+    return fused
+
+
 def compose_map(record: TrajectoryRecord, config: ModelConfig) -> np.ndarray:
     """Dense product of the recorded per-step unitaries, in application order.
 
     The result acts on state-independent objects; it is unitary even though
-    the state map that produced the record is not linear.
+    the state map that produced the record is not linear. The map takes one
+    pass per two-site gate: ``_fused_gates`` merges every one-site gate into
+    a two-site gate on its site, where one exists.
     """
     n = config.n_sites
     check_dense_sites("composed map", n)
@@ -462,8 +504,8 @@ def compose_map(record: TrajectoryRecord, config: ModelConfig) -> np.ndarray:
     m = np.eye(dim, dtype=complex).ravel()
     # A (dim x dim) matrix in C order is a statevector on 2n sites whose first
     # n axes are the row index, so row-side gates reuse the state kernels.
-    for step in record.steps:
-        m = _apply_gate(m, step.unitary, step.sites, 2 * n)
+    for u, sites in _fused_gates(record.steps):
+        m = _apply_gate(m, u, sites, 2 * n)
     return m.reshape(dim, dim)
 
 

@@ -447,6 +447,20 @@ def _bob_ensemble(
     return DensityMatrix(rho), rows
 
 
+def check_signal_sites(n_sites: int, horizon: int, alice_site: int, bob_site: int) -> None:
+    """Reject a signal pair that is not two distinct sites outside each other's light cone."""
+    if alice_site == bob_site:
+        raise ValueError("alice and bob must be distinct sites")
+    for s in (alice_site, bob_site):
+        if not 0 <= s < n_sites:
+            raise ValueError(f"site {s} out of range for {n_sites} sites")
+    if abs(alice_site - bob_site) <= horizon:
+        raise ValueError(
+            f"signal needs |alice_site - bob_site| > horizon (each outside the "
+            f"other's light cone), got |{alice_site} - {bob_site}| <= {horizon}"
+        )
+
+
 def signaling_experiment(
     config: ModelConfig,
     alice_site: int = 0,
@@ -467,16 +481,7 @@ def signaling_experiment(
     n, t = config.n_sites, config.horizon
     if bob_site is None:
         bob_site = n - 1
-    if alice_site == bob_site:
-        raise ValueError("alice and bob must be distinct sites")
-    for s in (alice_site, bob_site):
-        if not 0 <= s < n:
-            raise ValueError(f"site {s} out of range for {n} sites")
-    if abs(alice_site - bob_site) <= t:
-        raise ValueError(
-            f"signal needs |alice_site - bob_site| > horizon (each outside the "
-            f"other's light cone), got |{alice_site} - {bob_site}| <= {t}"
-        )
+    check_signal_sites(n, t, alice_site, bob_site)
     if foliation is None:
         foliation = canonical_foliation(n, t, "synchronous")
     bob_local = replace(
@@ -671,12 +676,17 @@ _DEFECT_BLOCK = 128
 
 
 def _unitarity_defect(u: np.ndarray) -> float:
-    """max|u^dag u - I|, formed one block of rows at a time."""
+    """max|u^dag u - I|, formed one block of rows at a time.
+
+    u^dag u is Hermitian for any u, so each block of rows is formed from its
+    diagonal on: the upper half holds every entry's magnitude.
+    """
     worst = 0.0
     for a in range(0, u.shape[1], _DEFECT_BLOCK):
         b = min(a + _DEFECT_BLOCK, u.shape[1])
-        rows = u[:, a:b].conj().T @ u
-        rows[np.arange(b - a), np.arange(a, b)] -= 1.0
+        rows = u[:, a:b].conj().T @ u[:, a:]
+        k = np.arange(b - a)
+        rows[k, k] -= 1.0
         worst = max(worst, float(np.abs(rows).max()))
     return worst
 

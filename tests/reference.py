@@ -21,6 +21,12 @@ def random_state(n_sites: int, rng: np.random.Generator) -> StateVector:
     return StateVector(amps / np.linalg.norm(amps), n_sites)
 
 
+def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Q of the QR decomposition of a complex Gaussian matrix."""
+    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    return q
+
+
 def product_state(single_site_states) -> StateVector:
     """Tensor product of per-site 2-vectors (site 0 first)."""
     amps = np.array([1.0], dtype=complex)

@@ -274,6 +274,23 @@ class TestRun:
         assert "|alice_site - bob_site| > horizon" in capsys.readouterr().err
         assert not (tmp_path / "r" / "signal.report").exists()
 
+    @pytest.mark.parametrize(
+        "n_sites, rule",
+        [
+            ("11", "degeneracy: degeneracy experiment needs n_sites <= 10, got 11"),
+            ("3", "signal: signal needs |alice_site - bob_site| > horizon"),
+        ],
+    )
+    def test_all_checks_every_size_rule_before_it_runs(self, tmp_path, capsys, n_sites, rule):
+        # integrability and sweep come first in ``all`` and have no size rule.
+        out = tmp_path / "r"
+        cfg = parse_config(None, {"n_sites": n_sites, "horizon": "2", "out": str(out)})
+        assert run(cfg) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {rule}")
+        assert not out.exists() or not any(out.iterdir())
+
     def test_unwritable_out_dir_exits_1(self, tmp_path, capsys):
         # A directory beneath a regular file cannot be made, whoever runs.
         blocked = tmp_path / "blocked"

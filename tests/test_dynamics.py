@@ -9,9 +9,11 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 from reference import (
     deformation_sites,
+    embedded,
     expm_hermitian,
     product_state,
     random_state,
+    random_unitary,
     reference_generator,
     reference_step,
 )
@@ -776,6 +778,94 @@ class TestComposeMap:
         cfg = make_config(n_sites=11, horizon=1)
         with pytest.raises(ValueError, match="<= 10"):
             compose_map(TrajectoryRecord((), 11), cfg)
+
+
+def kron_product(gates, n):
+    """Product of ``(u, sites)`` gates in application order, each embedded by np.kron."""
+    m = np.eye(2**n, dtype=complex)
+    for u, sites in gates:
+        m = embedded(u, sites, n) @ m
+    return m
+
+
+def hand_step(sites, rng):
+    d = SiteAdvance(sites[0]) if len(sites) == 1 else LinkApply(tuple(sites), 0)
+    return TrajectoryStep(d, 0.0, tuple(sites), random_unitary(2 ** len(sites), rng))
+
+
+def kind_configs(n):
+    """Every kind on n sites; operator_nonlocal's partner both last and first."""
+    yield make_config(n_sites=n, horizon=3)
+    yield make_config(n_sites=n, horizon=3, kind="local", lam=0.5)
+    yield make_config(n_sites=n, horizon=3, kind="coefficient_nonlocal", lam=0.5, source_site=0)
+    for partner in (n - 1, 0):
+        yield make_config(n_sites=n, horizon=3, kind="operator_nonlocal", lam=0.5, partner_site=partner)
+
+
+class TestFusedGates:
+    """``_fused_gates`` keeps the product of a record's gates and makes one gate per two-site step."""
+
+    @staticmethod
+    def check(steps, n):
+        fused = dynamics._fused_gates(steps)
+        want = kron_product(((step.unitary, step.sites) for step in steps), n)
+        assert np.max(np.abs(kron_product(fused, n) - want)) <= 1e-14
+        return fused
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    @pytest.mark.parametrize("order", ["synchronous", "staircase", "random"])
+    def test_product_of_every_kind_and_foliation(self, n, order):
+        if order == "random":
+            fol = random_foliation(n, 3, 100 + n)
+        else:
+            fol = canonical_foliation(n, 3, order)
+        for cfg in kind_configs(n):
+            _, record = evolve(plus_state(n), fol, cfg)
+            fused = self.check(record.steps, n)
+            pairs = [step.sites for step in record.steps if len(step.sites) == 2]
+            assert [sites for _, sites in fused] == pairs  # every site is on a link
+
+    def test_partner_below_the_advancing_site(self):
+        cfg = make_config(n_sites=4, horizon=3, kind="operator_nonlocal", lam=0.5, partner_site=0)
+        _, record = evolve(plus_state(4), random_foliation(4, 3, 5), cfg)
+        assert any(step.sites[0] > step.sites[1] for step in record.steps if len(step.sites) == 2)
+        self.check(record.steps, 4)
+
+    def test_one_site_gates_only(self):
+        rng = np.random.default_rng(11)
+        steps = [hand_step(sites, rng) for sites in [(0,), (2,), (0,), (1,), (2,), (2,)]]
+        fused = self.check(steps, 3)
+        assert sorted(sites for _, sites in fused) == [(0,), (1,), (2,)]
+
+    def test_one_site_gate_after_the_last_two_site_gate(self):
+        rng = np.random.default_rng(12)
+        steps = [hand_step(sites, rng) for sites in [(0, 1), (1, 2), (0,), (1,), (2,), (0,), (2, 0), (2,)]]
+        fused = self.check(steps, 3)
+        assert [sites for _, sites in fused] == [(0, 1), (1, 2), (2, 0)]
+
+    def test_one_site_gate_before_the_first_two_site_gate(self):
+        rng = np.random.default_rng(13)
+        steps = [hand_step(sites, rng) for sites in [(2,), (1,), (2,), (3,), (0, 1), (3, 1), (0,), (2, 3)]]
+        fused = self.check(steps, 4)
+        assert [sites for _, sites in fused] == [(0, 1), (3, 1), (2, 3)]
+
+    def test_dense_maps_record_takes_one_pass_per_link(self, monkeypatch):
+        # The benchmark's dense_maps record: N = 10, T = 4, a seeded random
+        # foliation, kind local. Its 40 site advances join its 18 links.
+        cfg = make_config(n_sites=10, horizon=4, kind="local", lam=0.5)
+        final, record = evolve(zero_state(10), random_foliation(10, 4, 21), cfg)
+        passes = []
+        real = dynamics._apply_gate
+
+        def counted(amps, u, sites, n):
+            passes.append(sites)
+            return real(amps, u, sites, n)
+
+        monkeypatch.setattr(dynamics, "_apply_gate", counted)
+        u = compose_map(record, cfg)
+        assert (len(record), len(passes)) == (58, 18)
+        assert all(len(sites) == 2 for sites in passes)
+        assert np.abs(u[:, 0] - final.amplitudes).max() <= 1e-13
 
 
 class TestStateMapNonlinearity:

@@ -9,6 +9,7 @@ from collections import deque
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from reference import random_unitary
 
 from tslattice import _kernels, dynamics, experiments
 from tslattice.dynamics import (
@@ -462,11 +463,6 @@ class TestMapNonlinearityCheck:
         assert r.verdict == "pass"
 
 
-def random_unitary(dim, rng):
-    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
-    return q
-
-
 class TestUnitarityDefect:
     """The row-blocked max|u^dag u - I| against the whole dense expression."""
 
@@ -674,6 +670,24 @@ class TestLambdaZeroRunsTheLinearStep:
             advances = [step for step in record.steps if isinstance(step.deformation, SiteAdvance)]
             # The partner's own advances are one-site at every lambda.
             assert max(len(step.sites) for step in advances) == width
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_control_scan_groups_linear_rows_by_their_own_site(self, monkeypatch, kind):
+        # A linear row's gate does not depend on the remote site's height, so
+        # the nonlocal kinds' control scan takes the gates of kinds none and
+        # local (remote site 4).
+        calls = 0
+        real = _kernels.apply_1q
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return real(*args)
+
+        monkeypatch.setattr(_kernels, "apply_1q", counted)
+        remote = {"source_site": 4} if kind == "coefficient_nonlocal" else {}
+        _swap_scans([linear_config(cfg_with(kind, n_sites=5, horizon=4, **remote))], 1000)
+        assert calls == 580
 
 
 def test_fmt_deformation_keeps_its_own_package_classes(monkeypatch):
