@@ -29,6 +29,7 @@ from .dynamics import (
 from .experiments import (
     ExperimentReport,
     check_signal_sites,
+    check_sweep_foliations,
     degeneracy_experiment,
     entanglement_monitor,
     foliation_sweep,
@@ -43,15 +44,14 @@ class ConfigError(ValueError):
     """A config file or flag value that cannot be accepted as-is."""
 
 
-def _no_rule(cfg) -> None:
+def _no_rule(model, cfg, replayed) -> None:
     return None
 
 
-# The experiments in the order ``all`` runs them. Each has a runner, called
-# with the model, the run config and the replayed foliation (or None), the
-# names accepted for it besides its own, and its size rule: the check the
-# experiment itself makes of the lattice, called with the run config before
-# any experiment runs, so that ``all`` fails before it writes a report.
+# The experiments in the order ``all`` runs them: a runner, the names accepted
+# besides its own, and a rule, the check the experiment makes of its inputs.
+# Both take the run's one resolution: model, run config, replayed foliation or
+# None. Every rule runs before any experiment, so ``all`` fails before a report.
 EXPERIMENTS = {
     "integrability": (
         lambda model, cfg, replayed: integrability_check(model, exploration_budget=cfg.exploration_budget),
@@ -63,24 +63,24 @@ EXPERIMENTS = {
             model, n_foliations=cfg.n_foliations, seed=cfg.seed, extra_foliation=replayed
         ),
         ("foliation_sweep",),
-        _no_rule,
+        lambda model, cfg, replayed: check_sweep_foliations(model, cfg.n_foliations, replayed),
     ),
     "signal": (
         lambda model, cfg, replayed: signaling_experiment(
             model, alice_site=cfg.alice_site, bob_site=cfg.bob_site, foliation=replayed
         ),
         ("signaling", "signaling_experiment"),
-        lambda cfg: check_signal_sites(cfg.n_sites, cfg.horizon, cfg.alice_site, cfg.bob_site),
+        lambda model, cfg, replayed: check_signal_sites(model.n_sites, model.horizon, cfg.alice_site, cfg.bob_site),
     ),
     "degeneracy": (
         lambda model, cfg, replayed: degeneracy_experiment(model, foliation=replayed),
         ("degeneracy_experiment",),
-        lambda cfg: check_dense_sites("degeneracy experiment", cfg.n_sites),
+        lambda model, cfg, replayed: check_dense_sites("degeneracy experiment", model.n_sites),
     ),
     "nonlinearity": (
         lambda model, cfg, replayed: map_nonlinearity_check(model, foliation=replayed),
         ("map_nonlinearity", "map_nonlinearity_check"),
-        lambda cfg: check_dense_sites("composed-map check", cfg.n_sites),
+        lambda model, cfg, replayed: check_dense_sites("composed-map check", model.n_sites),
     ),
     "entanglement": (
         lambda model, cfg, replayed: entanglement_monitor(model),
@@ -329,37 +329,34 @@ def write_report(report: ExperimentReport, out_dir: Path, fmt: str) -> list[Path
 # -- dispatch -------------------------------------------------------------------
 
 
-def _load_replay(cfg: RunConfig) -> Foliation | None:
+def _resolve(cfg: RunConfig) -> tuple[ModelConfig, Foliation | None]:
+    """The run's model and its replayed foliation (None without a file); the file is read once."""
+    model = cfg.to_model_config()
     if not cfg.foliation_file:
-        return None
+        return model, None
     try:
         text = Path(cfg.foliation_file).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read foliation file {cfg.foliation_file!r}: {exc}") from None
     try:
         fol = foliation_from_text(text)
-        validate_foliation(fol, cfg.n_sites, cfg.horizon)
+        validate_foliation(fol, model.n_sites, model.horizon)
     except FoliationError as exc:
         raise ConfigError(f"foliation file {cfg.foliation_file!r}: {exc}") from None
-    return fol
-
-
-def run_experiment(name: str, cfg: RunConfig) -> ExperimentReport:
-    model = cfg.to_model_config()
-    replayed = _load_replay(cfg)
-    if name not in EXPERIMENTS:
-        raise ConfigError(f"unknown experiment {name!r}")
-    runner, _, _ = EXPERIMENTS[name]
-    return runner(model, cfg, replayed)
+    return model, fol
 
 
 def run(cfg: RunConfig) -> int:
-    """Check every selected experiment's size rule, then run them and write report files."""
+    """Resolve the run once, check every selected experiment's rule, then run them and write report files."""
     selected = list(EXPERIMENTS) if cfg.experiment == "all" else [cfg.experiment]
+    try:
+        model, replayed = _resolve(cfg)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     for name in selected:
-        _, _, size_rule = EXPERIMENTS[name]
         try:
-            size_rule(cfg)
+            EXPERIMENTS[name][2](model, cfg, replayed)
         except ValueError as exc:
             print(f"error: {name}: {exc}", file=sys.stderr)
             return 1
@@ -384,7 +381,7 @@ def run(cfg: RunConfig) -> int:
     try:
         for name in selected:
             try:
-                report = run_experiment(name, cfg)
+                report = EXPERIMENTS[name][0](model, cfg, replayed)
             except ValueError as exc:
                 print(f"error: {name}: {exc}", file=sys.stderr)
                 return 1

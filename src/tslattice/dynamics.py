@@ -3,8 +3,9 @@
 Local fields carry the free on-site precession (omega * sigma_z / 2 per site,
 Heisenberg picture), so they stay strictly on-site and commute at any two
 different sites. The state carries the interaction: each site advance applies
-exp(-i*dt*(mu + c) * O(i, tau)) where the coefficient c is frozen from the
-pre-step state, making every finite step an exact unitary. Link gates are
+exp(-i*dt*(mu + c) * O(i, tau)) with c read from the pre-step state. The read
+field commutes with the generator, so c is constant along the step and the
+gate is the exact flow of i dpsi/ds = H(psi(s)) psi over dt. Link gates are
 linear two-site rotations generated by J * O(i,t) ⊗ O(i+1,t).
 
 Nonlinearity kinds:
@@ -150,7 +151,7 @@ class ModelConfig:
 
 @dataclass(frozen=True)
 class TrajectoryStep:
-    """One applied deformation with its frozen coefficient and unitary."""
+    """One applied deformation with its coefficient and unitary."""
 
     deformation: Deformation
     coefficient: float
@@ -490,7 +491,7 @@ def _fused_gates(steps) -> list:
     return fused
 
 
-def compose_map(record: TrajectoryRecord, config: ModelConfig) -> np.ndarray:
+def compose_map(record: TrajectoryRecord) -> np.ndarray:
     """Dense product of the recorded per-step unitaries, in application order.
 
     The result acts on state-independent objects; it is unitary even though
@@ -498,7 +499,7 @@ def compose_map(record: TrajectoryRecord, config: ModelConfig) -> np.ndarray:
     pass per two-site gate: ``_fused_gates`` merges every one-site gate into
     a two-site gate on its site, where one exists.
     """
-    n = config.n_sites
+    n = record.n_sites
     check_dense_sites("composed map", n)
     dim = 2**n
     m = np.eye(dim, dtype=complex).ravel()

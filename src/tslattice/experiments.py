@@ -279,7 +279,7 @@ def _swap_scans(configs, budget: int):
 def integrability_check(config: ModelConfig, exploration_budget: int = 2000) -> ExperimentReport:
     """Order-swap residues of simultaneously enabled deformation pairs.
 
-    The second leg of each ordering recomputes its frozen coefficient after
+    The second leg of each ordering recomputes its coefficient after
     the first leg, so a nonzero residue is a genuine integrability defect and
     not a bookkeeping artifact.
 
@@ -334,7 +334,7 @@ def integrability_check(config: ModelConfig, exploration_budget: int = 2000) -> 
 
 def _sweep_finals(config: ModelConfig, foliations, psi0: StateVector):
     finals = []
-    for _, fol in foliations:
+    for _, _, fol in foliations:
         final, _ = evolve(psi0, fol, config)
         finals.append(final)
     return finals
@@ -347,6 +347,15 @@ def _max_pairwise(finals) -> float:
     return worst
 
 
+def check_sweep_foliations(config: ModelConfig, n_foliations: int, extra_foliation: Foliation | None) -> None:
+    """Reject a sweep of the two canonical foliations alone, both time-ordered, where the plans expect breakage."""
+    if n_foliations == 0 and extra_foliation is None and _expects_breakage(config):
+        raise ValueError(
+            f"kind {config.nonlinearity.kind} expects broken covariance, which the two time-ordered "
+            "canonical foliations cannot show: n_foliations = 0 needs a replayed foliation"
+        )
+
+
 def foliation_sweep(
     config: ModelConfig,
     n_foliations: int = 50,
@@ -354,16 +363,17 @@ def foliation_sweep(
     extra_foliation: Foliation | None = None,
 ) -> ExperimentReport:
     """Evolve one initial state along many foliations and compare the endpoints."""
+    check_sweep_foliations(config, n_foliations, extra_foliation)
     n, t = config.n_sites, config.horizon
-    foliations: list[tuple[str, Foliation]] = [
-        ("canonical-synchronous", canonical_foliation(n, t, "synchronous")),
-        ("canonical-staircase", canonical_foliation(n, t, "staircase")),
+    foliations: list[tuple[str, str, Foliation]] = [
+        ("canonical-synchronous", "", canonical_foliation(n, t, "synchronous")),
+        ("canonical-staircase", "", canonical_foliation(n, t, "staircase")),
     ]
     foliations.extend(
-        (f"random-{k}", random_foliation(n, t, seed + k)) for k in range(n_foliations)
+        (f"random-{k}", str(seed + k), random_foliation(n, t, seed + k)) for k in range(n_foliations)
     )
     if extra_foliation is not None:
-        foliations.append(("replayed", extra_foliation))
+        foliations.append(("replayed", "", extra_foliation))
     psi0 = default_initial_state(config)
 
     control_finals = _sweep_finals(linear_config(config), foliations, psi0)
@@ -383,14 +393,11 @@ def foliation_sweep(
 
     reference = finals[0]
     rows = []
-    for (label, fol), final in zip(foliations, finals):
+    for (label, fol_seed, _), final in zip(foliations, finals):
         exps = tuple(
             expectation(final, free_field(i, t, config)) for i in range(n)
         )
-        rows.append(
-            (label, "" if fol.seed is None else str(fol.seed), state_distance(final, reference))
-            + exps
-        )
+        rows.append((label, fol_seed, state_distance(final, reference)) + exps)
     header = ("foliation", "seed", "distance_to_reference") + tuple(
         f"final_expectation_site_{i}" for i in range(n)
     )
@@ -407,12 +414,12 @@ def foliation_sweep(
 # -- measurement-driven signaling ------------------------------------------------
 
 
-_SETTING_OPS = {"Z": "z", "X": "x"}
+_SETTINGS = "ZX"
 
 
 def _measurement_branches(state: StateVector, site: int, setting: str):
     """Exact Born-rule branching: [(outcome label, probability, collapsed state)]."""
-    op = BASE_OPERATORS[_SETTING_OPS[setting]]
+    op = BASE_OPERATORS[setting.lower()]
     evals, evecs = np.linalg.eigh(op)
     branches = []
     for k in range(2):
@@ -465,15 +472,14 @@ def signaling_experiment(
     config: ModelConfig,
     alice_site: int = 0,
     bob_site: int | None = None,
-    settings: tuple[str, str] = ("Z", "X"),
     foliation: Foliation | None = None,
 ) -> ExperimentReport:
     """Remote measurement-choice detectability under Bob-local nonlinearity.
 
     Starts from a Bell pair on (alice, bob) with |0> elsewhere, branches
     Alice's measurement exactly (both outcomes, Born weights), evolves every
-    branch, and compares Bob's ensemble-averaged reduced states between the
-    two settings. Alice and bob must sit outside each other's horizon-T
+    branch, and compares Bob's ensemble-averaged reduced states between her
+    settings Z and X. Alice and bob must sit outside each other's horizon-T
     light cones, so the lambda = 0 control isolates the collapse mechanism
     from ordinary causal influence; a pair inside the cone is rejected as a
     usage error, since its control would read an ordinary causal signal.
@@ -494,7 +500,7 @@ def signaling_experiment(
     def signal_for(cfg: ModelConfig, initial: StateVector):
         rhos = []
         all_rows = []
-        for setting in settings:
+        for setting in _SETTINGS:
             rho, rows = _bob_ensemble(initial, cfg, foliation, alice_site, bob_site, setting)
             rhos.append(rho)
             all_rows.extend(rows)
@@ -529,7 +535,7 @@ def signaling_experiment(
     return ExperimentReport(
         name="signal",
         config=config_echo(
-            config, alice_site=alice_site, bob_site=bob_site, settings="".join(settings)
+            config, alice_site=alice_site, bob_site=bob_site, settings=_SETTINGS
         ),
         metrics=metrics,
         thresholds=thresholds,
@@ -604,16 +610,12 @@ def _degeneracy_metrics(config: ModelConfig, foliation: Foliation, probe_site: i
     return drift, variation, rows
 
 
-def degeneracy_experiment(
-    config: ModelConfig,
-    probe_site: int | None = None,
-    foliation: Foliation | None = None,
-) -> ExperimentReport:
+def degeneracy_experiment(config: ModelConfig, foliation: Foliation | None = None) -> ExperimentReport:
     """Constancy of the co-evolved expectation versus the physical one.
 
-    Co-evolving the probe field with the composed state map freezes its
-    expectation at the initial value, while the interaction-picture
-    expectation at the probe site genuinely moves.
+    Co-evolving the probe field at site N // 2 with the composed state map
+    freezes its expectation at the initial value, while the
+    interaction-picture expectation at the probe site genuinely moves.
 
     The composed map is never built densely: at step k the adjoint
     U_k^dag = u_1^dag ... u_k^dag of the recorded per-step unitaries is
@@ -630,8 +632,7 @@ def degeneracy_experiment(
     """
     n, t = config.n_sites, config.horizon
     check_dense_sites("degeneracy experiment", n)
-    if probe_site is None:
-        probe_site = n // 2
+    probe_site = n // 2
     if foliation is None:
         foliation = canonical_foliation(n, t, "synchronous")
 
@@ -699,8 +700,11 @@ def map_nonlinearity_check(
     check_dense_sites("composed-map check", n)
     if foliation is None:
         foliation = canonical_foliation(n, t, "synchronous")
+    # The probes |0...0> and |1> at one site differ where the first step that
+    # reads the state reads it (site 0 if none does), so that read sees their sum.
+    site = next((read[0] for _, _, read in _nonlinear_plans(config) if read is not None), 0)
     psi1 = zero_state(n)
-    psi2 = basis_state(n, 1 << (n - 1))  # |1> at site 0, |0> elsewhere
+    psi2 = basis_state(n, 1 << (n - 1 - site))
     sum_amps = (psi1.amplitudes + psi2.amplitudes) / math.sqrt(2.0)
     psi_sum = StateVector(sum_amps, n)
 
@@ -714,7 +718,7 @@ def map_nonlinearity_check(
         return final_sum, record, state_distance(final_sum, lin)
 
     final_sum, record, superposition_defect = superposition_for(config)
-    u = compose_map(record, config)
+    u = compose_map(record)
     unitarity_defect = _unitarity_defect(u)
     mapped = u @ psi_sum.amplitudes
     mapped = mapped / np.linalg.norm(mapped)
@@ -752,8 +756,8 @@ def map_nonlinearity_check(
 # -- entanglement bookkeeping -------------------------------------------------------
 
 
-def _monitored_cuts(n: int, cut: frozenset[int]):
-    cuts = [tuple(sorted(cut))]
+def _monitored_cuts(n: int, cut: tuple[int, ...]):
+    cuts = [cut]
     for k in range(n - 1):
         cuts.append(tuple(range(k + 1)))
     for i in range(n):
@@ -773,30 +777,25 @@ def _max_entropy_over_run(config: ModelConfig, foliation: Foliation, cuts):
     return worst, arg
 
 
-def entanglement_monitor(config: ModelConfig, cut: frozenset[int] | None = None) -> ExperimentReport:
+def entanglement_monitor(config: ModelConfig) -> ExperimentReport:
     """Entropy growth from a product state, per nonlinearity kind, at J = 0.
 
-    A variant with a nonlinear step spanning two sites (operator_nonlocal
-    at lambda != 0, its partner across the cut) must entangle; the others
-    apply only single-site unitaries and must keep every cut at zero
-    entropy.
+    The cut is the first N // 2 sites. A variant with a nonlinear step
+    spanning two sites (operator_nonlocal at lambda != 0, its partner across
+    the cut) must entangle; the others apply only single-site unitaries and
+    must keep every cut at zero entropy.
     """
     n, t = config.n_sites, config.horizon
-    if cut is None:
-        cut = frozenset(range(max(1, n // 2)))
-    cut = frozenset(int(s) for s in cut)
-    if not cut or len(cut) >= n:
-        raise ValueError("cut must be a nonempty proper subset of the sites")
+    cut = tuple(range(n // 2))
     cuts = _monitored_cuts(n, cut)
     foliation = canonical_foliation(n, t, "synchronous")
     lam = config.nonlinearity.lam
     source = config.nonlinearity.source_site
     partner = config.nonlinearity.partner_site
-    outside = max(set(range(n)) - cut)
     if source is None:
-        source = outside
+        source = n - 1
     if partner is None or partner in cut:
-        partner = outside
+        partner = n - 1
 
     variants = {
         "none": NonlinearitySpec(kind="none"),
@@ -821,7 +820,7 @@ def entanglement_monitor(config: ModelConfig, cut: frozenset[int] | None = None)
         rows.append((kind, worst, step, " ".join(map(str, argcut))))
     return ExperimentReport(
         name="entanglement",
-        config=config_echo(config, cut=",".join(map(str, sorted(cut)))),
+        config=config_echo(config, cut=",".join(map(str, cut))),
         metrics=tuple(metrics),
         thresholds=tuple(thresholds),
         detail_header=("kind", "max_entropy", "argmax_step", "argmax_cut"),

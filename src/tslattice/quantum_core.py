@@ -72,10 +72,6 @@ class StateVector:
         object.__setattr__(state, "n_sites", n_sites)
         return state
 
-    @property
-    def dim(self) -> int:
-        return self.amplitudes.shape[0]
-
 
 @dataclass(frozen=True)
 class SiteOperator:

@@ -83,7 +83,6 @@ class Foliation:
     """Ordered deformation sequence from the initial to the final surface."""
 
     steps: tuple[Deformation, ...]
-    seed: int | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "steps", tuple(self.steps))
@@ -239,8 +238,7 @@ def _walk(n_sites: int, horizon: int, pick) -> tuple[Deformation, ...]:
 def random_foliation(n_sites: int, horizon: int, seed: int) -> Foliation:
     """Uniform choice among enabled deformations at every step, seeded."""
     rng = np.random.default_rng(seed)
-    steps = _walk(n_sites, horizon, lambda enabled: (enabled[int(rng.integers(len(enabled)))],))
-    return Foliation(steps, seed=seed)
+    return Foliation(_walk(n_sites, horizon, lambda enabled: (enabled[int(rng.integers(len(enabled)))],)))
 
 
 def canonical_foliation(n_sites: int, horizon: int, kind: str) -> Foliation:

@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from report_baseline import baseline_dir, mismatches
 
 import tslattice
 
@@ -19,12 +20,12 @@ from tslattice.cli import (
     parse_kv_lines,
     render_rows,
     render_structured,
+    _resolve,
     run,
-    run_experiment,
 )
 from tslattice.experiments import foliation_sweep
 from tslattice.dynamics import NONLINEARITY_KINDS, ModelConfig, NonlinearitySpec
-from tslattice.spacetime import canonical_foliation, foliation_to_text
+from tslattice.spacetime import canonical_foliation, foliation_to_text, random_foliation
 
 # Every experiment name the command line and config files accept, and the
 # experiment each one runs.
@@ -207,6 +208,20 @@ def write_cfg(tmp_path, text):
     return str(p)
 
 
+def run_one(name, cfg):
+    """The report of one experiment on the resolved run, written nowhere."""
+    model, replayed = _resolve(cfg)
+    return EXPERIMENTS[name][0](model, cfg, replayed)
+
+
+def assert_matches_baseline(out: Path, kind: str, lam: str) -> None:
+    """Every report in the committed baseline of ``all`` at the defaults, matched by ``out``'s."""
+    expected = sorted(baseline_dir(kind, lam).glob("*.report"))
+    assert [p.name for p in expected] == sorted(p.name for p in out.glob("*.report"))
+    for p in expected:
+        assert mismatches(p.read_text(), (out / p.name).read_text()) == [], p.name
+
+
 class TestRun:
     @pytest.mark.parametrize("kind", NONLINEARITY_KINDS)
     def test_all_at_the_defaults_passes_for_every_kind(self, tmp_path, capsys, kind):
@@ -214,6 +229,7 @@ class TestRun:
         # nonlinear and keeps it: nonlocality, not nonlinearity, decides.
         cfg = parse_config(None, {"kind": kind, "out": str(tmp_path)})
         assert run(cfg) == 0, capsys.readouterr().out
+        assert_matches_baseline(tmp_path, kind, "0.5")
 
     @pytest.mark.parametrize("kind", NONLINEARITY_KINDS)
     def test_all_at_lambda_zero_passes_for_every_kind(self, tmp_path, capsys, kind):
@@ -221,6 +237,7 @@ class TestRun:
         # state map, no signal and no entanglement.
         cfg = parse_config(None, {"kind": kind, "lambda": "0", "out": str(tmp_path)})
         assert run(cfg) == 0, capsys.readouterr().out
+        assert_matches_baseline(tmp_path, kind, "0")
 
     @pytest.mark.parametrize("base", ["x", "y"])
     @pytest.mark.parametrize("kind", NONLINEARITY_KINDS)
@@ -251,6 +268,24 @@ class TestRun:
             {"out": str(tmp_path / "r")},
         )
         assert run(cfg) == 0
+
+    @pytest.mark.parametrize("kind", ["coefficient_nonlocal", "operator_nonlocal"])
+    def test_canonical_sweep_exits_1_before_any_report_where_breakage_is_expected(self, tmp_path, capsys, kind):
+        # Both canonical foliations are time-ordered, so n_foliations = 0
+        # cannot show the breakage these kinds must show.
+        cfg = parse_config(None, {"kind": kind, "n_foliations": "0", "out": str(tmp_path / "r")})
+        assert run(cfg) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: sweep: kind {kind} expects broken covariance")
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize(
+        "kind, lam", [("local", "0.5"), ("coefficient_nonlocal", "0"), ("operator_nonlocal", "0")]
+    )
+    def test_canonical_sweep_passes_where_covariance_is_expected(self, tmp_path, kind, lam):
+        overrides = {"experiment": "sweep", "kind": kind, "lambda": lam, "n_foliations": "0", "out": str(tmp_path)}
+        assert run(parse_config(None, overrides)) == 0
 
     def test_failing_verdict_exits_2(self, tmp_path):
         # a degeneracy run in which nothing evolves fails its
@@ -337,10 +372,7 @@ class TestRun:
             {"out": str(tmp_path / "r"), "foliation_file": str(fpath)},
         )
         with pytest.raises(ConfigError, match="foliation file"):
-            run_config_to_model = cfg  # parse happens lazily inside run_experiment
-            from tslattice.cli import run_experiment
-
-            run_experiment("degeneracy", run_config_to_model)
+            _resolve(cfg)
 
     def test_unparsable_foliation_file_names_file_and_line(self, tmp_path, capsys):
         fpath = tmp_path / "f.txt"
@@ -350,9 +382,72 @@ class TestRun:
             {"out": str(tmp_path / "r"), "foliation_file": str(fpath)},
         )
         assert run(cfg) == 1
+        # The file is read when the run is resolved, before any experiment:
+        # the message names no experiment.
         assert capsys.readouterr().err == (
-            f"error: sweep: foliation file {str(fpath)!r}: line 2: cannot parse foliation step 'A x'\n"
+            f"error: foliation file {str(fpath)!r}: line 2: cannot parse foliation step 'A x'\n"
         )
+        assert not (tmp_path / "r").exists()
+
+    def test_undecodable_foliation_file_names_file(self, tmp_path, capsys):
+        fpath = tmp_path / "f.txt"
+        fpath.write_bytes(b"\xff")
+        cfg = parse_config(
+            write_cfg(tmp_path, "experiment = sweep\nn_sites = 4\nhorizon = 2\nn_foliations = 1\n"),
+            {"out": str(tmp_path / "r"), "foliation_file": str(fpath)},
+        )
+        assert run(cfg) == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot read foliation file {str(fpath)!r}: ")
+        assert not (tmp_path / "r").exists()
+
+
+class TestOneResolution:
+    """A run builds its model and reads and replays its foliation file once, for every experiment."""
+
+    @staticmethod
+    def foliation_file(tmp_path):
+        fpath = tmp_path / "f.txt"
+        fpath.write_text(foliation_to_text(random_foliation(4, 2, 9)))
+        return fpath
+
+    @staticmethod
+    def small(out, fpath):
+        return parse_config(
+            None,
+            {"n_sites": "4", "horizon": "2", "n_foliations": "2", "exploration_budget": "20",
+             "out": str(out), "foliation_file": str(fpath)},
+        )
+
+    def test_all_reads_the_foliation_file_once(self, tmp_path, monkeypatch):
+        fpath = self.foliation_file(tmp_path)
+        reads = []
+        read_text = Path.read_text
+
+        def counted(self, *args, **kwargs):
+            if self == fpath:
+                reads.append(self)
+            return read_text(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_text", counted)
+        assert run(self.small(tmp_path / "r", fpath)) == 0
+        assert len(reads) == 1
+
+    @pytest.mark.skipif(not Path("/dev/fd").is_dir(), reason="needs /dev/fd")
+    def test_a_pipe_replays_like_a_regular_file(self, tmp_path):
+        fpath = self.foliation_file(tmp_path)
+        assert run(self.small(tmp_path / "file", fpath)) == 0
+        r, w = os.pipe()
+        try:
+            os.write(w, fpath.read_bytes())
+            os.close(w)
+            assert run(self.small(tmp_path / "pipe", f"/dev/fd/{r}")) == 0
+        finally:
+            os.close(r)
+        names = sorted(p.name for p in (tmp_path / "file").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "pipe").iterdir())
+        assert len(names) == 2 * len(EXPERIMENTS)
+        for name in names:
+            assert (tmp_path / "pipe" / name).read_bytes() == (tmp_path / "file" / name).read_bytes()
 
 
 class TestExperimentTable:
@@ -366,11 +461,7 @@ class TestExperimentTable:
             "integrability", "sweep", "signal", "degeneracy", "nonlinearity", "entanglement"
         ]
         for name in EXPERIMENTS:
-            assert run_experiment(name, cfg).name == name
-
-    def test_unknown_name_is_a_config_error(self):
-        with pytest.raises(ConfigError, match="^unknown experiment 'all'$"):
-            run_experiment("all", parse_config(None, {"n_sites": "4", "horizon": "2"}))
+            assert run_one(name, cfg).name == name
 
     def test_command_line_choices(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -466,7 +557,7 @@ class TestDiagonalBaseWarning:
         )
         assert run(cfg) == 0
         assert capsys.readouterr().err.count("warning:") == 1
-        report = render_structured(run_experiment("integrability", cfg))
+        report = render_structured(run_one("integrability", cfg))
         assert (tmp_path / "r" / "integrability.report").read_text() == report
 
     @pytest.mark.parametrize(

@@ -16,6 +16,7 @@ from reference import (
     random_unitary,
     reference_generator,
     reference_step,
+    rk4_step,
 )
 
 import tslattice.dynamics as dynamics
@@ -552,6 +553,26 @@ class TestLeanStepAgainstReference:
             assert s.is_final()
 
 
+class TestExactFlow:
+    """Each step is the exact flow of i dpsi/ds = H(psi(s)) psi, not a frozen-coefficient approximation.
+
+    The field a step reads commutes with its generator, so <O> and with it
+    the coefficient stay constant along the step.
+    """
+
+    @pytest.mark.parametrize("nl", ALL_KINDS, ids=[k["kind"] for k in ALL_KINDS])
+    @pytest.mark.parametrize("base", ["x", "y"])
+    def test_each_step_matches_the_rk4_flow(self, nl, base):
+        n, horizon = 4, 3
+        cfg = make_config(n_sites=n, horizon=horizon, dt=0.3, base_operator=base, **dict(nl, lam=1.3))
+        psi = random_state(n, np.random.default_rng(90))
+        s = initial_surface(n, horizon)
+        for d in random_foliation(n, horizon, 91).steps:
+            want = rk4_step(psi, s, d, cfg)
+            psi, s, _ = ts_step(psi, s, d, cfg)
+            assert np.abs(psi.amplitudes - want.amplitudes).max() <= 1e-12
+
+
 @pytest.fixture
 def fresh_generator_caches():
     """Empty the field and pair caches around a test that patches the base operators."""
@@ -748,19 +769,17 @@ class TestEvolve:
 
 class TestComposeMap:
     def test_empty_record_is_identity(self):
-        cfg = make_config(n_sites=2, horizon=1)
-        u = compose_map(TrajectoryRecord((), 2), cfg)
+        u = compose_map(TrajectoryRecord((), 2))
         assert_allclose(u, np.eye(4))
 
     def test_single_gate_embedding(self):
-        cfg = make_config(n_sites=2, horizon=1)
         step = TrajectoryStep(
             deformation=SiteAdvance(0),
             coefficient=0.0,
             sites=(0,),
             unitary=PAULI_X,
         )
-        u = compose_map(TrajectoryRecord((step,), 2), cfg)
+        u = compose_map(TrajectoryRecord((step,), 2))
         assert_allclose(u, np.kron(PAULI_X, np.eye(2)))
 
     @pytest.mark.parametrize("nl", ALL_KINDS)
@@ -768,16 +787,15 @@ class TestComposeMap:
         cfg = make_config(n_sites=4, horizon=2, **dict(nl))
         psi0 = plus_state(4)
         final, record = evolve(psi0, canonical_foliation(4, 2, "synchronous"), cfg)
-        u = compose_map(record, cfg)
+        u = compose_map(record)
         assert np.max(np.abs(u.conj().T @ u - np.eye(16))) <= 1e-10
         mapped = u @ psi0.amplitudes
         mapped = StateVector(mapped / np.linalg.norm(mapped), 4)
         assert state_distance(mapped, final) <= 1e-10
 
     def test_dimension_guard(self):
-        cfg = make_config(n_sites=11, horizon=1)
         with pytest.raises(ValueError, match="<= 10"):
-            compose_map(TrajectoryRecord((), 11), cfg)
+            compose_map(TrajectoryRecord((), 11))
 
 
 def kron_product(gates, n):
@@ -862,7 +880,7 @@ class TestFusedGates:
             return real(amps, u, sites, n)
 
         monkeypatch.setattr(dynamics, "_apply_gate", counted)
-        u = compose_map(record, cfg)
+        u = compose_map(record)
         assert (len(record), len(passes)) == (58, 18)
         assert all(len(sites) == 2 for sites in passes)
         assert np.abs(u[:, 0] - final.amplitudes).max() <= 1e-13

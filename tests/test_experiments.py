@@ -28,10 +28,12 @@ from tslattice.experiments import (
     COVARIANT_SWAP_BOUND,
     COVARIANT_SWEEP_BOUND,
     LINEAR_SWEEP_BOUND,
+    SUPERPOSITION_FLOOR,
     SUPERPOSITION_LINEAR_BOUND,
     ExperimentReport,
     _fmt_deformation,
     _swap_scans,
+    check_sweep_foliations,
     default_initial_state,
     degeneracy_experiment,
     entanglement_monitor,
@@ -79,7 +81,7 @@ def dense_coevolved_expectations(cfg, foliation, probe):
     for d in foliation.steps:
         psi, surface, entry = ts_step(psi, surface, d, cfg)
         steps.append(entry)
-        u = compose_map(TrajectoryRecord(tuple(steps), cfg.n_sites), cfg)
+        u = compose_map(TrajectoryRecord(tuple(steps), cfg.n_sites))
         want.append(expectation(StateVector(u.conj().T @ psi.amplitudes, cfg.n_sites), probe_op))
     return np.array(want)
 
@@ -281,6 +283,30 @@ class TestFoliationSweep:
         labels = [row[0] for row in r.details]
         assert labels[0] == "canonical-synchronous"
         assert labels[1] == "canonical-staircase"
+        # Random foliation k is drawn with seed + k; the canonical ones have none.
+        assert [row[1] for row in r.details] == ["", "", "1", "2", "3", "4", "5"]
+
+    @pytest.mark.parametrize("kind", ["coefficient_nonlocal", "operator_nonlocal"])
+    def test_canonical_foliations_alone_are_rejected_where_breakage_is_expected(self, kind):
+        # Both canonical foliations are time-ordered: they reach one state.
+        with pytest.raises(ValueError, match="n_foliations = 0 needs a replayed foliation"):
+            check_sweep_foliations(cfg_with(kind), 0, None)
+        with pytest.raises(ValueError, match="n_foliations = 0 needs a replayed foliation"):
+            foliation_sweep(cfg_with(kind), n_foliations=0)
+
+    @pytest.mark.parametrize(
+        "kind, lam", [("none", 0.5), ("local", 0.5), ("coefficient_nonlocal", 0.0), ("operator_nonlocal", 0.0)]
+    )
+    def test_canonical_foliations_alone_suffice_where_covariance_is_expected(self, kind, lam):
+        r = foliation_sweep(cfg_with(kind, lam=lam), n_foliations=0)
+        assert r.metric("n_foliations_total") == 2.0
+        assert r.verdict == "pass"
+
+    @pytest.mark.parametrize("kind", ["coefficient_nonlocal", "operator_nonlocal"])
+    def test_a_replayed_foliation_stands_in_for_the_random_ones(self, kind):
+        r = foliation_sweep(cfg_with(kind), n_foliations=0, extra_foliation=random_foliation(4, 3, 4))
+        assert [row[0] for row in r.details][2:] == ["replayed"]
+        assert r.verdict == "pass"
 
     def test_consistency_with_swap_residue(self):
         # Path independence follows from pairwise swaps: the sweep divergence
@@ -382,7 +408,7 @@ class TestDegeneracyExperiment:
             random_foliation(n_sites, horizon, 6),
         ]
         for fol in foliations:
-            r = degeneracy_experiment(cfg, probe_site=probe, foliation=fol)
+            r = degeneracy_experiment(cfg, foliation=fol)
             want = dense_coevolved_expectations(cfg, fol, probe)
             assert np.max(np.abs([row[3] for row in r.details[1:]] - want)) <= 1e-12
 
@@ -394,7 +420,7 @@ class TestDegeneracyExperiment:
         fol = random_foliation(5, 3, 7)
         assert len(fol.steps) == 21
         monkeypatch.setattr(experiments, "_COEVOLVE_BLOCK", batch << 5)
-        r = degeneracy_experiment(cfg, probe_site=2, foliation=fol)
+        r = degeneracy_experiment(cfg, foliation=fol)
         want = dense_coevolved_expectations(cfg, fol, 2)
         assert np.max(np.abs([row[3] for row in r.details[1:]] - want)) <= 1e-12
 
@@ -462,6 +488,23 @@ class TestMapNonlinearityCheck:
         assert ("superposition_defect", *want) in r.thresholds
         assert r.verdict == "pass"
 
+    @pytest.mark.parametrize("base", ["x", "y"])
+    @pytest.mark.parametrize("n_sites, source", [(n, j) for n in (4, 5, 6) for j in range(n)])
+    def test_superposition_breaks_from_every_source_site(self, n_sites, source, base):
+        # The probes differ at the source, the site every other step reads;
+        # differing at site 0 alone, they would look alike to a read of a far
+        # site until the light cone of site 0 reaches it.
+        cfg = cfg_with(
+            "coefficient_nonlocal", n_sites=n_sites, horizon=4, source_site=source, base_operator=base
+        )
+        r = map_nonlinearity_check(cfg)
+        assert r.metric("superposition_defect") >= SUPERPOSITION_FLOOR
+        assert r.verdict == "pass"
+        if (n_sites, source, base) == (6, 5, "x"):
+            # The command line's defaults with source_site = 5; with the
+            # probes differing at site 0 the defect was 7.1e-16.
+            assert r.metric("superposition_defect") == pytest.approx(0.3176, abs=1e-4)
+
 
 class TestUnitarityDefect:
     """The row-blocked max|u^dag u - I| against the whole dense expression."""
@@ -505,10 +548,6 @@ class TestEntanglementMonitor:
     def test_operator_nonlocal_entangles_across_cut(self):
         r = entanglement_monitor(cfg_with("local", n_sites=4, horizon=3))
         assert r.metric("max_entropy_operator_nonlocal") >= 0.01
-
-    def test_rejects_degenerate_cut(self):
-        with pytest.raises(ValueError, match="proper subset"):
-            entanglement_monitor(cfg_with("local"), cut=frozenset(range(4)))
 
 
 class TestReportDeterminism:
