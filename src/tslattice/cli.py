@@ -48,50 +48,42 @@ def _no_rule(model, cfg, replayed) -> None:
     return None
 
 
-# The experiments in the order ``all`` runs them: a runner, the names accepted
-# besides its own, and a rule, the check the experiment makes of its inputs.
-# Both take the run's one resolution: model, run config, replayed foliation or
-# None. Every rule runs before any experiment, so ``all`` fails before a report.
+# The experiments in the order ``all`` runs them: a runner and a rule, the
+# check the experiment makes of its inputs. Both take the run's one
+# resolution: model, run config, replayed foliation or None. Every rule runs
+# before any experiment, so ``all`` fails before a report.
 EXPERIMENTS = {
     "integrability": (
         lambda model, cfg, replayed: integrability_check(model, exploration_budget=cfg.exploration_budget),
-        ("integrability_check",),
         _no_rule,
     ),
     "sweep": (
         lambda model, cfg, replayed: foliation_sweep(
             model, n_foliations=cfg.n_foliations, seed=cfg.seed, extra_foliation=replayed
         ),
-        ("foliation_sweep",),
         lambda model, cfg, replayed: check_sweep_foliations(model, cfg.n_foliations, replayed),
     ),
     "signal": (
         lambda model, cfg, replayed: signaling_experiment(
             model, alice_site=cfg.alice_site, bob_site=cfg.bob_site, foliation=replayed
         ),
-        ("signaling", "signaling_experiment"),
         lambda model, cfg, replayed: check_signal_sites(model.n_sites, model.horizon, cfg.alice_site, cfg.bob_site),
     ),
     "degeneracy": (
         lambda model, cfg, replayed: degeneracy_experiment(model, foliation=replayed),
-        ("degeneracy_experiment",),
         lambda model, cfg, replayed: check_dense_sites("degeneracy experiment", model.n_sites),
     ),
     "nonlinearity": (
         lambda model, cfg, replayed: map_nonlinearity_check(model, foliation=replayed),
-        ("map_nonlinearity", "map_nonlinearity_check"),
         lambda model, cfg, replayed: check_dense_sites("composed-map check", model.n_sites),
     ),
     "entanglement": (
-        lambda model, cfg, replayed: entanglement_monitor(model),
-        ("entanglement_monitor",),
+        lambda model, cfg, replayed: entanglement_monitor(model, foliation=replayed),
         _no_rule,
     ),
 }
 
-_EXPERIMENT_ALIASES = {
-    alias: name for name, (_, aliases, _) in EXPERIMENTS.items() for alias in (name, *aliases)
-} | {"all": "all"}
+_EXPERIMENT_CHOICES = (*EXPERIMENTS, "all")
 
 _FORMATS = ("rows", "structured", "both")
 
@@ -117,14 +109,6 @@ def _parse_choice(key: str, raw: str, choices) -> str:
     if raw not in choices:
         raise ConfigError(f"config key {key!r}: {raw!r} is not one of {'|'.join(choices)}")
     return raw
-
-
-def _parse_experiment(key: str, raw: str) -> str:
-    if raw not in _EXPERIMENT_ALIASES:
-        raise ConfigError(
-            f"config key {key!r}: {raw!r} is not one of {'|'.join((*EXPERIMENTS, 'all'))}"
-        )
-    return _EXPERIMENT_ALIASES[raw]
 
 
 @dataclass
@@ -189,7 +173,7 @@ _LAST_SITE = MAX_SITES - 1
 MIN_HORIZON = 2
 
 _SETTERS = {
-    "experiment": lambda c, k, v: setattr(c, "experiment", _parse_experiment(k, v)),
+    "experiment": lambda c, k, v: setattr(c, "experiment", _parse_choice(k, v, _EXPERIMENT_CHOICES)),
     "n_sites": lambda c, k, v: setattr(c, "n_sites", _check_range(k, _parse_int(k, v), MIN_SITES, MAX_SITES)),
     "horizon": lambda c, k, v: setattr(c, "horizon", _check_range(k, _parse_int(k, v), MIN_HORIZON, 64)),
     "omega": lambda c, k, v: setattr(c, "omega", _parse_real(k, v)),
@@ -356,7 +340,7 @@ def run(cfg: RunConfig) -> int:
         return 1
     for name in selected:
         try:
-            EXPERIMENTS[name][2](model, cfg, replayed)
+            EXPERIMENTS[name][1](model, cfg, replayed)
         except ValueError as exc:
             print(f"error: {name}: {exc}", file=sys.stderr)
             return 1
@@ -369,7 +353,7 @@ def run(cfg: RunConfig) -> int:
     except OSError as exc:
         print(f"error: cannot write to output directory {cfg.out!r}: {exc}", file=sys.stderr)
         return 1
-    if cfg.base_operator == "z" and cfg.lam != 0.0 and cfg.kind != "none":
+    if cfg.base_operator == "z" and cfg.lam != 0.0:
         # Every z field is diagonal, so every generator commutes and no
         # nonlinear effect can appear; the verdicts are left as they fall.
         print(
@@ -403,7 +387,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "experiment",
         nargs="?",
-        choices=sorted(set(_EXPERIMENT_ALIASES)),
+        choices=_EXPERIMENT_CHOICES,
         help="experiment to run (default: the config file's selector, or 'all')",
     )
     parser.add_argument("--config", help="flat key = value config file")

@@ -8,8 +8,7 @@ field commutes with the generator, so c is constant along the step and the
 gate is the exact flow of i dpsi/ds = H(psi(s)) psi over dt. Link gates are
 linear two-site rotations generated by J * O(i,t) ⊗ O(i+1,t).
 
-Nonlinearity kinds:
-  none                   c = 0
+Nonlinearity kinds (lambda = 0 is the linear model for each):
   local                  c = lambda * <O(i, tau_i)> at the advancing site
   coefficient_nonlocal   c = lambda * <O(j, tau_j)> read at a fixed remote site
   operator_nonlocal      two-site generator mu*O(i) ⊗ 1 + lambda*O(i) ⊗ O(j)
@@ -55,7 +54,7 @@ from .spacetime import (
 
 BASE_OPERATORS = {"x": PAULI_X, "y": PAULI_Y, "z": PAULI_Z}
 
-NONLINEARITY_KINDS = ("none", "local", "coefficient_nonlocal", "operator_nonlocal")
+NONLINEARITY_KINDS = ("local", "coefficient_nonlocal", "operator_nonlocal")
 
 # The nonlocal kinds and the field naming each one's fixed remote site.
 REMOTE_SITE_FIELDS = {"coefficient_nonlocal": "source_site", "operator_nonlocal": "partner_site"}
@@ -83,11 +82,12 @@ def _check_finite(name: str, value: float) -> None:
 class NonlinearitySpec:
     """Kind and coupling of the state-dependent Hamiltonian term.
 
+    Every kind at lambda = 0, the default among them, is the linear model.
     ``active_sites`` restricts where the nonlinearity acts (None = everywhere);
     the linear mu/J terms are never masked.
     """
 
-    kind: str = "none"
+    kind: str = "local"
     lam: float = 0.0
     source_site: int | None = None
     partner_site: int | None = None
@@ -240,8 +240,8 @@ def _step_plan(surface: Hypersurface, d: Deformation, config: ModelConfig):
 
     This is the one place the nonlinearity kind picks a step's generator and
     coefficient, and the only one deciding a step is linear. At lambda = 0
-    (or -0.0), for kind none, at an inactive site and at a nonlocal kind's
-    own site (``remote_site``), a site advance takes mu * O(i) with c = 0.
+    (or -0.0), at an inactive site and at a nonlocal kind's own site
+    (``remote_site``), a site advance takes mu * O(i) with c = 0.
     """
     nl = config.nonlinearity
     omega, base = config.omega, config.base_operator
@@ -253,7 +253,7 @@ def _step_plan(surface: Hypersurface, d: Deformation, config: ModelConfig):
     tau_i = surface.heights[i]
     oi, residue = _free_field(i, tau_i, omega, base)
     linear = ((oi.matrix, residue, config.mu),)
-    if nl.kind == "none" or nl.lam == 0.0 or not nl.active_at(i):
+    if nl.lam == 0.0 or not nl.active_at(i):
         return (i,), 0.0, None, linear
     if nl.kind == "local":
         return (i,), None, (i, tau_i), linear

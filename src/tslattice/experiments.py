@@ -777,18 +777,21 @@ def _max_entropy_over_run(config: ModelConfig, foliation: Foliation, cuts):
     return worst, arg
 
 
-def entanglement_monitor(config: ModelConfig) -> ExperimentReport:
+def entanglement_monitor(config: ModelConfig, foliation: Foliation | None = None) -> ExperimentReport:
     """Entropy growth from a product state, per nonlinearity kind, at J = 0.
 
-    The cut is the first N // 2 sites. A variant with a nonlinear step
+    Each variant steps ``foliation``, the synchronous one if None. The cut is
+    the first N // 2 sites. A variant with a nonlinear step
     spanning two sites (operator_nonlocal at lambda != 0, its partner across
-    the cut) must entangle; the others apply only single-site unitaries and
-    must keep every cut at zero entropy.
+    the cut) must entangle; the others, the linear model labelled ``none``
+    among them, apply only single-site unitaries and must keep every cut at
+    zero entropy.
     """
     n, t = config.n_sites, config.horizon
     cut = tuple(range(n // 2))
     cuts = _monitored_cuts(n, cut)
-    foliation = canonical_foliation(n, t, "synchronous")
+    if foliation is None:
+        foliation = canonical_foliation(n, t, "synchronous")
     lam = config.nonlinearity.lam
     source = config.nonlinearity.source_site
     partner = config.nonlinearity.partner_site
@@ -798,7 +801,7 @@ def entanglement_monitor(config: ModelConfig) -> ExperimentReport:
         partner = n - 1
 
     variants = {
-        "none": NonlinearitySpec(kind="none"),
+        "none": NonlinearitySpec(),
         "local": NonlinearitySpec(kind="local", lam=lam),
         "coefficient_nonlocal": NonlinearitySpec(
             kind="coefficient_nonlocal", lam=lam, source_site=source

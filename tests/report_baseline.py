@@ -2,8 +2,12 @@
 
 The baseline is the ``.report`` files of ``tslattice all`` at the command
 line's defaults, for every nonlinearity kind at lambda = 0.5 and lambda = 0,
-in ``tests/baseline/<kind>-lambda-<lambda>/``. To regenerate it, from the
-root of a checkout:
+in ``tests/baseline/<kind>-lambda-<lambda>/``; and the inputs and ``.report``
+files of the benchmark's workloads at seeds 1 and 2, in
+``tests/baseline/perfbench/<workload>-<seed>/``: one ``<experiment>.cfg``
+per run, and ``foliation.txt`` where the workload replays a foliation. The
+workloads are read from ``perfbench/workloads.py``, which this script does
+not change. To regenerate it all, from the root of a checkout:
 
     PYTHONPATH=src python tests/report_baseline.py
 
@@ -17,13 +21,17 @@ every other cell must be equal.
 from __future__ import annotations
 
 import math
+import os
 import re
 import sys
 from pathlib import Path
 
 BASELINE = Path(__file__).resolve().parent / "baseline"
-KINDS = ("none", "local", "coefficient_nonlocal", "operator_nonlocal")
+KINDS = ("local", "coefficient_nonlocal", "operator_nonlocal")
 LAMBDAS = ("0.5", "0")
+PERFBENCH = BASELINE.parents[1] / "perfbench"
+PERFBENCH_SEEDS = (1, 2)
+FOLIATION_FILE = "foliation.txt"
 ABS_TOL = 1e-12
 REL_TOL = 1e-9
 
@@ -34,6 +42,21 @@ _CELL_BREAK = re.compile(r"([ ,=])")
 
 def baseline_dir(kind: str, lam: str) -> Path:
     return BASELINE / f"{kind}-lambda-{lam}"
+
+
+def perfbench_dirs() -> list[Path]:
+    return sorted(p for p in (BASELINE / "perfbench").iterdir() if p.is_dir())
+
+
+def perfbench_config(cfg_path: Path, out: Path):
+    """The run of one committed workload input, writing ``.report`` files to ``out``."""
+    from tslattice.cli import parse_config
+
+    overrides = {"out": str(out), "format": "structured"}
+    foliation = cfg_path.parent / FOLIATION_FILE
+    if foliation.exists():
+        overrides["foliation_file"] = str(foliation)
+    return parse_config(str(cfg_path), overrides)
 
 
 def _real(cell: str) -> float | None:
@@ -72,18 +95,46 @@ def mismatches(expected: str, actual: str) -> list[str]:
     return out
 
 
+def _write_workload_inputs() -> list[Path]:
+    """Write every committed benchmark input; returns the config files."""
+    sys.path.insert(0, str(PERFBENCH))
+    import oracle
+    import workloads
+
+    written = []
+    for name in workloads.NAMES:
+        for seed in PERFBENCH_SEEDS:
+            w = workloads.make(name, seed)
+            out = BASELINE / "perfbench" / f"{name}-{seed}"
+            out.mkdir(parents=True, exist_ok=True)
+            if w.foliation is not None:
+                (out / FOLIATION_FILE).write_text(oracle.foliation_text(w.foliation))
+            for flat in w.configs:
+                cfg_path = out / f"{flat['experiment']}.cfg"
+                cfg_path.write_text("".join(f"{k} = {v}\n" for k, v in flat.items()))
+                written.append(cfg_path)
+    return written
+
+
 def main() -> int:
     from tslattice.cli import parse_config, run
 
-    for kind in KINDS:
-        for lam in LAMBDAS:
-            out = baseline_dir(kind, lam)
-            cfg = parse_config(None, {"kind": kind, "lambda": lam, "out": str(out), "format": "structured"})
-            if run(cfg) != 0:
-                print(f"error: {out.name}: a verdict failed", file=sys.stderr)
-                return 1
+    runs = [
+        parse_config(None, {"kind": kind, "lambda": lam, "out": str(baseline_dir(kind, lam)), "format": "structured"})
+        for kind in KINDS
+        for lam in LAMBDAS
+    ]
+    runs += [perfbench_config(path, path.parent) for path in _write_workload_inputs()]
+    for cfg in runs:
+        if run(cfg) != 0:
+            print(f"error: {cfg.out}: a verdict failed", file=sys.stderr)
+            return 1
     return 0
 
 
 if __name__ == "__main__":
+    # One BLAS thread, as the benchmark runs: N = 14 sweep digits at the
+    # rounding level move with the thread count. Set before numpy loads.
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = "1"
     sys.exit(main())

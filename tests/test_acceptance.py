@@ -171,12 +171,11 @@ def test_criterion_7_entanglement_bookkeeping():
 
     every_cut_ok = True
     fol = canonical_foliation(cfg.n_sites, cfg.horizon, "synchronous")
-    for kind in ("none", "local", "coefficient_nonlocal"):
-        nl = NonlinearitySpec(
-            kind=kind,
-            lam=0.5,
-            source_site=0 if kind == "coefficient_nonlocal" else None,
-        )
+    for nl in (
+        NonlinearitySpec(),
+        NonlinearitySpec(kind="local", lam=0.5),
+        NonlinearitySpec(kind="coefficient_nonlocal", lam=0.5, source_site=0),
+    ):
         c = replace(cfg, link_coupling=0.0, nonlinearity=nl)
         final, _ = evolve(plus_state(cfg.n_sites), fol, c)
         for size in range(1, cfg.n_sites):

@@ -69,12 +69,14 @@ def make_config(**kw):
     return ModelConfig(**kw)
 
 
+# The linear model (every kind at lambda = 0) and each kind at lambda = 0.5.
 ALL_KINDS = [
-    {"kind": "none"},
+    {"kind": "local", "lam": 0.0},
     {"kind": "local", "lam": 0.5},
     {"kind": "coefficient_nonlocal", "lam": 0.5, "source_site": 0},
     {"kind": "operator_nonlocal", "lam": 0.5, "partner_site": 3},
 ]
+KIND_IDS = ["linear", "local", "coefficient_nonlocal", "operator_nonlocal"]
 
 
 class TestFreeField:
@@ -140,7 +142,7 @@ class TestFreeField:
 def expected_coefficient(psi, surface, site, cfg):
     """The coefficient rule, stated apart from ``_step_plan``, for advancing ``site``."""
     nl = cfg.nonlinearity
-    if nl.kind == "none" or nl.lam == 0.0 or not nl.active_at(site) or nl.remote_site == site:
+    if nl.lam == 0.0 or not nl.active_at(site) or nl.remote_site == site:
         return 0.0
     if nl.kind == "operator_nonlocal":
         return nl.lam
@@ -159,8 +161,10 @@ def both_sites_enabled():
 
 
 class TestRecordedCoefficient:
-    def test_kind_none_is_zero(self):
+    def test_linear_model_is_zero(self):
+        # The default nonlinearity is local at lambda = 0: the linear model.
         cfg = make_config(n_sites=2, horizon=1)
+        assert cfg.nonlinearity == NonlinearitySpec(kind="local", lam=0.0)
         assert recorded_coefficient(zero_state(2), both_sites_enabled(), 0, cfg) == 0.0
 
     def test_local_eigenstate(self):
@@ -201,8 +205,10 @@ class TestRecordedCoefficient:
         assert recorded_coefficient(zero_state(2), s, 0, cfg) == 0.0
         assert recorded_coefficient(zero_state(2), s, 1, cfg) == 0.5
 
-    @pytest.mark.parametrize("kind", ["none", "local", "coefficient_nonlocal", "operator_nonlocal"])
-    def test_follows_the_rule_on_every_surface(self, kind):
+    @pytest.mark.parametrize(
+        "kind, lam", [("local", 0.0), ("local", 0.7), ("coefficient_nonlocal", 0.7), ("operator_nonlocal", 0.7)]
+    )
+    def test_follows_the_rule_on_every_surface(self, kind, lam):
         # Every enabled advance on every reachable surface at n <= 4, with
         # the remote site at each site (so every site is once a self-pair)
         # and with the odd sites inactive.
@@ -212,7 +218,7 @@ class TestRecordedCoefficient:
             for remote in range(n):
                 for active in (None, frozenset(range(0, n, 2))):
                     cfg = make_config(
-                        n_sites=n, horizon=t, kind=kind, lam=0.7,
+                        n_sites=n, horizon=t, kind=kind, lam=lam,
                         source_site=remote, partner_site=remote, active_sites=active,
                     )
                     for surfaces, successors in surface_levels(n, t):
@@ -303,7 +309,6 @@ class TestNonlinearPlans:
         return dynamics._nonlinear_plans(cfg)
 
     def test_every_kind(self):
-        assert self.plans("none") == ()
         assert self.plans("local") == tuple((i, (i,), (i, 0)) for i in range(4))
         assert self.plans("coefficient_nonlocal") == tuple((i, (i,), (3, 0)) for i in range(3))
         assert self.plans("operator_nonlocal") == tuple((i, (i, 3), None) for i in range(3))
@@ -383,7 +388,7 @@ class TestTsStep:
             psi, s, _ = ts_step(psi, s, d, cfg)
             assert abs(np.linalg.norm(psi.amplitudes) - 1.0) <= 1e-12
 
-    @pytest.mark.parametrize("nl", ALL_KINDS, ids=[k["kind"] for k in ALL_KINDS])
+    @pytest.mark.parametrize("nl", ALL_KINDS, ids=KIND_IDS)
     def test_coefficient_follows_the_rule(self, nl):
         # Both site fields set: each kind drops the nonlinear term only where
         # its own site (the source, or the partner) advances.
@@ -450,8 +455,9 @@ class TestClosedFormGates:
                 lam=float(rng.uniform(-2, 2)),
                 source_site=int(rng.integers(4)), partner_site=int(rng.integers(4)),
             )
-            for kind in ("none", "local", "coefficient_nonlocal", "operator_nonlocal"):
-                cfg = make_config(n_sites=4, horizon=4, base_operator=base, kind=kind, **couplings)
+            lam = couplings.pop("lam")
+            for kind, kind_lam in (("local", 0.0), *((k, lam) for k in dynamics.NONLINEARITY_KINDS)):
+                cfg = make_config(n_sites=4, horizon=4, base_operator=base, kind=kind, lam=kind_lam, **couplings)
                 psi, s = random_state(4, rng), initial_surface(4, 4)
                 while enabled := enabled_deformations(s):
                     d = enabled[int(rng.integers(len(enabled)))]
@@ -465,7 +471,7 @@ class TestClosedFormGates:
                         entry.unitary, expm_hermitian(gen, step_dt), rtol=0, atol=1e-14
                     )
 
-    @pytest.mark.parametrize("nl", ALL_KINDS, ids=[k["kind"] for k in ALL_KINDS])
+    @pytest.mark.parametrize("nl", ALL_KINDS, ids=KIND_IDS)
     def test_no_kind_goes_through_eigh(self, monkeypatch, nl):
         calls = {"eigh": 0, "closed": 0}
 
@@ -535,7 +541,7 @@ def _foliations(n, horizon):
 class TestLeanStepAgainstReference:
     """ts_step checks once where its data is made; it must still match the dense reference step."""
 
-    @pytest.mark.parametrize("nl", ALL_KINDS, ids=[k["kind"] for k in ALL_KINDS])
+    @pytest.mark.parametrize("nl", ALL_KINDS, ids=KIND_IDS)
     @pytest.mark.parametrize("base", ["x", "y", "z"])
     @pytest.mark.parametrize("n, horizon", [(4, 3), (5, 2)])
     def test_matches_reference_on_every_foliation(self, nl, base, n, horizon):
@@ -560,11 +566,12 @@ class TestExactFlow:
     the coefficient stay constant along the step.
     """
 
-    @pytest.mark.parametrize("nl", ALL_KINDS, ids=[k["kind"] for k in ALL_KINDS])
+    @pytest.mark.parametrize("nl", ALL_KINDS, ids=KIND_IDS)
     @pytest.mark.parametrize("base", ["x", "y"])
     def test_each_step_matches_the_rk4_flow(self, nl, base):
         n, horizon = 4, 3
-        cfg = make_config(n_sites=n, horizon=horizon, dt=0.3, base_operator=base, **dict(nl, lam=1.3))
+        lam = 1.3 if nl["lam"] else 0.0  # the linear model stays at lambda = 0
+        cfg = make_config(n_sites=n, horizon=horizon, dt=0.3, base_operator=base, **dict(nl, lam=lam))
         psi = random_state(n, np.random.default_rng(90))
         s = initial_surface(n, horizon)
         for d in random_foliation(n, horizon, 91).steps:
@@ -649,9 +656,13 @@ class TestMovedChecksStillFail:
 class TestSizeMismatch:
     """ts_step and ts_step_batch step only a state and surface of the config's size."""
 
-    @pytest.mark.parametrize("kind", dynamics.NONLINEARITY_KINDS)
-    def test_larger_state_and_surface_than_the_config(self, kind):
-        cfg = make_config(n_sites=3, horizon=2, kind=kind, lam=0.5, source_site=0, partner_site=1)
+    @pytest.mark.parametrize(
+        "kind, lam",
+        [("local", 0.0), *((kind, 0.5) for kind in dynamics.NONLINEARITY_KINDS)],
+        ids=["linear", *dynamics.NONLINEARITY_KINDS],
+    )
+    def test_larger_state_and_surface_than_the_config(self, kind, lam):
+        cfg = make_config(n_sites=3, horizon=2, kind=kind, lam=lam, source_site=0, partner_site=1)
         s = apply_deformation(initial_surface(4, 2), LinkApply((2, 3), 0))
         with pytest.raises(ValueError, match=r"^sizes differ: state has 4 sites, surface 4, config 3$"):
             ts_step(plus_state(4), s, SiteAdvance(3), cfg)
@@ -674,7 +685,7 @@ class TestSpacelikeInvariance:
     @pytest.mark.parametrize(
         "nl",
         [
-            {"kind": "none"},
+            {"kind": "local", "lam": 0.0},
             {"kind": "local", "lam": 0.5},
             {"kind": "coefficient_nonlocal", "lam": 0.5, "source_site": 0},
         ],
@@ -754,7 +765,7 @@ class TestEvolve:
 
     def test_product_structure_preserved_without_links(self):
         for nl in (
-            {"kind": "none"},
+            {"kind": "local", "lam": 0.0},
             {"kind": "local", "lam": 0.5},
             {"kind": "coefficient_nonlocal", "lam": 0.5, "source_site": 2},
         ):
@@ -926,8 +937,11 @@ class TestConfigValidation:
             make_config(n_sites=4, horizon=2, dt=0.0)
 
     def test_rejects_unknown_kind_and_base(self):
-        with pytest.raises(ValueError, match="kind"):
-            NonlinearitySpec(kind="frobnicate")
+        for kind in ("frobnicate", "none"):
+            with pytest.raises(
+                ValueError, match=rf"^nonlinearity kind '{kind}' not in local\|coefficient_nonlocal\|operator_nonlocal$"
+            ):
+                NonlinearitySpec(kind=kind)
         with pytest.raises(ValueError):
             make_config(n_sites=4, horizon=2, base_operator="w")
 
@@ -987,7 +1001,7 @@ class TestBatchedStep:
 
     @settings(max_examples=150, deadline=None)
     @given(
-        kind=st.sampled_from(["none", "local", "coefficient_nonlocal", "operator_nonlocal"]),
+        kind=st.sampled_from(dynamics.NONLINEARITY_KINDS),
         base=st.sampled_from(["x", "y", "z"]),
         n=st.integers(2, 6),
         horizon=st.integers(1, 3),
@@ -996,7 +1010,7 @@ class TestBatchedStep:
         seed=st.integers(0, 2**16),
         remote=st.integers(0, 5),
         masked=st.booleans(),
-        lam=st.floats(-2, 2),
+        lam=st.just(0.0) | st.floats(-2, 2),
     )
     def test_matches_ts_step_per_row(
         self, kind, base, n, horizon, size, pool, seed, remote, masked, lam
@@ -1053,8 +1067,12 @@ class TestBatchedStepFaults:
     def test_nan_row(self):
         psi = plus_state(3)
         psi.amplitudes[5] = np.nan
-        for kind, extra in (("local", {}), ("coefficient_nonlocal", {"source_site": 2}), ("none", {})):
-            cfg = make_config(n_sites=3, horizon=2, kind=kind, lam=0.5, **extra)
+        for nl in (
+            {"kind": "local", "lam": 0.5},
+            {"kind": "coefficient_nonlocal", "lam": 0.5, "source_site": 2},
+            {"kind": "local", "lam": 0.0},
+        ):
+            cfg = make_config(n_sites=3, horizon=2, **nl)
             # A coefficient kind fails the angle's test; a fixed gate fails the norm's.
             for s, d in ((gate_then_site_surface(), SiteAdvance(0)), (initial_surface(3, 2), LinkApply((0, 1), 0))):
                 self.assert_same_error(self.rows_with(psi, s, d), cfg, 1)

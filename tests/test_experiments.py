@@ -14,6 +14,7 @@ from reference import random_unitary
 from tslattice import _kernels, dynamics, experiments
 from tslattice.dynamics import (
     BASE_OPERATORS,
+    NONLINEARITY_KINDS,
     REMOTE_SITE_FIELDS,
     ModelConfig,
     NonlinearitySpec,
@@ -54,7 +55,9 @@ from tslattice.spacetime import (
     surface_levels,
 )
 
-KINDS = ["none", "local", "coefficient_nonlocal", "operator_nonlocal"]
+# The linear model (every kind at lambda = 0) and each kind at lambda = 0.5.
+MODELS = [("local", 0.0), ("local", 0.5), ("coefficient_nonlocal", 0.5), ("operator_nonlocal", 0.5)]
+MODEL_IDS = ["linear", "local", "coefficient_nonlocal", "operator_nonlocal"]
 
 
 def cfg_with(kind="local", lam=0.5, n_sites=4, horizon=3, **kw):
@@ -104,8 +107,8 @@ class TestIntegrabilityCheck:
         assert r.metric("max_swap_residue") <= 1e-12
         assert r.metric("exhaustive") == 1.0
 
-    def test_linear_kind_exact(self):
-        r = integrability_check(cfg_with("none", lam=0.0), exploration_budget=10000)
+    def test_linear_model_exact(self):
+        r = integrability_check(cfg_with("local", lam=0.0), exploration_budget=10000)
         assert r.metric("max_swap_residue") <= 1e-13
 
     def test_coefficient_nonlocal_violates(self):
@@ -185,20 +188,20 @@ def assert_scan_matches_reference(got, want):
 
 
 class TestSwapScanSharedLegs:
-    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("kind, lam", MODELS, ids=MODEL_IDS)
     @pytest.mark.parametrize("n_sites,horizon", [(2, 3), (3, 2), (4, 3)])
     @pytest.mark.parametrize("budget", [7, 10000])
-    def test_matches_four_step_reference(self, kind, n_sites, horizon, budget):
-        cfg = cfg_with(kind, n_sites=n_sites, horizon=horizon)
+    def test_matches_four_step_reference(self, kind, lam, n_sites, horizon, budget):
+        cfg = cfg_with(kind, lam=lam, n_sites=n_sites, horizon=horizon)
         got = swap_scan(cfg, budget)
         assert_scan_matches_reference(got, reference_swap_scan(cfg, budget))
         assert got[4] == (budget == 10000)
 
-    @pytest.mark.parametrize("kind", KINDS)
-    def test_every_budget_matches_reference(self, kind):
+    @pytest.mark.parametrize("kind, lam", MODELS, ids=MODEL_IDS)
+    def test_every_budget_matches_reference(self, kind, lam):
         # 26 surfaces in 9 levels of widths 1, 2, 3, 4, 4, 4, 4, 3, 1, so most
         # budgets cut a level part-way.
-        cfg = cfg_with(kind, n_sites=3, horizon=2)
+        cfg = cfg_with(kind, lam=lam, n_sites=3, horizon=2)
         total = sum(len(surfaces) for surfaces, _ in surface_levels(3, 2))
         assert total == 26
         for budget in range(1, total + 2):
@@ -209,7 +212,7 @@ class TestSwapScanSharedLegs:
 
     @pytest.mark.parametrize("budget", [5, 10000])
     def test_one_walk_serves_each_config_as_its_own_scan(self, budget):
-        cfgs = [cfg_with(kind, n_sites=4, horizon=3) for kind in KINDS]
+        cfgs = [cfg_with(kind, lam=lam, n_sites=4, horizon=3) for kind, lam in MODELS]
         assert _swap_scans(cfgs, budget) == [swap_scan(cfg, budget) for cfg in cfgs]
 
     @pytest.mark.parametrize("block", [1, 64, 1 << 10])
@@ -256,9 +259,8 @@ class TestFoliationSweep:
     @given(
         n=st.integers(2, 6),
         horizon=st.integers(1, 4),
-        kind=st.sampled_from(["none", "local"]),
         base=st.sampled_from(["x", "y"]),
-        lam=st.floats(-2, 2),
+        lam=st.just(0.0) | st.floats(-2, 2),
         mu=st.floats(-2, 2),
         link_coupling=st.floats(-2, 2),
         omega=st.floats(0, 3),
@@ -266,11 +268,11 @@ class TestFoliationSweep:
         seeds=st.lists(st.integers(0, 2**16), min_size=2, max_size=2, unique=True),
     )
     def test_two_random_foliations_reach_one_state(
-        self, n, horizon, kind, base, lam, mu, link_coupling, omega, dt, seeds
+        self, n, horizon, base, lam, mu, link_coupling, omega, dt, seeds
     ):
         cfg = ModelConfig(
             n_sites=n, horizon=horizon, omega=omega, mu=mu, link_coupling=link_coupling, dt=dt,
-            base_operator=base, nonlinearity=NonlinearitySpec(kind=kind, lam=lam),
+            base_operator=base, nonlinearity=NonlinearitySpec(kind="local", lam=lam),
         )
         psi0 = default_initial_state(cfg)
         for config, bound in ((cfg, COVARIANT_SWEEP_BOUND), (linear_config(cfg), LINEAR_SWEEP_BOUND)):
@@ -295,7 +297,7 @@ class TestFoliationSweep:
             foliation_sweep(cfg_with(kind), n_foliations=0)
 
     @pytest.mark.parametrize(
-        "kind, lam", [("none", 0.5), ("local", 0.5), ("coefficient_nonlocal", 0.0), ("operator_nonlocal", 0.0)]
+        "kind, lam", [("local", 0.0), ("local", 0.5), ("coefficient_nonlocal", 0.0), ("operator_nonlocal", 0.0)]
     )
     def test_canonical_foliations_alone_suffice_where_covariance_is_expected(self, kind, lam):
         r = foliation_sweep(cfg_with(kind, lam=lam), n_foliations=0)
@@ -396,10 +398,10 @@ class TestDegeneracyExperiment:
         assert len(r.details) == foliation_length(3, 2) + 1
 
     @pytest.mark.parametrize("n_sites", [3, 4, 5, 6])
-    @pytest.mark.parametrize("kind", ["none", "local", "coefficient_nonlocal", "operator_nonlocal"])
-    def test_coevolved_rows_match_dense_composed_map(self, kind, n_sites):
+    @pytest.mark.parametrize("kind, lam", MODELS, ids=MODEL_IDS)
+    def test_coevolved_rows_match_dense_composed_map(self, kind, lam, n_sites):
         horizon = 3
-        cfg = cfg_with(kind, n_sites=n_sites, horizon=horizon)
+        cfg = cfg_with(kind, lam=lam, n_sites=n_sites, horizon=horizon)
         probe = n_sites // 2
         foliations = [
             canonical_foliation(n_sites, horizon, "synchronous"),
@@ -478,12 +480,12 @@ class TestMapNonlinearityCheck:
         assert r.verdict == "pass"
         assert r.metric("superposition_defect") <= 1e-12
 
-    @pytest.mark.parametrize("kind", KINDS)
-    def test_superposition_bound_follows_whether_the_kind_reads_the_state(self, kind):
-        # none and operator_nonlocal step by fixed gates, so their state map
-        # is linear at any lambda; the other two read the state and are not.
-        r = map_nonlinearity_check(cfg_with(kind))
-        reads = kind in ("local", "coefficient_nonlocal")
+    @pytest.mark.parametrize("kind, lam", MODELS, ids=MODEL_IDS)
+    def test_superposition_bound_follows_whether_the_kind_reads_the_state(self, kind, lam):
+        # The linear model and operator_nonlocal step by fixed gates, so their
+        # state map is linear; the other two read the state and are not.
+        r = map_nonlinearity_check(cfg_with(kind, lam=lam))
+        reads = lam != 0.0 and kind in ("local", "coefficient_nonlocal")
         want = (">=", 1e-3) if reads else ("<=", 1e-12)
         assert ("superposition_defect", *want) in r.thresholds
         assert r.verdict == "pass"
@@ -614,8 +616,8 @@ class TestVerdictDirection:
     @given(
         n=st.integers(2, 4),
         horizon=st.integers(1, 3),
-        kind=st.sampled_from(KINDS),
-        lam=st.floats(-2, 2),
+        kind=st.sampled_from(NONLINEARITY_KINDS),
+        lam=st.just(0.0) | st.floats(-2, 2),
         dt=st.floats(0.01, 0.5),
         data=st.data(),
     )
@@ -710,11 +712,11 @@ class TestLambdaZeroRunsTheLinearStep:
             # The partner's own advances are one-site at every lambda.
             assert max(len(step.sites) for step in advances) == width
 
-    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("kind", NONLINEARITY_KINDS)
     def test_control_scan_groups_linear_rows_by_their_own_site(self, monkeypatch, kind):
         # A linear row's gate does not depend on the remote site's height, so
-        # the nonlocal kinds' control scan takes the gates of kinds none and
-        # local (remote site 4).
+        # the nonlocal kinds' control scan takes the gates of kind local
+        # (remote site 4).
         calls = 0
         real = _kernels.apply_1q
 
