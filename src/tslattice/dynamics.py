@@ -267,11 +267,14 @@ def _step_plan(surface: Hypersurface, d: Deformation, config: ModelConfig):
     return (i, j), nl.lam, None, terms
 
 
+@lru_cache(maxsize=128)
 def _nonlinear_plans(config: ModelConfig) -> tuple:
     """``(site, sites, read)`` of each site advance whose plan reads the state or spans two sites.
 
     Plans depend on the surface only through the heights their fields read, so
     the initial surface's site advances show them all (none at lambda = 0).
+    They are memoized per config; they hold no generator, so every step still
+    takes its fields, and their tests, from the generator caches.
     """
     surface = initial_surface(config.n_sites, config.horizon)
     plans = ((i, _step_plan(surface, SiteAdvance(i), config)) for i in range(config.n_sites))
@@ -375,17 +378,23 @@ def ts_step_batch(
     not advanced and no trajectory is recorded.
 
     Rows are grouped by what fixes the generator: a link and time, or the
-    advancing site and the heights its fields read. A group with a fixed
-    coefficient takes one closed-form gate in one kernel call. A group whose
-    coefficient reads the state forms G psi_r in one kernel call (O psi_r
-    for a remote source in one more), reads c_r = lambda <psi_r|O psi_r>
-    from it, and combines cos(theta_r) psi_r - i sin(theta_r) G psi_r.
+    advancing site and the heights its fields read (the memoized
+    ``_nonlinear_plans`` say which sites read the remote height). A group
+    with a fixed coefficient takes one closed-form gate in one kernel call.
+    A group whose coefficient reads the state forms G psi_r in one kernel
+    call (O psi_r for a remote source in one more), into its slice of one
+    stack that holds every such row of the call. One coefficient pass then
+    covers those rows together: it reads c_r = lambda <psi_r|O psi_r>,
+    tests them, and combines cos(theta_r) psi_r - i sin(theta_r) G psi_r.
+    numpy's row products over 2^14 amplitudes round with the stack's
+    height, so at N = 14 the last digits may differ from a pass per group.
 
     Each check of ``ts_step`` runs with its tolerance, error type and
     message, per row where rows differ: the expectation's imaginary part,
-    sin^2(theta_r) * residue <= UNITARY_ATOL (a NaN fails it), and the norm.
-    With several failing rows, the error is one of theirs. Sizes are
-    checked as in ``ts_step``, for one surface per group.
+    sin^2(theta_r) * residue <= UNITARY_ATOL (a NaN fails it, and the error
+    names the failing row's sites), and the norm. With several failing rows,
+    the error is one of theirs. Sizes are checked as in ``ts_step``, for one
+    surface per group.
     """
     n = config.n_sites
     if states.ndim != 2 or states.shape[1] != 1 << n:
@@ -404,34 +413,49 @@ def ts_step_batch(
         else:
             key = (d.site, s.heights[d.site], s.heights[j] if d.site in reach else None)
         groups.setdefault(key, []).append(r)
-    out = np.empty((len(sources), 1 << n), dtype=complex)
+    fixed, reading = [], []  # reading: the groups whose coefficient reads the state
     for rows in groups.values():
         d, surface = deformations[rows[0]], surfaces[rows[0]]
         _check_sizes(n, surface.n_sites, n)
         sites, _, read, terms = _step_plan(surface, d, config)
-        step_dt = config.dt if type(d) is SiteAdvance else 1.0
-        sub = states[sources[rows]]
-        if read is None:
-            out[rows] = _apply_gate(sub, _gate(sites, terms, step_dt), sites, n)
-            continue
-        ((g, residue, scale),) = terms
-        g_psi = _kernels.apply_1q(sub, g, sites[0], n)
-        if read[0] == sites[0]:
-            o_psi = g_psi
-        else:
-            field = _free_field(read[0], read[1], config.omega, config.base_operator)[0]
-            o_psi = _kernels.apply_1q(sub, field.matrix, read[0], n)
-        raw = _row_products(sub, o_psi)
+        (fixed if read is None else reading).append((rows, d, sites, read, terms))
+    if reading:
+        # One coefficient pass over every reading row. It runs before ``out``
+        # is made, so that its stacks and ``out`` are never all held at once.
+        rows = [r for group in reading for r in group[0]]
+        ends = np.cumsum([len(group[0]) for group in reading])
+        psi = states[sources[rows]]
+        g_psi = np.empty_like(psi)
+        o_psi = g_psi if all(read[0] == sites[0] for _, _, sites, read, _ in reading) else np.empty_like(psi)
+        scale, residue = np.empty(len(rows)), np.empty(len(rows))
+        lo = 0
+        for (_, _, sites, read, ((g, g_residue, g_scale),)), hi in zip(reading, ends):
+            g_psi[lo:hi] = _kernels.apply_1q(psi[lo:hi], g, sites[0], n)
+            if o_psi is not g_psi:
+                field = _free_field(read[0], read[1], config.omega, config.base_operator)[0]
+                o_psi[lo:hi] = _kernels.apply_1q(psi[lo:hi], field.matrix, read[0], n)
+            scale[lo:hi], residue[lo:hi] = g_scale, g_residue
+            lo = hi
+        raw = _row_products(psi, o_psi)
         imag = np.abs(raw.imag) > IMAG_ATOL
         if imag.any():
             raise _imaginary_residue(float(raw.imag[imag.argmax()]))
-        theta = step_dt * (scale + nl.lam * raw.real)
+        theta = config.dt * (scale + nl.lam * raw.real)
         sin = np.sin(theta)
-        if not (sin * sin * residue <= UNITARY_ATOL).all():
-            raise _not_unitary(sites)
+        bad = ~(sin * sin * residue <= UNITARY_ATOL)
+        if bad.any():
+            raise _not_unitary(reading[int(np.searchsorted(ends, bad.argmax(), side="right"))][2])
+        psi *= np.cos(theta)[:, None]
         g_psi *= (-1j * sin)[:, None]
-        g_psi += np.cos(theta)[:, None] * sub
+        g_psi += psi
+        del psi, o_psi
+    out = np.empty((len(sources), 1 << n), dtype=complex)
+    if reading:
         out[rows] = g_psi
+        del g_psi
+    for rows, d, sites, _, terms in fixed:
+        step_dt = config.dt if type(d) is SiteAdvance else 1.0
+        out[rows] = _apply_gate(states[sources[rows]], _gate(sites, terms, step_dt), sites, n)
     nrm = np.sqrt(_row_products(out, out).real)
     bad = ~(np.abs(nrm - 1.0) <= NORM_ATOL)
     if bad.any():

@@ -293,9 +293,11 @@ def integrability_check(config: ModelConfig, exploration_budget: int = 2000) -> 
     deformation, are one ``ts_step_batch`` call; each opens every pair it
     belongs to, and the edge that discovered a surface gives the next level
     its state. The chunk's second legs are one more call. Within a call,
-    rows that share a generator are one group and one kernel call. The
-    witness is the first strict maximum in surface order, then
-    ``itertools.combinations`` order.
+    rows that share a generator are one group and one kernel call, and the
+    rows whose coefficient reads the state share one coefficient pass.
+    Each call, and the verdict rules, read the config's plans from one
+    memoized ``_nonlinear_plans`` entry. The witness is the first strict
+    maximum in surface order, then ``itertools.combinations`` order.
 
     Checks: ``apply_deformation`` (so ``is_enabled``) makes every edge of
     the graph; the diamond property (both orders enabled and reaching one

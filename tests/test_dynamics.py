@@ -31,6 +31,7 @@ from tslattice.dynamics import (
     linear_config,
     ts_step,
 )
+from tslattice.experiments import integrability_check
 from tslattice.quantum_core import (
     PAULI_X,
     PAULI_Y,
@@ -580,14 +581,19 @@ class TestExactFlow:
             assert np.abs(psi.amplitudes - want.amplitudes).max() <= 1e-12
 
 
+def clear_generator_caches():
+    dynamics._free_field.cache_clear()
+    dynamics._pair_generator.cache_clear()
+
+
 @pytest.fixture
 def fresh_generator_caches():
-    """Empty the field and pair caches around a test that patches the base operators."""
-    dynamics._free_field.cache_clear()
-    dynamics._pair_generator.cache_clear()
+    """Empty the field and pair caches and the plan memo around a test that patches the base operators."""
+    clear_generator_caches()
+    dynamics._nonlinear_plans.cache_clear()
     yield dynamics
-    dynamics._free_field.cache_clear()
-    dynamics._pair_generator.cache_clear()
+    clear_generator_caches()
+    dynamics._nonlinear_plans.cache_clear()
 
 
 def gate_then_site_surface():
@@ -1005,8 +1011,8 @@ class TestBatchedStep:
         base=st.sampled_from(["x", "y", "z"]),
         n=st.integers(2, 6),
         horizon=st.integers(1, 3),
-        size=st.integers(1, 8),
-        pool=st.integers(1, 3),
+        size=st.integers(1, 16),
+        pool=st.integers(1, 6),
         seed=st.integers(0, 2**16),
         remote=st.integers(0, 5),
         masked=st.booleans(),
@@ -1063,6 +1069,41 @@ class TestBatchedStepFaults:
             cfg = make_config(n_sites=3, horizon=2, kind=kind, lam=0.5, **extra)
             for s, d in (site, link):
                 self.assert_same_error(self.rows_with(plus_state(3), s, d), cfg, 1)
+
+    def test_failing_row_of_a_later_group(self, monkeypatch):
+        # Two state-reading groups share the coefficient pass; only site 2's
+        # field reports a residue that fails the unitarity test.
+        real = dynamics._free_field
+
+        def residue_off_at_site_2(site, tau, omega, base_operator):
+            field, residue = real(site, tau, omega, base_operator)
+            return field, 1e6 if site == 2 else residue
+
+        monkeypatch.setattr(dynamics, "_free_field", residue_off_at_site_2)
+        cfg = make_config(n_sites=3, horizon=2, kind="local", lam=0.5)
+        s = gate_then_site_surface()
+        rows = [(plus_state(3), s, SiteAdvance(0)), (zero_state(3), s, SiteAdvance(0))]
+        rows += [(plus_state(3), s, SiteAdvance(2)), (zero_state(3), s, SiteAdvance(2))]
+        self.assert_same_error(rows, cfg, 3)
+        with pytest.raises(ValueError, match=r"^operator at site 2 is not unitary"):
+            step_rows(rows, cfg)
+
+    def test_memoized_plans_keep_the_hermiticity_test(self, monkeypatch, fresh_generator_caches):
+        cfg = make_config(n_sites=3, horizon=2, kind="local", lam=0.5)
+        rows = self.rows_with(plus_state(3), gate_then_site_surface(), SiteAdvance(0))
+        step_rows(rows, cfg)
+        integrability_check(cfg, exploration_budget=20)
+        assert dynamics._nonlinear_plans.cache_info().currsize > 0
+        bad = np.array([[0.0, 1.0], [1.0 + 1e-13, 0.0]], dtype=complex)
+        monkeypatch.setitem(fresh_generator_caches.BASE_OPERATORS, "x", bad)
+        clear_generator_caches()  # the plan memo stays filled
+        self.assert_same_error(rows, cfg, 1)
+        first = (plus_state(3), initial_surface(3, 2), enabled_deformations(initial_surface(3, 2))[0])
+        with pytest.raises(ValueError) as want:
+            ts_step(*first, cfg)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
+            integrability_check(cfg, exploration_budget=20)
+        assert dynamics._nonlinear_plans.cache_info().currsize > 0
 
     def test_nan_row(self):
         psi = plus_state(3)

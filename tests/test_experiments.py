@@ -677,7 +677,7 @@ class TestLambdaZeroRunsTheLinearStep:
     @pytest.mark.parametrize("kind", ["local", "coefficient_nonlocal"])
     def test_state_reading_kinds_read_no_state(self, monkeypatch, kind):
         # A ts_step_batch call takes one _row_products for its norms, and one
-        # more for each group whose coefficient reads the state.
+        # more when some row's coefficient reads the state.
         calls = {"_real_expectation": 0, "_row_products": 0, "ts_step_batch": 0}
 
         def spy(module, name):
