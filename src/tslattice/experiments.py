@@ -4,7 +4,11 @@ Every experiment returns an ExperimentReport carrying the resolved
 configuration, named scalar metrics, the thresholds used for the verdict, and
 per-sample detail rows. Each one embeds its lambda = 0 control; the verdict
 is a pure function of metrics and thresholds, computed by the report type
-itself. Reports are deterministic for a fixed configuration and seed.
+itself. Reports are deterministic for a fixed configuration and seed on one
+host with a fixed number of BLAS threads: at N = 14 OpenBLAS splits inner
+products by thread, and the last digit can move (the benchmark's
+``sweep_wide`` seed 1 ``max_pairwise_distance`` ends in ...886 with one
+thread and ...887 with two).
 """
 
 from __future__ import annotations

@@ -19,6 +19,7 @@ from reference import (
     rk4_step,
 )
 
+import tslattice._kernels as _kernels
 import tslattice.dynamics as dynamics
 from tslattice.dynamics import (
     ModelConfig,
@@ -837,17 +838,33 @@ def kind_configs(n):
         yield make_config(n_sites=n, horizon=3, kind="operator_nonlocal", lam=0.5, partner_site=partner)
 
 
-class TestFusedGates:
-    """``_fused_gates`` keeps the product of a record's gates and makes one gate per two-site step."""
+def one_gate_per_link(steps):
+    """Passes of one gate per two-site step, plus one per site that carries only one-site gates."""
+    pairs = [step.sites for step in steps if len(step.sites) == 2]
+    linked = {s for sites in pairs for s in sites}
+    return len(pairs) + len({step.sites[0] for step in steps if len(step.sites) == 1} - linked)
+
+
+def is_one_pass(sites):
+    """A far pair, or at most ``_WINDOW`` adjacent sites listed in order."""
+    if len(sites) == 2 and sites[1] - sites[0] >= dynamics._WINDOW:
+        return True
+    return len(sites) <= dynamics._WINDOW and list(sites) == list(range(sites[0], sites[0] + len(sites)))
+
+
+class TestBlocks:
+    """``_blocks`` keeps the product of a record's gates, in blocks of one pass each."""
 
     @staticmethod
     def check(steps, n):
-        fused = dynamics._fused_gates(steps)
+        blocks = dynamics._blocks(steps)
         want = kron_product(((step.unitary, step.sites) for step in steps), n)
-        assert np.max(np.abs(kron_product(fused, n) - want)) <= 1e-14
-        return fused
+        assert np.max(np.abs(kron_product(blocks, n) - want)) <= 1e-13
+        assert np.max(np.abs(compose_map(TrajectoryRecord(tuple(steps), n)) - want)) <= 1e-13
+        assert all(is_one_pass(sites) for _, sites in blocks)
+        return blocks
 
-    @pytest.mark.parametrize("n", range(2, 7))
+    @pytest.mark.parametrize("n", range(2, 8))
     @pytest.mark.parametrize("order", ["synchronous", "staircase", "random"])
     def test_product_of_every_kind_and_foliation(self, n, order):
         if order == "random":
@@ -856,9 +873,8 @@ class TestFusedGates:
             fol = canonical_foliation(n, 3, order)
         for cfg in kind_configs(n):
             _, record = evolve(plus_state(n), fol, cfg)
-            fused = self.check(record.steps, n)
-            pairs = [step.sites for step in record.steps if len(step.sites) == 2]
-            assert [sites for _, sites in fused] == pairs  # every site is on a link
+            blocks = self.check(record.steps, n)
+            assert len(blocks) <= one_gate_per_link(record.steps)
 
     def test_partner_below_the_advancing_site(self):
         cfg = make_config(n_sites=4, horizon=3, kind="operator_nonlocal", lam=0.5, partner_site=0)
@@ -869,37 +885,77 @@ class TestFusedGates:
     def test_one_site_gates_only(self):
         rng = np.random.default_rng(11)
         steps = [hand_step(sites, rng) for sites in [(0,), (2,), (0,), (1,), (2,), (2,)]]
-        fused = self.check(steps, 3)
-        assert sorted(sites for _, sites in fused) == [(0,), (1,), (2,)]
+        blocks = self.check(steps, 3)
+        assert [sites for _, sites in blocks] == [(0, 1, 2)]
 
     def test_one_site_gate_after_the_last_two_site_gate(self):
         rng = np.random.default_rng(12)
         steps = [hand_step(sites, rng) for sites in [(0, 1), (1, 2), (0,), (1,), (2,), (0,), (2, 0), (2,)]]
-        fused = self.check(steps, 3)
-        assert [sites for _, sites in fused] == [(0, 1), (1, 2), (2, 0)]
+        blocks = self.check(steps, 3)
+        assert [sites for _, sites in blocks] == [(0, 1, 2)]
 
     def test_one_site_gate_before_the_first_two_site_gate(self):
         rng = np.random.default_rng(13)
         steps = [hand_step(sites, rng) for sites in [(2,), (1,), (2,), (3,), (0, 1), (3, 1), (0,), (2, 3)]]
-        fused = self.check(steps, 4)
-        assert [sites for _, sites in fused] == [(0, 1), (3, 1), (2, 3)]
+        blocks = self.check(steps, 4)
+        assert [sites for _, sites in blocks] == [(0, 1, 2, 3)]
 
-    def test_dense_maps_record_takes_one_pass_per_link(self, monkeypatch):
+    def test_far_pairs_stay_pairs(self):
+        # Sites 0 and 5 are further apart than a window: a block on both is a
+        # pair, which a one-site gate on a third site cannot join.
+        rng = np.random.default_rng(14)
+        steps = [hand_step(sites, rng) for sites in [(0, 5), (2,), (5, 0), (0,), (2, 3), (4, 5), (1, 0)]]
+        blocks = self.check(steps, 6)
+        assert [sites for _, sites in blocks] == [(0, 5), (2, 3, 4, 5), (0, 1)]
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(1, 7),
+        seed=st.integers(0, 2**16),
+        picks=st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6), st.booleans()), max_size=24),
+    )
+    def test_random_records(self, n, seed, picks):
+        # One-site gates, and pairs both adjacent and far, in either order.
+        rng = np.random.default_rng(seed)
+        steps = []
+        for a, b, one_site in picks:
+            a, b = a % n, b % n
+            steps.append(hand_step((a,) if one_site or a == b else (a, b), rng))
+        self.check(steps, n)
+
+    def test_map_is_the_same_for_every_window(self, monkeypatch):
+        cfg = make_config(n_sites=7, horizon=3, kind="operator_nonlocal", lam=0.5, partner_site=6)
+        _, record = evolve(plus_state(7), random_foliation(7, 3, 15), cfg)
+        maps = []
+        for window in (2, 3, 4, 5):
+            monkeypatch.setattr(dynamics, "_WINDOW", window)
+            self.check(record.steps, 7)
+            maps.append(compose_map(record))
+        assert max(np.max(np.abs(u - maps[0])) for u in maps) <= 1e-13
+
+    def test_dense_maps_record_takes_five_passes(self, monkeypatch):
         # The benchmark's dense_maps record: N = 10, T = 4, a seeded random
-        # foliation, kind local. Its 40 site advances join its 18 links.
+        # foliation, kind local. Its 58 steps (18 of them links) fuse into
+        # five windows of four sites.
         cfg = make_config(n_sites=10, horizon=4, kind="local", lam=0.5)
         final, record = evolve(zero_state(10), random_foliation(10, 4, 21), cfg)
         passes = []
-        real = dynamics._apply_gate
 
-        def counted(amps, u, sites, n):
-            passes.append(sites)
-            return real(amps, u, sites, n)
+        def counted(kernel):
+            def run(v, *args):
+                if v.size == 4**10:
+                    passes.append(v.shape)
+                return kernel(v, *args)
 
-        monkeypatch.setattr(dynamics, "_apply_gate", counted)
+            return run
+
+        # Every gate pass ends in one of these two; on the map's shapes
+        # _apply_middle never calls _gathered.
+        monkeypatch.setattr(_kernels, "_apply_middle", counted(_kernels._apply_middle))
+        monkeypatch.setattr(_kernels, "_gathered", counted(_kernels._gathered))
         u = compose_map(record)
-        assert (len(record), len(passes)) == (58, 18)
-        assert all(len(sites) == 2 for sites in passes)
+        assert (len(record), len(passes)) == (58, 5)
+        assert all(shape[1] == 16 for shape in passes)
         assert np.abs(u[:, 0] - final.amplitudes).max() <= 1e-13
 
 
