@@ -17,6 +17,8 @@ Nonlinearity kinds (lambda = 0 is the linear model for each):
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
@@ -521,13 +523,80 @@ def _blocks(steps) -> list:
     return fused
 
 
+def _workers() -> int:
+    """Threads that ``_in_workers`` shares its chunks over: two, or one on a one-core host."""
+    return min(2, len(os.sched_getaffinity(0)))
+
+
+def _in_workers(work, chunks) -> list:
+    """``[work(chunks[k::w]) for k in range(w)]`` with each share on its own thread.
+
+    Share 0 runs on the caller's thread; a helper thread is started only
+    for a call of two or more chunks. numpy releases the GIL inside
+    ``matmul``, so two single-threaded BLAS products run at once. Which
+    share a chunk falls in never changes what it computes, so results do not
+    depend on ``w``. An exception raised in a helper is raised here.
+    """
+    w = max(1, min(_workers(), len(chunks)))
+    results = [None] * w
+    errors = []
+
+    def run(k):
+        try:
+            results[k] = work(chunks[k::w])
+        except BaseException as exc:
+            errors.append(exc)
+
+    helpers = [threading.Thread(target=run, args=(k,)) for k in range(1, w)]
+    for thread in helpers:
+        thread.start()
+    try:
+        results[0] = work(chunks[0::w])
+    finally:
+        for thread in helpers:
+            thread.join()
+    if errors:
+        raise errors[0]
+    return results
+
+
+# Amplitudes of the map one in-place product covers: 1 MiB of scratch per
+# worker, 16 chunks of a 2^10-site map.
+_MAP_CHUNK = 1 << 16
+
+
+def _apply_in_place(v: np.ndarray, u: np.ndarray) -> None:
+    """u on the middle axis of the view ``(lead, d, rest)``, written back into v.
+
+    v is cut into chunks of at most ``_MAP_CHUNK`` amplitudes (whole leading
+    blocks, or one leading block's slice of ``rest``); each is one
+    ``np.matmul`` into its worker's scratch and one copy back.
+    """
+    lead, d, rest = v.shape
+    width = min(rest, max(1, _MAP_CHUNK // d))
+    height = max(1, _MAP_CHUNK // (d * rest))
+    chunks = [
+        (slice(a, a + height), slice(b, b + width)) for a in range(0, lead, height) for b in range(0, rest, width)
+    ]
+
+    def work(share):
+        tmp = np.empty((min(lead, height), d, width), dtype=v.dtype)
+        for rows, cols in share:
+            sub = v[rows, :, cols]
+            np.matmul(u, sub, out=tmp)
+            sub[...] = tmp
+
+    _in_workers(work, chunks)
+
+
 def compose_map(record: TrajectoryRecord) -> np.ndarray:
     """Dense product of the recorded per-step unitaries, in application order.
 
     The result acts on state-independent objects; it is unitary even though
     the state map that produced the record is not linear. The map takes one
     pass per block of ``_blocks``: gates fused on a far pair, or on at most
-    ``_WINDOW`` adjacent sites as one matrix on the middle axis.
+    ``_WINDOW`` adjacent sites as one matrix on the middle axis, applied in
+    place by ``_apply_in_place``.
     """
     n = record.n_sites
     check_dense_sites("composed map", n)
@@ -539,7 +608,7 @@ def compose_map(record: TrajectoryRecord) -> np.ndarray:
         if sites[-1] - sites[0] >= _WINDOW:
             m = _kernels.apply_2q(m, u, sites[0], sites[1], 2 * n)
         else:
-            m = _kernels._apply_middle(m.reshape(-1, len(u), 1 << (2 * n - 1 - sites[-1])), u).ravel()
+            _apply_in_place(m.reshape(-1, len(u), 1 << (2 * n - 1 - sites[-1])), u)
     return m.reshape(dim, dim)
 
 

@@ -25,6 +25,7 @@ from .dynamics import (
     ModelConfig,
     NonlinearitySpec,
     _apply_gate,
+    _in_workers,
     _nonlinear_plans,
     _trajectory,
     check_dense_sites,
@@ -677,25 +678,32 @@ def degeneracy_experiment(config: ModelConfig, foliation: Foliation | None = Non
 
 # -- composed-map structure --------------------------------------------------------
 
-# Rows of u^dag u formed at a time by _unitarity_defect: 128 rows of a
-# 2^10-column map is 2 MiB, against 16 MiB for the whole product.
-_DEFECT_BLOCK = 128
+# Rows of u^dag u formed at a time by _unitarity_defect: 64 rows of a
+# 2^10-column map is a 1 MiB product beside a 1 MiB column copy, for each
+# of the two workers, against 16 MiB for the whole product.
+_DEFECT_BLOCK = 64
 
 
 def _unitarity_defect(u: np.ndarray) -> float:
-    """max|u^dag u - I|, formed one block of rows at a time.
+    """max|u^dag u - I|, formed one block of rows at a time, NaN if any entry is NaN.
 
     u^dag u is Hermitian for any u, so each block of rows is formed from its
-    diagonal on: the upper half holds every entry's magnitude.
+    diagonal on: the upper half holds every entry's magnitude. The blocks
+    alternate between the workers of ``_in_workers``.
     """
-    worst = 0.0
-    for a in range(0, u.shape[1], _DEFECT_BLOCK):
-        b = min(a + _DEFECT_BLOCK, u.shape[1])
-        rows = u[:, a:b].conj().T @ u[:, a:]
-        k = np.arange(b - a)
-        rows[k, k] -= 1.0
-        worst = max(worst, float(np.abs(rows).max()))
-    return worst
+
+    def work(starts):
+        worst = []
+        for a in starts:
+            b = min(a + _DEFECT_BLOCK, u.shape[1])
+            rows = u[:, a:b].conj().T @ u[:, a:]
+            k = np.arange(b - a)
+            rows[k, k] -= 1.0
+            worst.append(np.abs(rows).max())
+        # np.max, unlike max(), propagates a NaN from any block.
+        return np.max(worst)
+
+    return float(np.max(_in_workers(work, range(0, u.shape[1], _DEFECT_BLOCK))))
 
 
 def map_nonlinearity_check(

@@ -2,6 +2,10 @@
 
 import math
 import re
+import sys
+import threading
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -934,11 +938,9 @@ class TestBlocks:
         assert max(np.max(np.abs(u - maps[0])) for u in maps) <= 1e-13
 
     def test_dense_maps_record_takes_five_passes(self, monkeypatch):
-        # The benchmark's dense_maps record: N = 10, T = 4, a seeded random
-        # foliation, kind local. Its 58 steps (18 of them links) fuse into
-        # five windows of four sites.
-        cfg = make_config(n_sites=10, horizon=4, kind="local", lam=0.5)
-        final, record = evolve(zero_state(10), random_foliation(10, 4, 21), cfg)
+        # The benchmark's dense_maps record: its 58 steps (18 of them links)
+        # fuse into five windows of four sites.
+        final, record = dense_maps_record()
         passes = []
 
         def counted(kernel):
@@ -949,14 +951,94 @@ class TestBlocks:
 
             return run
 
-        # Every gate pass ends in one of these two; on the map's shapes
-        # _apply_middle never calls _gathered.
-        monkeypatch.setattr(_kernels, "_apply_middle", counted(_kernels._apply_middle))
-        monkeypatch.setattr(_kernels, "_gathered", counted(_kernels._gathered))
+        # Every block pass is one of these two: a window in place, or a far
+        # pair through the kernels (this record has none).
+        monkeypatch.setattr(dynamics, "_apply_in_place", counted(dynamics._apply_in_place))
+        monkeypatch.setattr(_kernels, "apply_2q", counted(_kernels.apply_2q))
         u = compose_map(record)
         assert (len(record), len(passes)) == (58, 5)
-        assert all(shape[1] == 16 for shape in passes)
+        assert all(len(shape) == 3 and shape[1] == 16 for shape in passes)
         assert np.abs(u[:, 0] - final.amplitudes).max() <= 1e-13
+
+
+def dense_maps_record():
+    """The benchmark's dense_maps record: N = 10, T = 4, kind local, random foliation seed 21."""
+    cfg = make_config(n_sites=10, horizon=4, kind="local", lam=0.5)
+    return evolve(zero_state(10), random_foliation(10, 4, 21), cfg)
+
+
+class TestWorkers:
+    """``_in_workers`` and the dense map: results do not depend on the worker count."""
+
+    @pytest.mark.parametrize("n", [9, 10])
+    def test_compose_map_is_the_same_for_every_worker_count(self, monkeypatch, n):
+        for cfg in kind_configs(n):
+            _, record = evolve(plus_state(n), random_foliation(n, 3, 16), cfg)
+            maps = []
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(dynamics, "_workers", lambda w=workers: w)
+                maps.append(compose_map(record))
+            assert all(np.array_equal(u, maps[0]) for u in maps[1:])
+
+    def test_three_workers_under_fast_switching(self, monkeypatch):
+        # More workers than cores, switching as often as the interpreter
+        # allows: a chunk lost or written twice would change the map.
+        _, record = evolve(plus_state(9), random_foliation(9, 4, 17), make_config(n_sites=9, horizon=4))
+        want = compose_map(record)
+        monkeypatch.setattr(dynamics, "_workers", lambda: 3)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = [compose_map(record) for _ in range(10)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(np.array_equal(u, want) for u in got)
+
+    def test_shares_alternate_and_come_back_in_worker_order(self, monkeypatch):
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(dynamics, "_workers", lambda w=workers: w)
+            got = dynamics._in_workers(list, range(7))
+            assert got == [list(range(k, 7, workers)) for k in range(workers)]
+
+    def test_one_chunk_starts_no_thread(self, monkeypatch):
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a helper thread was started")
+
+        monkeypatch.setattr(dynamics, "_workers", lambda: 2)
+        monkeypatch.setattr(dynamics, "threading", SimpleNamespace(Thread=no_thread))
+        assert dynamics._in_workers(list, [5]) == [[5]]
+        compose_map(TrajectoryRecord((), 4))
+
+    def test_helper_thread_error_reaches_the_caller(self, monkeypatch):
+        # A bare threading.Thread prints the error and drops it; the helper
+        # thread's share would then come back as None.
+        monkeypatch.setattr(dynamics, "_workers", lambda: 2)
+        caller = threading.get_ident()
+        ran = []
+
+        def work(share):
+            ran.append(list(share))
+            if threading.get_ident() != caller:
+                raise ZeroDivisionError("in the helper thread")
+            return share
+
+        with pytest.raises(ZeroDivisionError, match="in the helper thread"):
+            dynamics._in_workers(work, [0, 1, 2, 3])
+        assert sorted(ran) == [[0, 2], [1, 3]]
+
+    def test_peak_memory_at_ten_sites(self):
+        # One 16 MiB map, changed in place, and a 1 MiB scratch chunk per
+        # worker; a pass that makes a new map holds two maps (32 MiB).
+        final, record = dense_maps_record()
+        compose_map(record)  # warm caches outside the traced region
+        tracemalloc.start()
+        try:
+            u = compose_map(record)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.abs(u[:, 0] - final.amplitudes).max() <= 1e-13
+        assert peak < 20 << 20
 
 
 class TestStateMapNonlinearity:

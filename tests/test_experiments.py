@@ -2,6 +2,7 @@
 
 import importlib
 import itertools
+import math
 import sys
 import tracemalloc
 from collections import deque
@@ -523,11 +524,38 @@ class TestUnitarityDefect:
         u = random_unitary(2**n, rng)
         # Each entry of u^dag u near 1 carries rounding of order 1e-16.
         for m in (u, u + 1e-6 * rng.standard_normal(u.shape)):
-            assert experiments._unitarity_defect(m) == pytest.approx(self.dense(m), rel=0, abs=1e-15)
+            for workers in (1, 2):
+                monkeypatch.setattr(dynamics, "_workers", lambda w=workers: w)
+                assert experiments._unitarity_defect(m) == pytest.approx(self.dense(m), rel=0, abs=1e-15)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("entry", [(3, 3), (200, 7)])
+    def test_nan_entry_is_nan(self, monkeypatch, entry, workers):
+        # max(0.0, nan) is 0.0, so a running max() over the blocks would let
+        # a NaN map pass unitarity_defect <= 1e-10.
+        monkeypatch.setattr(dynamics, "_workers", lambda: workers)
+        u = np.eye(256, dtype=complex)
+        u[entry] = np.nan
+        defect = experiments._unitarity_defect(u)
+        assert math.isnan(defect)
+        metrics = (("unitarity_defect", defect),)
+        assert verdict_from(metrics, (("unitarity_defect", "<=", 1e-10),)) == "fail"
+
+    @pytest.mark.parametrize("n", [9, 10])
+    def test_same_for_every_worker_count(self, monkeypatch, n):
+        rng = np.random.default_rng(720 + n)
+        u = random_unitary(1 << n, rng) + 1e-9 * rng.standard_normal((1 << n, 1 << n))
+        got = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(dynamics, "_workers", lambda w=workers: w)
+            got.append(experiments._unitarity_defect(u))
+        assert got[0] > 1e-9
+        assert got == [got[0]] * 3
 
     def test_peak_memory_at_ten_sites(self):
         # The dense expression holds four 16 MiB arrays at once at n = 10; a
-        # block of 128 rows holds a 2 MiB product and a 2 MiB column copy.
+        # block of 64 rows holds a 1 MiB product and a 1 MiB column copy, on
+        # each of two workers.
         u = random_unitary(1 << 10, np.random.default_rng(710))
         want = self.dense(u)
         tracemalloc.start()
