@@ -8,16 +8,13 @@ an adjacent pair is the middle axis of ``(2^lo, 4, 2^(n-1-hi))``. The layout
 follows Häner & Steiger, "0.5 Petabyte Simulation of a 45-Qubit Quantum
 Circuit" (SC17, arXiv:1704.01127).
 
-numpy has no strided small-gate kernel, so the matrix product that carries
-the gate is picked by the view's shape ``(lead, d, rest)``:
-
-- few leading blocks, or long trailing ones: one ``np.matmul`` broadcast over
-  the leading axis (its cost grows with the number of blocks);
-- many leading blocks and a short trailing block: the trailing block is
-  folded into the gate, ``kron(g, I_rest)``, and the gate is one matrix
-  product on the 2-D view ``(lead, d * rest)``;
-- otherwise (non-adjacent pairs, mid-sized blocks): the gate axes are
-  gathered to the front in one strided copy, multiplied, and scattered back.
+numpy has no strided small-gate kernel. A gate on the middle axis of the
+view ``(lead, d, rest)`` takes one of two matrix products: with
+``lead > 16`` and ``d * rest <= 32``, the trailing block is folded into the
+gate, ``kron(g, I_rest)``, for one product on the 2-D view
+``(lead, d * rest)``; otherwise one ``np.matmul`` broadcast over the
+leading axis. A non-adjacent pair's two gate axes are gathered to the front
+in one strided copy, multiplied, and scattered back.
 
 The gates take their leading extent from the array: a ``(B, 2^n)`` stack of
 B states, C-contiguous, is one view with B times as many leading blocks, so
@@ -32,11 +29,9 @@ from functools import lru_cache
 import numpy as np
 
 # Broadcast matmul pays about 0.3 us per leading block; folding multiplies
-# the work by d * rest. These limits pick the fastest of the three routes in
-# per-call timings for N = 5..20 on one core.
-_MATMUL_MAX_LEAD = 128
-_MATMUL_MIN_REST = 64
-_FOLD_MAX_WIDTH = 16
+# the work by d * rest. Past these limits the broadcast matmul is the route.
+_FOLD_MAX_WIDTH = 32
+_FOLD_MIN_LEAD = 16
 
 
 @lru_cache(maxsize=None)
@@ -67,13 +62,9 @@ def _gathered(v, g, axes):
 def _apply_middle(v, g):
     """g on the middle axis of the view ``(lead, d, rest)``; returns an array of v's size."""
     lead, d, rest = v.shape
-    if d * rest <= _FOLD_MAX_WIDTH and lead > _FOLD_MAX_WIDTH:
-        out = v.reshape(lead, d * rest) @ _folded(g, rest)
-    elif lead <= _MATMUL_MAX_LEAD or rest >= _MATMUL_MIN_REST:
-        out = np.matmul(g, v)
-    else:
-        out = _gathered(v, g, (1,))
-    return out
+    if d * rest <= _FOLD_MAX_WIDTH and lead > _FOLD_MIN_LEAD:
+        return v.reshape(lead, d * rest) @ _folded(g, rest)
+    return np.matmul(g, v)
 
 
 def apply_1q(amps, m, site, n):

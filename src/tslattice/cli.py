@@ -28,6 +28,7 @@ from .dynamics import (
 )
 from .experiments import (
     ExperimentReport,
+    check_degeneracy_probe,
     check_signal_sites,
     check_sweep_foliations,
     degeneracy_experiment,
@@ -71,7 +72,7 @@ EXPERIMENTS = {
     ),
     "degeneracy": (
         lambda model, cfg, replayed: degeneracy_experiment(model, foliation=replayed),
-        lambda model, cfg, replayed: check_dense_sites("degeneracy experiment", model.n_sites),
+        lambda model, cfg, replayed: check_degeneracy_probe(model),
     ),
     "nonlinearity": (
         lambda model, cfg, replayed: map_nonlinearity_check(model, foliation=replayed),

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import os
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
@@ -524,40 +524,33 @@ def _blocks(steps) -> list:
 
 
 def _workers() -> int:
-    """Threads that ``_in_workers`` shares its chunks over: two, or one on a one-core host."""
-    return min(2, len(os.sched_getaffinity(0)))
+    """Threads that ``_in_workers`` shares its chunks over: ``min(2, cores)``, or one beside a BLAS pool.
+
+    OpenBLAS sizes its pool at load from ``OPENBLAS_NUM_THREADS``, else ``OMP_NUM_THREADS``, else the
+    cores; a pool of two or more threads already loads them, and a second worker would oversubscribe them.
+    """
+    cores = len(os.sched_getaffinity(0))
+    sizes = [os.environ.get(var, "").strip() for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")]
+    pool = next((int(size) for size in sizes if size.isdecimal() and int(size) > 0), cores)
+    return 1 if pool > 1 else min(2, cores)
 
 
 def _in_workers(work, chunks) -> list:
     """``[work(chunks[k::w]) for k in range(w)]`` with each share on its own thread.
 
-    Share 0 runs on the caller's thread; a helper thread is started only
-    for a call of two or more chunks. numpy releases the GIL inside
+    Share 0 runs on the caller's thread; a pool of helper threads is made
+    only for a call of two or more chunks. numpy releases the GIL inside
     ``matmul``, so two single-threaded BLAS products run at once. Which
     share a chunk falls in never changes what it computes, so results do not
-    depend on ``w``. An exception raised in a helper is raised here.
+    depend on ``w``. An exception raised in any share is raised here.
     """
     w = max(1, min(_workers(), len(chunks)))
-    results = [None] * w
-    errors = []
-
-    def run(k):
-        try:
-            results[k] = work(chunks[k::w])
-        except BaseException as exc:
-            errors.append(exc)
-
-    helpers = [threading.Thread(target=run, args=(k,)) for k in range(1, w)]
-    for thread in helpers:
-        thread.start()
-    try:
-        results[0] = work(chunks[0::w])
-    finally:
-        for thread in helpers:
-            thread.join()
-    if errors:
-        raise errors[0]
-    return results
+    if w == 1:
+        return [work(chunks)]
+    with ThreadPoolExecutor(w - 1) as pool:
+        helpers = [pool.submit(work, chunks[k::w]) for k in range(1, w)]
+        first = work(chunks[0::w])
+    return [first] + [share.result() for share in helpers]
 
 
 # Amplitudes of the map one in-place product covers: 1 MiB of scratch per

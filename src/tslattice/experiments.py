@@ -617,6 +617,20 @@ def _degeneracy_metrics(config: ModelConfig, foliation: Foliation, probe_site: i
     return drift, variation, rows
 
 
+def check_degeneracy_probe(config: ModelConfig) -> None:
+    """Reject a lattice too large for the experiment, or a probe field that commutes with every generator.
+
+    Base z is diagonal, and omega = 0 the same field, at every height.
+    """
+    check_dense_sites("degeneracy experiment", config.n_sites)
+    blind = "base_operator z" if config.base_operator == "z" else "omega = 0" if config.omega == 0.0 else ""
+    if blind:
+        raise ValueError(
+            f"{blind} makes the probe field commute with every generator, "
+            f"so interaction_picture_variation cannot reach its floor {IPV_FLOOR:g}"
+        )
+
+
 def degeneracy_experiment(config: ModelConfig, foliation: Foliation | None = None) -> ExperimentReport:
     """Constancy of the co-evolved expectation versus the physical one.
 
@@ -638,7 +652,7 @@ def degeneracy_experiment(config: ModelConfig, foliation: Foliation | None = Non
     dense-map experiments, it is limited to n_sites <= MAX_DENSE_SITES (10).
     """
     n, t = config.n_sites, config.horizon
-    check_dense_sites("degeneracy experiment", n)
+    check_degeneracy_probe(config)
     probe_site = n // 2
     if foliation is None:
         foliation = canonical_foliation(n, t, "synchronous")

@@ -283,18 +283,47 @@ class TestRun:
         overrides = {"experiment": "sweep", "kind": kind, "lambda": lam, "n_foliations": "0", "out": str(tmp_path)}
         assert run(parse_config(None, overrides)) == 0
 
-    def test_failing_verdict_exits_2(self, tmp_path):
-        # a degeneracy run in which nothing evolves fails its
-        # interaction-picture-variation verdict
+    def test_failing_verdict_exits_2(self, tmp_path, capsys):
+        # a coupling too weak to show the breakage operator_nonlocal must
+        # show fails the sweep's max_pairwise_distance floor
         cfg = parse_config(
             write_cfg(
                 tmp_path,
-                "experiment = degeneracy\nomega = 0\nmu = 0\nlink_coupling = 0\nlambda = 0\n",
+                "experiment = sweep\nkind = operator_nonlocal\nlambda = 1e-9\n"
+                "n_sites = 4\nhorizon = 2\nn_foliations = 3\n",
             ),
             {"out": str(tmp_path / "r")},
         )
-        # nothing evolves: interaction_picture_variation stays at 0 < 0.05
         assert run(cfg) == 2
+        assert capsys.readouterr().err == ""
+        assert "verdict: fail" in (tmp_path / "r" / "sweep.report").read_text()
+
+    @pytest.mark.parametrize(
+        "text, reason",
+        [
+            ("base_operator = z\n", "base_operator z"),
+            ("base_operator = z\nomega = 0\nlambda = 0\n", "base_operator z"),
+            ("base_operator = x\nomega = 0\n", "omega = 0"),
+            ("base_operator = y\nomega = 0\nmu = 0\nlink_coupling = 0\nlambda = 0\n", "omega = 0"),
+        ],
+        ids=["z", "z-omega-0-linear", "x-omega-0", "y-omega-0-nothing-evolves"],
+    )
+    def test_blind_degeneracy_probe_exits_1_before_any_report(self, tmp_path, capsys, text, reason):
+        # The probe field commutes with every generator: the variation floor
+        # cannot be met, whatever the run computes.
+        for experiment in ("degeneracy", "all"):
+            cfg = parse_config(
+                write_cfg(tmp_path, f"experiment = {experiment}\nn_sites = 4\nhorizon = 2\n" + text),
+                {"out": str(tmp_path / "r")},
+            )
+            assert run(cfg) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                f"error: degeneracy: {reason} makes the probe field commute with every generator, "
+                "so interaction_picture_variation cannot reach its floor 0.05\n"
+            )
+            assert not (tmp_path / "r").exists()
 
     def test_signal_inside_light_cone_exits_1(self, tmp_path, capsys):
         cfg = parse_config(
@@ -590,7 +619,7 @@ class TestDiagonalBaseWarning:
             "n_sites = 4\nhorizon = 2\nn_foliations = 3\nexploration_budget = 100\n"
             "kind = coefficient_nonlocal\nbase_operator = z\n",
         )
-        code = main(["all", "--config", cfgfile, "--out", str(tmp_path / "r")])
+        code = main(["sweep", "--config", cfgfile, "--out", str(tmp_path / "r")])
         err = capsys.readouterr().err
         # The nonlocal verdicts expect breakage that z cannot produce.
         assert code == 2

@@ -1,11 +1,13 @@
 """Stepper, frozen coefficients, trajectory records, and the composed map."""
 
 import math
+import os
 import re
+import subprocess
 import sys
 import threading
 import tracemalloc
-from types import SimpleNamespace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1001,17 +1003,17 @@ class TestWorkers:
             assert got == [list(range(k, 7, workers)) for k in range(workers)]
 
     def test_one_chunk_starts_no_thread(self, monkeypatch):
-        def no_thread(*args, **kwargs):
-            raise AssertionError("a helper thread was started")
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool of helper threads was made")
 
         monkeypatch.setattr(dynamics, "_workers", lambda: 2)
-        monkeypatch.setattr(dynamics, "threading", SimpleNamespace(Thread=no_thread))
+        monkeypatch.setattr(dynamics, "ThreadPoolExecutor", no_pool)
         assert dynamics._in_workers(list, [5]) == [[5]]
         compose_map(TrajectoryRecord((), 4))
 
     def test_helper_thread_error_reaches_the_caller(self, monkeypatch):
-        # A bare threading.Thread prints the error and drops it; the helper
-        # thread's share would then come back as None.
+        # The helper's share must not come back as None, nor its error be
+        # printed and dropped.
         monkeypatch.setattr(dynamics, "_workers", lambda: 2)
         caller = threading.get_ident()
         ran = []
@@ -1025,6 +1027,45 @@ class TestWorkers:
         with pytest.raises(ZeroDivisionError, match="in the helper thread"):
             dynamics._in_workers(work, [0, 1, 2, 3])
         assert sorted(ran) == [[0, 2], [1, 3]]
+
+    def test_caller_share_error_waits_for_the_helper(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "_workers", lambda: 2)
+        caller = threading.get_ident()
+        done = []
+
+        def work(share):
+            if threading.get_ident() == caller:
+                raise ZeroDivisionError("in the caller's share")
+            done.append(list(share))
+
+        with pytest.raises(ZeroDivisionError, match="in the caller's share"):
+            dynamics._in_workers(work, [0, 1, 2, 3])
+        assert done == [[1, 3]]
+
+    @pytest.mark.parametrize(
+        "env, two",
+        [
+            ({"OPENBLAS_NUM_THREADS": "1"}, True),
+            ({"OPENBLAS_NUM_THREADS": "2"}, False),
+            ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, True),
+            ({"OMP_NUM_THREADS": "1"}, True),
+            ({"OMP_NUM_THREADS": "2"}, False),
+            ({}, False),
+        ],
+        ids=["openblas-1", "openblas-2", "openblas-before-omp", "omp-1", "omp-2", "unset"],
+    )
+    def test_workers_follow_the_blas_pool(self, env, two):
+        # Each in a fresh process, which loads OpenBLAS with this environment.
+        # Unset, the pool has a thread per core: one worker on any host.
+        base = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+        src = str(Path(dynamics.__file__).resolve().parents[1])
+        base["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        code = "import os, tslattice.dynamics as d; print(d._workers(), len(os.sched_getaffinity(0)))"
+        done = subprocess.run(
+            [sys.executable, "-c", code], env={**base, **env}, capture_output=True, text=True, check=True
+        )
+        workers, cores = map(int, done.stdout.split())
+        assert workers == (min(2, cores) if two else 1)
 
     def test_peak_memory_at_ten_sites(self):
         # One 16 MiB map, changed in place, and a 1 MiB scratch chunk per

@@ -391,6 +391,14 @@ class TestDegeneracyExperiment:
         with pytest.raises(ValueError, match="<= 10"):
             degeneracy_experiment(cfg)
 
+    @pytest.mark.parametrize(
+        "base, omega, reason", [("z", 1.0, "base_operator z"), ("z", 0.0, "base_operator z"), ("x", 0.0, "omega = 0")]
+    )
+    def test_rejects_a_blind_probe(self, base, omega, reason):
+        cfg = cfg_with("local", base_operator=base, omega=omega)
+        with pytest.raises(ValueError, match=f"^{reason} makes the probe field commute with every generator"):
+            degeneracy_experiment(cfg)
+
     def test_detail_rows_track_every_step(self):
         cfg = cfg_with("local", n_sites=3, horizon=2)
         r = degeneracy_experiment(cfg)

@@ -71,19 +71,23 @@ class TestPyKernelsAgainstDense:
             assert_allclose(got, embedded(u, [a, b], n) @ mat, rtol=0, atol=1e-12)
 
 
-# Shapes past the dense oracle's reach, with the route the kernels take for
-# each: a broadcast matmul, a gate folded over the trailing block, or a
-# gather into gate-major order. (n, site) for one site, (n, a, b) for a pair.
+# Shapes past the dense oracle's reach, and the edges of the fold limits,
+# with the route the kernels take for each: a broadcast matmul, a gate folded
+# over the trailing block, or (a non-adjacent pair) a gather into gate-major
+# order. (n, site) for one site, (n, a, b) for a pair.
 WIDE_1Q = [
-    (14, 9, "gather"),
-    (14, 8, "gather"),
+    (14, 9, "fold"),
+    (14, 8, "matmul"),
     (15, 8, "matmul"),
     (16, 9, "matmul"),
     (14, 11, "fold"),
+    (9, 4, "matmul"),
+    (9, 5, "fold"),
 ]
 WIDE_2Q = [
-    (14, 8, 9, "gather"),
-    (14, 9, 8, "gather"),
+    (14, 8, 9, "matmul"),
+    (14, 9, 8, "matmul"),
+    (14, 9, 10, "fold"),
     (16, 7, 8, "matmul"),
     (14, 3, 13, "gather"),
     (14, 13, 11, "gather"),
@@ -183,18 +187,13 @@ def test_pykernel_ordering_convention():
 
 
 def forced_route(monkeypatch, route, d, rest):
-    """Set the route limits so that ``_apply_middle`` takes ``route`` on a (lead, d, rest) view."""
-    if route == "fold":
-        monkeypatch.setattr(_kernels, "_FOLD_MAX_WIDTH", d * rest)
-        return
-    monkeypatch.setattr(_kernels, "_FOLD_MAX_WIDTH", 0)
-    monkeypatch.setattr(_kernels, "_MATMUL_MAX_LEAD", 1 << 30 if route == "matmul" else -1)
-    monkeypatch.setattr(_kernels, "_MATMUL_MIN_REST", 1 << 30)
+    """Set the fold limits so that ``_apply_middle`` takes ``route`` on any (lead, d, rest) view."""
+    monkeypatch.setattr(_kernels, "_FOLD_MAX_WIDTH", d * rest if route == "fold" else 0)
+    monkeypatch.setattr(_kernels, "_FOLD_MIN_LEAD", 0)
 
 
-def stack_routes(d, rest, lead):
-    """The routes a (lead, d, rest) view can take: folding needs more leading blocks than d * rest."""
-    return ["matmul", "gather"] + (["fold"] if lead > d * rest else [])
+# The routes of a gate on the middle axis; a non-adjacent pair has only the gather.
+MIDDLE_ROUTES = ["matmul", "fold"]
 
 
 class TestStackedKernels:
@@ -209,7 +208,7 @@ class TestStackedKernels:
             m = TestPyKernelsPurity.frozen(random_matrix(2, rng))
             want = np.array([_kernels.apply_1q(v, m, site, n) for v in stack])
             rest = 1 << (n - 1 - site)
-            for route in stack_routes(2, rest, rows << site):
+            for route in MIDDLE_ROUTES:
                 with monkeypatch.context() as patch:
                     forced_route(patch, route, 2, rest)
                     taken = spy_routes(patch)
@@ -228,8 +227,7 @@ class TestStackedKernels:
             want = np.array([_kernels.apply_2q(v, m, a, b, n) for v in stack])
             lo, hi = min(a, b), max(a, b)
             rest = 1 << (n - 1 - hi)
-            # A non-adjacent pair has only the gather route.
-            routes = stack_routes(4, rest, rows << lo) if hi == lo + 1 else ["gather"]
+            routes = MIDDLE_ROUTES if hi == lo + 1 else ["gather"]
             for route in routes:
                 with monkeypatch.context() as patch:
                     forced_route(patch, route, 4, rest)
@@ -238,3 +236,32 @@ class TestStackedKernels:
                 assert taken == ([] if route == "matmul" else [route])
                 assert got.shape == stack.shape and not np.shares_memory(got, stack)
                 assert_allclose(got, want, rtol=0, atol=1e-14)
+
+
+def test_no_middle_axis_view_is_gathered(monkeypatch):
+    # Every site and adjacent pair at N = 14, and the co-evolution walk's
+    # stacks of eight 2^10 vectors at site 5 and pair (5, 6): only a
+    # non-adjacent pair may take the gather.
+    shapes = []
+    real_middle = _kernels._apply_middle
+
+    def middle(v, g):
+        shapes.append(v.shape)
+        return real_middle(v, g)
+
+    monkeypatch.setattr(_kernels, "_apply_middle", middle)
+    taken = spy_routes(monkeypatch)
+    rng = np.random.default_rng(700)
+    m2, m4 = random_matrix(2, rng), random_matrix(4, rng)
+    v = random_vec(14, rng)
+    for site in range(14):
+        _kernels.apply_1q(v, m2, site, 14)
+    for lo in range(13):
+        _kernels.apply_2q(v, m4, lo, lo + 1, 14)
+        _kernels.apply_2q(v, m4, lo + 1, lo, 14)
+    stack = np.array([random_vec(10, rng) for _ in range(8)])
+    _kernels.apply_1q(stack, m2, 5, 10)
+    _kernels.apply_2q(stack, m4, 5, 6, 10)
+    assert shapes[-2:] == [(256, 2, 16), (256, 4, 8)]
+    assert len(shapes) == 14 + 2 * 13 + 2
+    assert "gather" not in taken
