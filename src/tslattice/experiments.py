@@ -5,10 +5,12 @@ configuration, named scalar metrics, the thresholds used for the verdict, and
 per-sample detail rows. Each one embeds its lambda = 0 control; the verdict
 is a pure function of metrics and thresholds, computed by the report type
 itself. Reports are deterministic for a fixed configuration and seed on one
-host with a fixed number of BLAS threads: at N = 14 OpenBLAS splits inner
-products by thread, and the last digit can move (the benchmark's
-``sweep_wide`` seed 1 ``max_pairwise_distance`` ends in ...886 with one
-thread and ...887 with two).
+host with a fixed number of BLAS threads. Every state distance goes through
+``_state_distances``, whose sums do not use BLAS, so only the N = 14 sweep's
+final-expectation cells (``np.vdot`` in ``_kernels.expect_1q``) can move
+with the thread count: 6 of the 60 in the benchmark's ``sweep_wide`` seed 1
+report and 11 of 60 at seed 2 differ in the last digit between one and two
+threads (2-core host).
 """
 
 from __future__ import annotations
@@ -19,15 +21,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import _kernels
 from .dynamics import (
     BASE_OPERATORS,
     ModelConfig,
     NonlinearitySpec,
     _apply_gate,
-    _in_workers,
     _nonlinear_plans,
     _trajectory,
+    _unitarity_defect,
     check_dense_sites,
     compose_map,
     evolve,
@@ -37,13 +38,12 @@ from .dynamics import (
 )
 from .quantum_core import (
     DensityMatrix,
-    SiteOperator,
     StateVector,
+    _real_expectation,
     _state_distances,
     basis_state,
     bell_pair_state,
     entanglement_entropy,
-    expectation,
     plus_state,
     reduced_density,
     state_distance,
@@ -339,14 +339,6 @@ def integrability_check(config: ModelConfig, exploration_budget: int = 2000) -> 
 # -- foliation sweep ------------------------------------------------------------
 
 
-def _sweep_finals(config: ModelConfig, foliations, psi0: StateVector):
-    finals = []
-    for _, _, fol in foliations:
-        final, _ = evolve(psi0, fol, config)
-        finals.append(final)
-    return finals
-
-
 def _max_pairwise(finals) -> float:
     worst = 0.0
     for a, b in itertools.combinations(finals, 2):
@@ -382,9 +374,9 @@ def foliation_sweep(
     if extra_foliation is not None:
         foliations.append(("replayed", "", extra_foliation))
     psi0 = default_initial_state(config)
-
-    control_finals = _sweep_finals(linear_config(config), foliations, psi0)
-    finals = _sweep_finals(config, foliations, psi0)
+    control_finals, finals = (
+        [evolve(psi0, fol, cfg)[0] for _, _, fol in foliations] for cfg in (linear_config(config), config)
+    )
 
     max_pair = _max_pairwise(finals)
     control_pair = _max_pairwise(control_finals)
@@ -401,9 +393,7 @@ def foliation_sweep(
     reference = finals[0]
     rows = []
     for (label, fol_seed, _), final in zip(foliations, finals):
-        exps = tuple(
-            expectation(final, free_field(i, t, config)) for i in range(n)
-        )
+        exps = tuple(_real_expectation(final, free_field(i, t, config).matrix, i) for i in range(n))
         rows.append((label, fol_seed, state_distance(final, reference)) + exps)
     header = ("foliation", "seed", "distance_to_reference") + tuple(
         f"final_expectation_site_{i}" for i in range(n)
@@ -432,7 +422,7 @@ def _measurement_branches(state: StateVector, site: int, setting: str):
     for k in range(2):
         v = evecs[:, k]
         proj = np.outer(v, v.conj())
-        amps = _kernels.apply_1q(state.amplitudes, proj, site, state.n_sites)
+        amps = _apply_gate(state.amplitudes, proj, (site,), state.n_sites)
         p = float(np.vdot(amps, amps).real)
         if p < 1e-15:
             continue
@@ -566,33 +556,29 @@ def _coevolved_expectations(pending, adjoints, base, probe_site, n):
     """<U_k^dag psi_k| O |U_k^dag psi_k> for the last len(pending) steps k.
 
     One backward walk over the recorded adjoints serves the whole batch:
-    psi_k joins the block when the walk reaches u_k^dag, so each column gets
-    u_k^dag, ..., u_1^dag in that order. The columns are the trailing qubits
-    of one 2^(n+m) vector, which the kernels pass over as spectators.
+    psi_k joins the block in its own column when the walk reaches u_k^dag,
+    so each column gets u_k^dag, ..., u_1^dag in that order. The columns,
+    padded to 2^m, are the trailing qubits of one 2^(n+m) vector, which the
+    kernels pass over as spectators.
     """
     first = len(adjoints) - len(pending)
-    cols = np.zeros((1 << n, 1), dtype=complex)
-    live = 0
+    m = (len(pending) - 1).bit_length()
+    cols = np.zeros((1 << n, 1 << m), dtype=complex)
     for j in range(len(adjoints) - 1, -1, -1):
         if j >= first:
-            if live == cols.shape[1]:
-                cols = np.concatenate((cols, np.zeros_like(cols)), axis=1)
-            cols[:, live] = pending[j - first]
-            live += 1
-        m = (cols.shape[1] - 1).bit_length()
+            cols[:, j - first] = pending[j - first]
         u_dag, sites = adjoints[j]
         cols = _apply_gate(cols.reshape(-1), u_dag, sites, n + m).reshape(1 << n, -1)
-    m = (cols.shape[1] - 1).bit_length()
-    o_cols = _kernels.apply_1q(cols.reshape(-1), base, probe_site, n + m).reshape(1 << n, -1)
+    o_cols = _apply_gate(cols.reshape(-1), base, (probe_site,), n + m).reshape(1 << n, -1)
     values = np.einsum("ij,ij->j", cols.conj(), o_cols).real
-    return [float(v) for v in values[live - 1 :: -1]]
+    return [float(v) for v in values[: len(pending)]]
 
 
 def _degeneracy_metrics(config: ModelConfig, foliation: Foliation, probe_site: int):
     n = config.n_sites
     psi0 = default_initial_state(config)
     base = BASE_OPERATORS[config.base_operator]
-    e0 = expectation(psi0, SiteOperator(base, probe_site))
+    e0 = _real_expectation(psi0, base, probe_site)
     batch = max(1, _COEVOLVE_BLOCK >> n)
     adjoints = []  # (u^dag, sites) of every step taken, in application order
     pending = []  # psi_k of the steps whose co-evolved value is not taken yet
@@ -605,7 +591,7 @@ def _degeneracy_metrics(config: ModelConfig, foliation: Foliation, probe_site: i
             coevolved += _coevolved_expectations(pending, adjoints, base, probe_site, n)
             pending = []
         tau = surface.heights[probe_site]
-        e_ip = expectation(psi, free_field(probe_site, tau, config))
+        e_ip = _real_expectation(psi, free_field(probe_site, tau, config).matrix, probe_site)
         physical.append((entry.deformation, tau, e_ip))
     rows = [(0, "-", 0, e0, e0)]
     rows += [
@@ -692,33 +678,6 @@ def degeneracy_experiment(config: ModelConfig, foliation: Foliation | None = Non
 
 # -- composed-map structure --------------------------------------------------------
 
-# Rows of u^dag u formed at a time by _unitarity_defect: 64 rows of a
-# 2^10-column map is a 1 MiB product beside a 1 MiB column copy, for each
-# of the two workers, against 16 MiB for the whole product.
-_DEFECT_BLOCK = 64
-
-
-def _unitarity_defect(u: np.ndarray) -> float:
-    """max|u^dag u - I|, formed one block of rows at a time, NaN if any entry is NaN.
-
-    u^dag u is Hermitian for any u, so each block of rows is formed from its
-    diagonal on: the upper half holds every entry's magnitude. The blocks
-    alternate between the workers of ``_in_workers``.
-    """
-
-    def work(starts):
-        worst = []
-        for a in starts:
-            b = min(a + _DEFECT_BLOCK, u.shape[1])
-            rows = u[:, a:b].conj().T @ u[:, a:]
-            k = np.arange(b - a)
-            rows[k, k] -= 1.0
-            worst.append(np.abs(rows).max())
-        # np.max, unlike max(), propagates a NaN from any block.
-        return np.max(worst)
-
-    return float(np.max(_in_workers(work, range(0, u.shape[1], _DEFECT_BLOCK))))
-
 
 def map_nonlinearity_check(
     config: ModelConfig, foliation: Foliation | None = None
@@ -771,12 +730,7 @@ def map_nonlinearity_check(
         metrics=metrics,
         thresholds=thresholds,
         detail_header=("quantity", "value"),
-        details=(
-            ("unitarity_defect", unitarity_defect),
-            ("superposition_defect", superposition_defect),
-            ("compose_consistency", compose_consistency),
-            ("control_superposition_defect", control_defect),
-        ),
+        details=metrics,
         foliation_text=foliation_to_text(foliation),
     )
 

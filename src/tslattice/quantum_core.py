@@ -208,12 +208,12 @@ def state_distance(a: StateVector, b: StateVector) -> float:
     Evaluated as the norm of the phase-aligned difference min_phi
     ||a - e^{i phi} b||, which is the same quantity but keeps full double
     precision near zero (the naive 2 - 2|<a|b>| cancels catastrophically).
+    It is ``_state_distances`` on one row pair, whose sums do not go through
+    BLAS, so the result does not depend on the BLAS thread count.
     """
     if a.n_sites != b.n_sites:
         raise ValueError(f"dimension mismatch: {a.n_sites} vs {b.n_sites} sites")
-    z = np.vdot(a.amplitudes, b.amplitudes)
-    phase = z.conjugate() / abs(z) if abs(z) > 1e-300 else 1.0
-    return float(np.linalg.norm(a.amplitudes - phase * b.amplitudes))
+    return float(_state_distances(a.amplitudes[None, :], b.amplitudes[None, :])[0])
 
 
 def _row_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -133,8 +133,9 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    # One BLAS thread, as the benchmark runs: N = 14 sweep digits at the
-    # rounding level move with the thread count. Set before numpy loads.
+    # One BLAS thread, as the benchmark runs: the N = 14 sweep's final
+    # expectations (np.vdot) can move in the last digit with the thread
+    # count; its distances do not. Set before numpy loads.
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"
     sys.exit(main())

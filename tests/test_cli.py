@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from report_baseline import baseline_dir, mismatches, perfbench_config, perfbench_dirs
+from report_baseline import BASELINE, baseline_dir, mismatches, perfbench_config, perfbench_dirs
 
 import tslattice
 
@@ -228,6 +228,31 @@ class TestRun:
         for cfg_path in sorted(inputs.glob("*.cfg")):
             assert run(perfbench_config(cfg_path, tmp_path)) == 0, capsys.readouterr().out
         assert_matches_baseline(tmp_path, inputs)
+
+    def test_sweep_distances_ignore_the_blas_thread_count(self, tmp_path):
+        # OpenBLAS splits a dot product over 2^14 amplitudes by thread, and
+        # the last digit moves with it; the distances do not go through BLAS.
+        # The final-expectation columns still do, so they are not compared.
+        cfg_path = BASELINE / "perfbench" / "sweep_wide-1" / "sweep.cfg"
+        src = str(Path(tslattice.__file__).resolve().parents[1])
+        reports = []
+        for threads in ("1", "2"):
+            env = {
+                **os.environ,
+                "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+                "OPENBLAS_NUM_THREADS": threads,
+                "OMP_NUM_THREADS": threads,
+            }
+            out = tmp_path / threads
+            argv = ["sweep", "--config", str(cfg_path), "--out", str(out), "--format", "structured"]
+            subprocess.run([sys.executable, "-m", "tslattice.cli", *argv], env=env, capture_output=True, check=True)
+            lines = (out / "sweep.report").read_text().splitlines()
+            metrics = lines[lines.index("metrics:") + 1 : lines.index("thresholds:")]
+            metrics = [ln for ln in metrics if "max_pairwise_distance" in ln]
+            rows = lines[lines.index("details:") + 2 :]
+            reports.append((metrics, [row.split(",")[2] for row in rows]))
+        assert len(reports[0][0]) == 2 and len(reports[0][1]) == 4
+        assert reports[0] == reports[1]
 
     @pytest.mark.parametrize("base", ["x", "y"])
     @pytest.mark.parametrize(
@@ -624,8 +649,8 @@ class TestDiagonalBaseWarning:
         # The nonlocal verdicts expect breakage that z cannot produce.
         assert code == 2
         assert err == (
-            "warning: base_operator z makes every field diagonal; "
-            "kind coefficient_nonlocal with lambda 0.5 has no nonlinear effect\n"
+            "warning: base_operator z makes every field diagonal and every generator commute; "
+            "with lambda 0.5, swap residues, sweep distances and the signal read rounding\n"
         )
 
     def test_report_is_the_one_written_without_a_warning(self, tmp_path, capsys):

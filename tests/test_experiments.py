@@ -1,11 +1,13 @@
 """Experiment-level behavior: verdicts, controls, determinism, consistency."""
 
+import ast
 import importlib
 import itertools
 import math
 import sys
 import tracemalloc
 from collections import deque
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -527,14 +529,14 @@ class TestUnitarityDefect:
     @pytest.mark.parametrize("n", range(1, 7))
     @pytest.mark.parametrize("block", [1, 3, 16, 128])
     def test_matches_dense_expression(self, monkeypatch, n, block):
-        monkeypatch.setattr(experiments, "_DEFECT_BLOCK", block)
+        monkeypatch.setattr(dynamics, "_DEFECT_BLOCK", block)
         rng = np.random.default_rng(700 + n)
         u = random_unitary(2**n, rng)
         # Each entry of u^dag u near 1 carries rounding of order 1e-16.
         for m in (u, u + 1e-6 * rng.standard_normal(u.shape)):
             for workers in (1, 2):
                 monkeypatch.setattr(dynamics, "_workers", lambda w=workers: w)
-                assert experiments._unitarity_defect(m) == pytest.approx(self.dense(m), rel=0, abs=1e-15)
+                assert dynamics._unitarity_defect(m) == pytest.approx(self.dense(m), rel=0, abs=1e-15)
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("entry", [(3, 3), (200, 7)])
@@ -544,7 +546,7 @@ class TestUnitarityDefect:
         monkeypatch.setattr(dynamics, "_workers", lambda: workers)
         u = np.eye(256, dtype=complex)
         u[entry] = np.nan
-        defect = experiments._unitarity_defect(u)
+        defect = dynamics._unitarity_defect(u)
         assert math.isnan(defect)
         metrics = (("unitarity_defect", defect),)
         assert verdict_from(metrics, (("unitarity_defect", "<=", 1e-10),)) == "fail"
@@ -556,7 +558,7 @@ class TestUnitarityDefect:
         got = []
         for workers in (1, 2, 3):
             monkeypatch.setattr(dynamics, "_workers", lambda w=workers: w)
-            got.append(experiments._unitarity_defect(u))
+            got.append(dynamics._unitarity_defect(u))
         assert got[0] > 1e-9
         assert got == [got[0]] * 3
 
@@ -568,7 +570,7 @@ class TestUnitarityDefect:
         want = self.dense(u)
         tracemalloc.start()
         try:
-            got = experiments._unitarity_defect(u)
+            got = dynamics._unitarity_defect(u)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -776,3 +778,18 @@ def test_fmt_deformation_keeps_its_own_package_classes(monkeypatch):
     assert sys.modules["tslattice.spacetime"].SiteAdvance is not SiteAdvance
     assert _fmt_deformation(SiteAdvance(2)) == "A2"
     assert _fmt_deformation(LinkApply((0, 1), 3)) == "G0@3"
+
+
+def test_experiments_reach_gates_and_workers_only_through_dynamics():
+    # The experiments call dynamics' gate and map helpers, never the kernels
+    # or the worker pool below them.
+    tree = ast.parse(Path(experiments.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported.update(alias.name for alias in node.names)
+    assert "dynamics" in imported and "_apply_gate" in imported
+    assert not imported & {"_kernels", "tslattice._kernels", "_in_workers"}
+    assert not hasattr(experiments, "_DEFECT_BLOCK")
