@@ -488,8 +488,8 @@ def evolve(state0: StateVector, foliation: Foliation, config: ModelConfig):
 _WINDOW = 4
 
 
-def _blocks(steps) -> list:
-    """``(u, sites)`` blocks whose product, in order, is that of ``steps``.
+def _blocks(gates) -> list:
+    """``(u, sites)`` blocks whose product, in order, is that of the ``(u, sites)`` gates.
 
     A gate may move back to the last block that shares a site with it, or
     to any later block, since gates on disjoint sites commute. It joins the
@@ -497,30 +497,37 @@ def _blocks(steps) -> list:
     or sites within ``_WINDOW`` adjacent ones. If none fits, it starts a
     new block. A block's ``sites`` are its pair, or every site from its lowest
     to its highest, and ``u`` is its gates composed on that register by the
-    row-side kernels, as in ``compose_map``.
+    row-side kernels, as in ``compose_map``; ``_apply_block`` applies it.
     """
-    blocks = []  # (site set, steps)
-    for step in steps:
-        gate = set(step.sites)
-        first = max((k for k, (sites, _) in enumerate(blocks) if sites & gate), default=0)
-        for sites, members in blocks[first:]:
-            joined = sites | gate
+    blocks = []  # (site set, gates)
+    for u, sites in gates:
+        gate = set(sites)
+        first = max((k for k, (block, _) in enumerate(blocks) if block & gate), default=0)
+        for block, members in blocks[first:]:
+            joined = block | gate
             if len(joined) <= 2 or max(joined) - min(joined) < _WINDOW:
-                sites |= gate
-                members.append(step)
+                block |= gate
+                members.append((u, sites))
                 break
         else:
-            blocks.append((gate, [step]))
+            blocks.append((gate, [(u, sites)]))
     fused = []
     for sites, members in blocks:
         lo, hi = min(sites), max(sites)
         register = tuple(range(lo, hi + 1)) if hi - lo < _WINDOW else (lo, hi)
         w = len(register)
         u = np.eye(1 << w, dtype=complex).ravel()
-        for step in members:
-            u = _apply_gate(u, step.unitary, [register.index(s) for s in step.sites], 2 * w)
+        for g, gate_sites in members:
+            u = _apply_gate(u, g, [register.index(s) for s in gate_sites], 2 * w)
         fused.append((u.reshape(1 << w, 1 << w), register))
     return fused
+
+
+def _apply_block(amps: np.ndarray, u: np.ndarray, sites, n: int) -> np.ndarray:
+    """A block of ``_blocks`` on a vector or stack: a gate on one site or a pair, else u on the window's middle axis."""
+    if len(sites) <= 2:
+        return _apply_gate(amps, u, sites, n)
+    return _kernels._apply_middle(amps.reshape(-1, len(u), 1 << (n - 1 - sites[-1])), u).reshape(amps.shape)
 
 
 def _workers() -> int:
@@ -582,27 +589,61 @@ def _apply_in_place(v: np.ndarray, u: np.ndarray) -> None:
     _in_workers(work, chunks)
 
 
+def _kron_start(blocks, n: int):
+    """``(m, rest)``: the flat 2^n x 2^n map of the leading ``blocks`` of ``_blocks``, and the others in order.
+
+    A block whose sites meet no earlier block's commutes to the front. The
+    Kronecker product of those blocks, with the identity elsewhere, is
+    written once into a strided view of a zeroed map: each run of a block's
+    adjacent sites is one row axis and one column axis, and each other site
+    one axis that steps its row and column at once, the diagonal. Two outer
+    products of balanced size meet in the view, so the map is never held twice.
+    """
+    front, rest, seen = [], [], set()
+    for block in blocks:
+        (rest if seen.intersection(block[1]) else front).append(block)
+        seen.update(block[1])
+    dim = 1 << n
+    m = np.zeros(dim * dim, dtype=complex)
+    step = [m.itemsize << (n - 1 - s) for s in range(n)]  # column strides; a row stride is dim times one
+    free = set(range(n)).difference(*(sites for _, sites in front))
+    shape, strides, factors = [2] * len(free), [step[s] * (dim + 1) for s in free], []
+    for u, sites in front:
+        runs = [sites] if sites[-1] - sites[0] < _WINDOW else [sites[:1], sites[1:]]
+        sizes = [1 << len(run) for run in runs] * 2
+        factors.append(u.reshape(sizes))
+        shape += sizes
+        strides += [step[run[-1]] * dim for run in runs] + [step[run[-1]] for run in runs]
+    size = [f.size for f in factors]
+    k = min(range(len(factors) + 1), key=lambda k: max(math.prod(size[:k]), math.prod(size[k:])))
+    a = b = np.ones(())
+    for f in factors[:k]:
+        a = np.multiply.outer(a, f)
+    for f in factors[k:]:
+        b = np.multiply.outer(b, f)
+    np.multiply.outer(a, b, out=np.lib.stride_tricks.as_strided(m, shape, strides))
+    return m, rest
+
+
 def compose_map(record: TrajectoryRecord) -> np.ndarray:
     """Dense product of the recorded per-step unitaries, in application order.
 
     The result acts on state-independent objects; it is unitary even though
-    the state map that produced the record is not linear. The map takes one
-    pass per block of ``_blocks``: gates fused on a far pair, or on at most
-    ``_WINDOW`` adjacent sites as one matrix on the middle axis, applied in
-    place by ``_apply_in_place``.
+    the state map that produced the record is not linear. The leading
+    blocks of ``_blocks`` start the map as their Kronecker product
+    (``_kron_start``). Every other block is one pass: a far pair, or at most
+    ``_WINDOW`` adjacent sites in place (``_apply_in_place``).
     """
     n = record.n_sites
     check_dense_sites("composed map", n)
-    dim = 2**n
-    m = np.eye(dim, dtype=complex).ravel()
-    # A (dim x dim) matrix in C order is a statevector on 2n sites whose first
-    # n axes are the row index, so row-side gates reuse the state kernels.
-    for u, sites in _blocks(record.steps):
+    m, rest = _kron_start(_blocks((step.unitary, step.sites) for step in record.steps), n)
+    # Row-side gates on the map's 2n sites reuse the state kernels.
+    for u, sites in rest:
         if sites[-1] - sites[0] >= _WINDOW:
             m = _kernels.apply_2q(m, u, sites[0], sites[1], 2 * n)
         else:
             _apply_in_place(m.reshape(-1, len(u), 1 << (2 * n - 1 - sites[-1])), u)
-    return m.reshape(dim, dim)
+    return m.reshape(1 << n, 1 << n)
 
 
 # Rows of u^dag u formed at a time by _unitarity_defect: 64 rows of a

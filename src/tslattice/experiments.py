@@ -25,7 +25,9 @@ from .dynamics import (
     BASE_OPERATORS,
     ModelConfig,
     NonlinearitySpec,
+    _apply_block,
     _apply_gate,
+    _blocks,
     _nonlinear_plans,
     _trajectory,
     _unitarity_defect,
@@ -547,28 +549,32 @@ def signaling_experiment(
 
 # Probe vectors co-evolved together fill at most this many amplitudes
 # (2^13 complex = 128 KiB), so a batch holds max(1, 2^13 / 2^n) steps.
-# Per-run timings at n = 4..10 were flat from 2^13 to 2^14 and slower on
-# either side; 2^14 lifts the walk's peak at n = 10 above 1 MiB.
+# Per run, with earlier batches fused (local, one BLAS thread), 2^13 /
+# 2^14 / 2^15 took 12.6 / 13.7 / 16.6 ms at n = 10, T = 4; 15 / 16 / 25 ms
+# at n = 8, T = 16; 33 / 38 / 50 ms at n = 6, T = 64. Only long runs at
+# n = 10 gain from wider batches (788 / 497 / 374 ms at T = 64), and 2^14
+# lifts the walk's peak at n = 10 above 1 MiB.
 _COEVOLVE_BLOCK = 1 << 13
 
 
-def _coevolved_expectations(pending, adjoints, base, probe_site, n):
-    """<U_k^dag psi_k| O |U_k^dag psi_k> for the last len(pending) steps k.
+def _coevolved_expectations(pending, adjoints, fused, base, probe_site, n):
+    """<U_k^dag psi_k| O |U_k^dag psi_k> for the steps k of one batch.
 
-    One backward walk over the recorded adjoints serves the whole batch:
-    psi_k joins the block in its own column when the walk reaches u_k^dag,
-    so each column gets u_k^dag, ..., u_1^dag in that order. The columns,
-    padded to 2^m, are the trailing qubits of one 2^(n+m) vector, which the
-    kernels pass over as spectators.
+    ``adjoints`` are the batch's (u^dag, sites) in application order, and
+    ``fused`` the ``_blocks`` of the earlier batches' adjoints, newest first.
+    psi_k joins its own column when the walk reaches u_k^dag, so each column
+    gets u_k^dag, ..., down to the batch's first gate, then every fused block.
+    The columns, padded to 2^m, are the trailing qubits of one 2^(n+m)
+    vector, which the kernels pass over as spectators.
     """
-    first = len(adjoints) - len(pending)
     m = (len(pending) - 1).bit_length()
     cols = np.zeros((1 << n, 1 << m), dtype=complex)
-    for j in range(len(adjoints) - 1, -1, -1):
-        if j >= first:
-            cols[:, j - first] = pending[j - first]
+    for j in range(len(pending) - 1, -1, -1):
+        cols[:, j] = pending[j]
         u_dag, sites = adjoints[j]
         cols = _apply_gate(cols.reshape(-1), u_dag, sites, n + m).reshape(1 << n, -1)
+    for u, sites in fused:
+        cols = _apply_block(cols.reshape(-1), u, sites, n + m).reshape(1 << n, -1)
     o_cols = _apply_gate(cols.reshape(-1), base, (probe_site,), n + m).reshape(1 << n, -1)
     values = np.einsum("ij,ij->j", cols.conj(), o_cols).real
     return [float(v) for v in values[: len(pending)]]
@@ -580,16 +586,19 @@ def _degeneracy_metrics(config: ModelConfig, foliation: Foliation, probe_site: i
     base = BASE_OPERATORS[config.base_operator]
     e0 = _real_expectation(psi0, base, probe_site)
     batch = max(1, _COEVOLVE_BLOCK >> n)
-    adjoints = []  # (u^dag, sites) of every step taken, in application order
-    pending = []  # psi_k of the steps whose co-evolved value is not taken yet
+    adjoints = []  # (u^dag, sites) of the steps in the open batch, in application order
+    pending = []  # psi_k of those steps
+    fused = []  # the blocks of every closed batch's adjoints, in walk order
     coevolved = []
     physical = []
     for k, (psi, surface, entry) in enumerate(_trajectory(psi0, foliation, config), start=1):
         adjoints.append((np.ascontiguousarray(entry.unitary.conj().T), entry.sites))
         pending.append(psi.amplitudes)
         if len(pending) == batch or k == len(foliation.steps):
-            coevolved += _coevolved_expectations(pending, adjoints, base, probe_site, n)
-            pending = []
+            coevolved += _coevolved_expectations(pending, adjoints, fused, base, probe_site, n)
+            if k < len(foliation.steps):
+                fused = _blocks(reversed(adjoints)) + fused
+            adjoints, pending = [], []
         tau = surface.heights[probe_site]
         e_ip = _real_expectation(psi, free_field(probe_site, tau, config).matrix, probe_site)
         physical.append((entry.deformation, tau, e_ip))
@@ -626,15 +635,12 @@ def degeneracy_experiment(config: ModelConfig, foliation: Foliation | None = Non
 
     The composed map is never built densely: at step k the adjoint
     U_k^dag = u_1^dag ... u_k^dag of the recorded per-step unitaries is
-    applied to psi_k one gate at a time (u_k^dag first). Batches of
-    max(1, 2^13 / 2^n) consecutive steps share one backward walk over the
-    recorded gates, so a run of K steps makes about K + K^2 2^n / 2^14
-    kernel calls and K^2 2^n / 2 amplitude updates, against about 2 K 4^n
-    for a dense map, on blocks of at most 2^13 probe amplitudes.
-    The walk is the cheaper route while K stays below about 3 * 2^n: every
-    n = 10 run up to horizon 64, and short horizons at any n. Long
-    horizons at small n are past that point and run slower than a dense
-    map would (about 1.2x at n = 4 and 6, horizon 64). Like the
+    applied to psi_k. In batches of max(1, 2^13 / 2^n) steps, the probe
+    vectors walk their own batch's gates one at a time (u_k^dag first),
+    then the fused blocks of every earlier batch. Against a dense map
+    updated one gate per step, the walk took 0.07-0.79x the time at n = 8
+    and 10 (horizons 4-256 and 16-64) and 0.81-0.86x at n = 7 up to
+    horizon 64, but 1.1-1.5x at n = 4 and 6 from horizon 16 on. Like the
     dense-map experiments, it is limited to n_sites <= MAX_DENSE_SITES (10).
     """
     n, t = config.n_sites, config.horizon

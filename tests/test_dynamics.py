@@ -863,7 +863,7 @@ class TestBlocks:
 
     @staticmethod
     def check(steps, n):
-        blocks = dynamics._blocks(steps)
+        blocks = dynamics._blocks((step.unitary, step.sites) for step in steps)
         want = kron_product(((step.unitary, step.sites) for step in steps), n)
         assert np.max(np.abs(kron_product(blocks, n) - want)) <= 1e-13
         assert np.max(np.abs(compose_map(TrajectoryRecord(tuple(steps), n)) - want)) <= 1e-13
@@ -939,9 +939,10 @@ class TestBlocks:
             maps.append(compose_map(record))
         assert max(np.max(np.abs(u - maps[0])) for u in maps) <= 1e-13
 
-    def test_dense_maps_record_takes_five_passes(self, monkeypatch):
+    def test_dense_maps_record_takes_three_passes(self, monkeypatch):
         # The benchmark's dense_maps record: its 58 steps (18 of them links)
-        # fuse into five windows of four sites.
+        # fuse into five windows of four sites, and the first two, on sites
+        # 2-5 and 6-9, start the map as their Kronecker product.
         final, record = dense_maps_record()
         passes = []
 
@@ -958,9 +959,79 @@ class TestBlocks:
         monkeypatch.setattr(dynamics, "_apply_in_place", counted(dynamics._apply_in_place))
         monkeypatch.setattr(_kernels, "apply_2q", counted(_kernels.apply_2q))
         u = compose_map(record)
-        assert (len(record), len(passes)) == (58, 5)
+        assert (len(record), len(passes)) == (58, 3)
         assert all(len(shape) == 3 and shape[1] == 16 for shape in passes)
         assert np.abs(u[:, 0] - final.amplitudes).max() <= 1e-13
+
+
+def one_gate_at_a_time(record):
+    """The record's gates folded over the identity, each by ``_apply_gate`` on the map's 2n sites."""
+    n = record.n_sites
+    m = np.eye(2**n, dtype=complex).ravel()
+    for step in record.steps:
+        m = dynamics._apply_gate(m, step.unitary, step.sites, 2 * n)
+    return m.reshape(2**n, 2**n)
+
+
+def front_sites(record):
+    """Sites of the blocks that start the map: those that meet no earlier block."""
+    front, seen = [], set()
+    for _, sites in dynamics._blocks((step.unitary, step.sites) for step in record.steps):
+        if not seen.intersection(sites):
+            front.append(sites)
+        seen.update(sites)
+    return front
+
+
+class TestKronStart:
+    """The map starts as the Kronecker product of its leading blocks, then takes one pass per other block."""
+
+    @staticmethod
+    def check(record):
+        u = compose_map(record)
+        assert np.max(np.abs(u - one_gate_at_a_time(record))) <= 1e-13
+        return u
+
+    def test_far_pair_in_the_front(self):
+        # operator_nonlocal's pair (0, 6) and the link (4, 5) lead; sites 1-3
+        # start as the identity.
+        cfg = make_config(n_sites=7, horizon=2, kind="operator_nonlocal", lam=0.5, partner_site=0)
+        _, record = evolve(plus_state(7), random_foliation(7, 2, 0), cfg)
+        assert front_sites(record) == [(0, 6), (4, 5)]
+        self.check(record)
+
+    @pytest.mark.parametrize("sites", [(0,), (3,), (1, 2), (2, 1), (0, 5), (5, 0)])
+    def test_one_step_record(self, sites):
+        rng = np.random.default_rng(30 + len(sites))
+        record = TrajectoryRecord((hand_step(sites, rng),), 6)
+        assert front_sites(record) == [tuple(sorted(sites))]
+        self.check(record)
+
+    def test_single_leading_block(self):
+        # The links fuse into a window on sites 0-3; (3, 4) shares site 3, so
+        # it is a pass over a map that starts with sites 4 and 5 free.
+        rng = np.random.default_rng(33)
+        steps = [hand_step(sites, rng) for sites in [(0, 1), (1, 2), (2, 3), (3, 4)]]
+        record = TrajectoryRecord(tuple(steps), 6)
+        assert front_sites(record) == [(0, 1, 2, 3)]
+        self.check(record)
+
+    @pytest.mark.parametrize("seed", [21, 1, 2, 3, 5, 27])
+    def test_dense_maps_records(self, seed):
+        cfg = make_config(n_sites=10, horizon=4, kind="local", lam=0.5)
+        _, record = evolve(zero_state(10), random_foliation(10, 4, seed), cfg)
+        assert len(front_sites(record)) == 2
+        self.check(record)
+
+    @pytest.mark.parametrize("entry", [(0, 0), (3, 1)])
+    def test_nan_in_a_front_block_gives_a_nan_defect(self, entry):
+        # The first step's gate leads; each of its entries reaches the map.
+        rng = np.random.default_rng(34)
+        steps = [hand_step(sites, rng) for sites in [(4, 5), (0, 1), (1, 2), (2, 3)]]
+        steps[0].unitary[entry] = np.nan
+        record = TrajectoryRecord(tuple(steps), 6)
+        assert front_sites(record)[0] == (4, 5)
+        assert math.isnan(dynamics._unitarity_defect(compose_map(record)))
 
 
 def dense_maps_record():

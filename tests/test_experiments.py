@@ -437,31 +437,57 @@ class TestDegeneracyExperiment:
         want = dense_coevolved_expectations(cfg, fol, 2)
         assert np.max(np.abs([row[3] for row in r.details[1:]] - want)) <= 1e-12
 
-    @pytest.mark.parametrize("n_pending", [1, 2, 3, 5, 8])
-    def test_coevolved_walk_matches_one_vector_at_a_time(self, n_pending):
+    @pytest.mark.parametrize("batch", [1, 2, 3, 5, 8])
+    def test_coevolved_walk_matches_one_vector_at_a_time(self, batch):
         # Random gates and states, so every row has its own expectation and a
-        # misordered or misrouted column shows.
-        n, n_gates = 4, 9
-        rng = np.random.default_rng(n_pending)
+        # misordered or misrouted column shows. Each batch walks its own
+        # gates, then the fused blocks of the batches before it, whose
+        # gates include adjacent pairs and pairs further apart than a window.
+        n, n_gates = 6, 20
+        rng = np.random.default_rng(batch)
+        pairs = [(0, 1), (5, 0), (2, 3), (1, 5), (4, 3), (0, 4)]
         adjoints = []
         for j in range(n_gates):
-            d = 2 if j % 3 else 4
-            q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
-            sites = (j % n,) if d == 2 else tuple(int(s) for s in rng.choice(n, 2, replace=False))
-            adjoints.append((q, sites))
-        pending = [rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n) for _ in range(n_pending)]
+            sites = (j % n,) if j % 3 == 0 else pairs[j % len(pairs)]
+            adjoints.append((random_unitary(1 << len(sites), rng), sites))
+        states = [rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n) for _ in range(n_gates)]
         base = BASE_OPERATORS["x"]
-        got = experiments._coevolved_expectations(pending, adjoints, base, 1, n)
+        got, fused = [], []
+        for lo in range(0, n_gates, batch):
+            hi = min(lo + batch, n_gates)
+            got += experiments._coevolved_expectations(states[lo:hi], adjoints[lo:hi], fused, base, 1, n)
+            fused = dynamics._blocks(reversed(adjoints[lo:hi])) + fused
+        registers = {sites for _, sites in fused}
+        assert any(len(sites) > 1 and sites[-1] - sites[0] >= dynamics._WINDOW for sites in registers)
+        assert any(len(sites) > 1 and sites[-1] - sites[0] < dynamics._WINDOW for sites in registers)
         want = []
-        for k, psi in enumerate(pending, start=n_gates - n_pending):
+        for k, psi in enumerate(states):
             for u_dag, sites in reversed(adjoints[: k + 1]):
                 if len(sites) == 1:
                     psi = _kernels.apply_1q(psi, u_dag, sites[0], n)
                 else:
                     psi = _kernels.apply_2q(psi, u_dag, sites[0], sites[1], n)
             want.append(_kernels.expect_1q(psi, base, 1, n).real)
-        assert len(set(np.round(want, 6))) == n_pending
+        assert len(set(np.round(want, 6))) == n_gates
         assert np.max(np.abs(np.array(got) - want)) <= 1e-12
+
+    @pytest.mark.parametrize("n_sites, horizon, seed, calls", [(10, 4, 21, 141), (6, 64, None, 636)])
+    def test_walk_kernel_calls_are_pinned(self, monkeypatch, n_sites, horizon, seed, calls):
+        # One kernel call per gate of the open batch, per fused block of the
+        # batches before it, and one expectation per batch. A walk over every
+        # earlier gate made 290 calls on the seed 21 record (N = 10, T = 4),
+        # and 1829 on the 544 synchronous steps at N = 6, T = 64.
+        cfg = cfg_with("local", n_sites=n_sites, horizon=horizon)
+        if seed is None:
+            fol = canonical_foliation(n_sites, horizon, "synchronous")
+        else:
+            fol = random_foliation(n_sites, horizon, seed)
+        made = []
+        for name in ("_apply_gate", "_apply_block"):
+            kernel = getattr(experiments, name)
+            monkeypatch.setattr(experiments, name, lambda *args, kernel=kernel: made.append(1) or kernel(*args))
+        experiments._degeneracy_metrics(cfg, fol, n_sites // 2)
+        assert len(made) == calls
 
     def test_peak_memory_has_no_dense_map(self):
         # A 2^10 x 2^10 complex map is 16 MiB; the walk over the recorded
