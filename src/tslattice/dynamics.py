@@ -493,11 +493,12 @@ def _blocks(gates) -> list:
 
     A gate may move back to the last block that shares a site with it, or
     to any later block, since gates on disjoint sites commute. It joins the
-    first of those whose sites, with its own, are still one pass: a pair,
+    first of those whose sites, with its own, are still one block: a pair,
     or sites within ``_WINDOW`` adjacent ones. If none fits, it starts a
     new block. A block's ``sites`` are its pair, or every site from its lowest
-    to its highest, and ``u`` is its gates composed on that register by the
-    row-side kernels, as in ``compose_map``; ``_apply_block`` applies it.
+    to its highest, and ``u`` is its gates applied to the rows of that
+    register's identity. ``_apply_block`` applies it, in the degeneracy
+    walk and to ``compose_map``'s column slabs alike.
     """
     blocks = []  # (site set, gates)
     for u, sites in gates:
@@ -560,33 +561,10 @@ def _in_workers(work, chunks) -> list:
     return [first] + [share.result() for share in helpers]
 
 
-# Amplitudes of the map one in-place product covers: 1 MiB of scratch per
-# worker, 16 chunks of a 2^10-site map.
-_MAP_CHUNK = 1 << 16
-
-
-def _apply_in_place(v: np.ndarray, u: np.ndarray) -> None:
-    """u on the middle axis of the view ``(lead, d, rest)``, written back into v.
-
-    v is cut into chunks of at most ``_MAP_CHUNK`` amplitudes (whole leading
-    blocks, or one leading block's slice of ``rest``); each is one
-    ``np.matmul`` into its worker's scratch and one copy back.
-    """
-    lead, d, rest = v.shape
-    width = min(rest, max(1, _MAP_CHUNK // d))
-    height = max(1, _MAP_CHUNK // (d * rest))
-    chunks = [
-        (slice(a, a + height), slice(b, b + width)) for a in range(0, lead, height) for b in range(0, rest, width)
-    ]
-
-    def work(share):
-        tmp = np.empty((min(lead, height), d, width), dtype=v.dtype)
-        for rows, cols in share:
-            sub = v[rows, :, cols]
-            np.matmul(u, sub, out=tmp)
-            sub[...] = tmp
-
-    _in_workers(work, chunks)
+# Amplitudes of one column slab in compose_map, 32 columns of a 2^10-site
+# map: a slab and one block's product are 1 MiB per worker. With slabs of
+# 2^16 the N = 10 map's traced peak with two workers was 20.0 MiB, not 18.0.
+_MAP_CHUNK = 1 << 15
 
 
 def _kron_start(blocks, n: int):
@@ -631,19 +609,28 @@ def compose_map(record: TrajectoryRecord) -> np.ndarray:
     The result acts on state-independent objects; it is unitary even though
     the state map that produced the record is not linear. The leading
     blocks of ``_blocks`` start the map as their Kronecker product
-    (``_kron_start``). Every other block is one pass: a far pair, or at most
-    ``_WINDOW`` adjacent sites in place (``_apply_in_place``).
+    (``_kron_start``). Its columns are then cut into slabs of at most
+    ``_MAP_CHUNK`` amplitudes, and each slab walks every other block through
+    ``_apply_block``, its 2^k columns the trailing spectator qubits of an
+    (n + k)-site vector, as in the degeneracy walk. The slabs alternate
+    between the workers of ``_in_workers``.
     """
     n = record.n_sites
     check_dense_sites("composed map", n)
     m, rest = _kron_start(_blocks((step.unitary, step.sites) for step in record.steps), n)
-    # Row-side gates on the map's 2n sites reuse the state kernels.
-    for u, sites in rest:
-        if sites[-1] - sites[0] >= _WINDOW:
-            m = _kernels.apply_2q(m, u, sites[0], sites[1], 2 * n)
-        else:
-            _apply_in_place(m.reshape(-1, len(u), 1 << (2 * n - 1 - sites[-1])), u)
-    return m.reshape(1 << n, 1 << n)
+    m = m.reshape(1 << n, 1 << n)
+    width = min(1 << n, _MAP_CHUNK >> n)
+    k = width.bit_length() - 1
+
+    def work(starts):
+        for a in starts:
+            slab = m[:, a : a + width].copy()
+            for u, sites in rest:
+                slab = _apply_block(slab, u, sites, n + k)
+            m[:, a : a + width] = slab
+
+    _in_workers(work, range(0, 1 << n, width))
+    return m
 
 
 # Rows of u^dag u formed at a time by _unitarity_defect: 64 rows of a

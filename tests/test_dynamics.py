@@ -25,7 +25,6 @@ from reference import (
     rk4_step,
 )
 
-import tslattice._kernels as _kernels
 import tslattice.dynamics as dynamics
 from tslattice.dynamics import (
     ModelConfig,
@@ -942,25 +941,21 @@ class TestBlocks:
     def test_dense_maps_record_takes_three_passes(self, monkeypatch):
         # The benchmark's dense_maps record: its 58 steps (18 of them links)
         # fuse into five windows of four sites, and the first two, on sites
-        # 2-5 and 6-9, start the map as their Kronecker product.
+        # 2-5 and 6-9, start the map as their Kronecker product. Each of the
+        # map's 32 column slabs walks the other three, on the workers' threads.
         final, record = dense_maps_record()
-        passes = []
+        walked = []
+        block = dynamics._apply_block
 
-        def counted(kernel):
-            def run(v, *args):
-                if v.size == 4**10:
-                    passes.append(v.shape)
-                return kernel(v, *args)
+        def counted(amps, u, sites, n):
+            walked.append((amps.size, len(u), sites))
+            return block(amps, u, sites, n)
 
-            return run
-
-        # Every block pass is one of these two: a window in place, or a far
-        # pair through the kernels (this record has none).
-        monkeypatch.setattr(dynamics, "_apply_in_place", counted(dynamics._apply_in_place))
-        monkeypatch.setattr(_kernels, "apply_2q", counted(_kernels.apply_2q))
+        monkeypatch.setattr(dynamics, "_apply_block", counted)
         u = compose_map(record)
-        assert (len(record), len(passes)) == (58, 3)
-        assert all(len(shape) == 3 and shape[1] == 16 for shape in passes)
+        assert len(record) == 58
+        blocks = [(dynamics._MAP_CHUNK, 16, sites) for sites in [(0, 1, 2, 3), (5, 6, 7, 8), (3, 4, 5, 6)]]
+        assert sorted(walked) == sorted(blocks * 32)
         assert np.abs(u[:, 0] - final.amplitudes).max() <= 1e-13
 
 
@@ -984,7 +979,7 @@ def front_sites(record):
 
 
 class TestKronStart:
-    """The map starts as the Kronecker product of its leading blocks, then takes one pass per other block."""
+    """The map starts as the Kronecker product of its leading blocks; its column slabs walk the other blocks."""
 
     @staticmethod
     def check(record):
@@ -1138,10 +1133,8 @@ class TestWorkers:
         workers, cores = map(int, done.stdout.split())
         assert workers == (min(2, cores) if two else 1)
 
-    def test_peak_memory_at_ten_sites(self):
-        # One 16 MiB map, changed in place, and a 1 MiB scratch chunk per
-        # worker; a pass that makes a new map holds two maps (32 MiB).
-        final, record = dense_maps_record()
+    @staticmethod
+    def traced_peak(record):
         compose_map(record)  # warm caches outside the traced region
         tracemalloc.start()
         try:
@@ -1149,8 +1142,32 @@ class TestWorkers:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        return u, peak
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_peak_memory_at_ten_sites(self, monkeypatch, workers):
+        # One 16 MiB map, changed in place, and per worker a 512 KiB column
+        # slab and one block's product; a pass that makes a new map holds two
+        # maps (32 MiB).
+        monkeypatch.setattr(dynamics, "_workers", lambda: workers)
+        final, record = dense_maps_record()
+        u, peak = self.traced_peak(record)
         assert np.abs(u[:, 0] - final.amplitudes).max() <= 1e-13
         assert peak < 20 << 20
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_far_pairs_walk_column_slabs(self, monkeypatch, workers):
+        # operator_nonlocal with partner 9 on the dense_maps foliation: 23 of
+        # the 37 blocks after the Kronecker start are far pairs, whose gather
+        # copies a slab, not the map (a new map per far pair peaked at 64 MiB).
+        monkeypatch.setattr(dynamics, "_workers", lambda: workers)
+        cfg = make_config(n_sites=10, horizon=4, kind="operator_nonlocal", lam=0.5, partner_site=9)
+        _, record = evolve(zero_state(10), random_foliation(10, 4, 21), cfg)
+        _, rest = dynamics._kron_start(dynamics._blocks((step.unitary, step.sites) for step in record.steps), 10)
+        assert (len(rest), sum(sites[-1] - sites[0] >= dynamics._WINDOW for _, sites in rest)) == (37, 23)
+        u, peak = self.traced_peak(record)
+        assert np.max(np.abs(u - one_gate_at_a_time(record))) <= 1e-13
+        assert peak < 24 << 20
 
 
 class TestStateMapNonlinearity:

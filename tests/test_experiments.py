@@ -588,10 +588,12 @@ class TestUnitarityDefect:
         assert got[0] > 1e-9
         assert got == [got[0]] * 3
 
-    def test_peak_memory_at_ten_sites(self):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_peak_memory_at_ten_sites(self, monkeypatch, workers):
         # The dense expression holds four 16 MiB arrays at once at n = 10; a
         # block of 64 rows holds a 1 MiB product and a 1 MiB column copy, on
-        # each of two workers.
+        # each worker.
+        monkeypatch.setattr(dynamics, "_workers", lambda: workers)
         u = random_unitary(1 << 10, np.random.default_rng(710))
         want = self.dense(u)
         tracemalloc.start()
