@@ -1,12 +1,12 @@
-"""Gate kernels on dense amplitude vectors, in pure numpy.
+"""Gate kernels on dense amplitude vectors, in pure numpy: every gate goes through ``apply_gate``.
 
 Site 0 is the most significant bit of the basis index. A gate never moves
-the amplitude vector's axes: a one-site gate acts on the middle axis of the
-reshape view ``(2^site, 2, 2^(n-1-site))``, and a gate on the pair
-``lo < hi`` on axes 1 and 3 of ``(2^lo, 2, 2^(hi-lo-1), 2, 2^(n-1-hi))``;
-an adjacent pair is the middle axis of ``(2^lo, 4, 2^(n-1-hi))``. The layout
-follows Häner & Steiger, "0.5 Petabyte Simulation of a 45-Qubit Quantum
-Circuit" (SC17, arXiv:1704.01127).
+the amplitude vector's axes: a gate on one site or an ascending run of
+adjacent sites ``lo..hi`` (a pair, or a fused window) acts on the middle
+axis of the view ``(2^lo, 2^(hi-lo+1), 2^(n-1-hi))``, and one on any other
+pair ``lo < hi`` on axes 1 and 3 of ``(2^lo, 2, 2^(hi-lo-1), 2, 2^(n-1-hi))``.
+The layout follows Häner & Steiger, "0.5 Petabyte Simulation of a 45-Qubit
+Quantum Circuit" (SC17, arXiv:1704.01127).
 
 numpy has no strided small-gate kernel. A gate on the middle axis of the
 view ``(lead, d, rest)`` takes one of two matrix products: with
@@ -16,9 +16,9 @@ gate, ``kron(g, I_rest)``, for one product on the 2-D view
 leading axis. A non-adjacent pair's two gate axes are gathered to the front
 in one strided copy, multiplied, and scattered back.
 
-The gates take their leading extent from the array: a ``(B, 2^n)`` stack of
-B states, C-contiguous, is one view with B times as many leading blocks, so
-one call applies the gate to every row, and the result has the input's shape.
+A gate takes its leading extent from the array: a C-contiguous ``(B, 2^n)``
+stack of B states, or ``(2^n, 2^k)`` columns given as ``n + k`` sites, is
+one view with more leading blocks, and the result has the input's shape.
 
 Every kernel is pure: the input is only read, and the result is a fresh
 array.
@@ -67,26 +67,15 @@ def _apply_middle(v, g):
     return np.matmul(g, v)
 
 
-def apply_1q(amps, m, site, n):
-    """Apply a 2x2 matrix to one tensor factor of a 2^n amplitude vector or stack."""
-    return _apply_middle(amps.reshape(-1, 2, 1 << (n - 1 - site)), m).reshape(amps.shape)
-
-
-def apply_2q(amps, m, site_a, site_b, n):
-    """Apply a 4x4 matrix (row index (bit_a << 1) | bit_b) to sites (a, b) of a vector or stack."""
-    if site_a < site_b:
-        lo, hi = site_a, site_b
-    else:
-        lo, hi = site_b, site_a
+def apply_gate(amps, u, sites, n):
+    """u on ``sites``: one site, a pair (row index ``(bit_a << 1) | bit_b``), or an ascending run of adjacent sites."""
+    if len(sites) == 2 and sites[0] > sites[1]:
         # Reorder rows and columns to (bit_lo << 1) | bit_hi.
-        m = m.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4)
+        sites = sites[::-1]
+        u = u.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4)
+    lo, hi = sites[0], sites[-1]
     rest = 1 << (n - 1 - hi)
-    if hi == lo + 1:
-        return _apply_middle(amps.reshape(-1, 4, rest), m).reshape(amps.shape)
+    if hi - lo == len(sites) - 1:
+        return _apply_middle(amps.reshape(-1, len(u), rest), u).reshape(amps.shape)
     v = amps.reshape(-1, 2, 1 << (hi - lo - 1), 2, rest)
-    return _gathered(v, m, (1, 3)).reshape(amps.shape)
-
-
-def expect_1q(amps, m, site, n):
-    """Raw inner product <psi| m_site |psi>, returned as a complex number."""
-    return complex(np.vdot(amps, apply_1q(amps, m, site, n)))
+    return _gathered(v, u, (1, 3)).reshape(amps.shape)

@@ -226,16 +226,21 @@ def _parse_value(value: str, ln: int, raw: str) -> str:
 
 
 def parse_kv_lines(text: str) -> dict[str, str]:
-    """``key = value`` lines; blank lines and ``#`` comments are skipped; see ``_parse_value``."""
+    """``key = value`` lines, one per key; blank lines and ``#`` comments are skipped; see ``_parse_value``."""
     out: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         key, sep, value = line.partition("=")
+        key = key.strip()
         if not sep or "#" in key:
             raise ConfigError(f"line {ln}: expected 'key = value', got {raw!r}")
-        out[key.strip()] = _parse_value(value, ln, raw)
+        if key in first_line:
+            raise ConfigError(f"line {ln}: config key {key!r} is already set on line {first_line[key]}")
+        first_line[key] = ln
+        out[key] = _parse_value(value, ln, raw)
     return out
 
 

@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import _kernels
+from ._kernels import apply_gate
 from .quantum_core import (
     HERMITIAN_ATOL,
     IDENTITY_2,
@@ -313,12 +313,6 @@ def _gate(sites, terms, step_dt: float) -> np.ndarray:
     return u
 
 
-def _apply_gate(amps: np.ndarray, u: np.ndarray, sites, n: int) -> np.ndarray:
-    if len(sites) == 1:
-        return _kernels.apply_1q(amps, u, sites[0], n)
-    return _kernels.apply_2q(amps, u, sites[0], sites[1], n)
-
-
 def _check_sizes(state_sites: int, surface_sites: int, n: int) -> None:
     if not state_sites == surface_sites == n:
         raise ValueError(f"sizes differ: state has {state_sites} sites, surface {surface_sites}, config {n}")
@@ -362,7 +356,7 @@ def ts_step(
         terms = ((g, residue, scale + c),)
     step_dt = config.dt if isinstance(d, SiteAdvance) else 1.0
     u = _gate(sites, terms, step_dt)
-    out = _apply_gate(state.amplitudes, u, sites, n)
+    out = apply_gate(state.amplitudes, u, sites, n)
     nrm = math.sqrt(np.vdot(out, out).real)
     if not abs(nrm - 1.0) <= NORM_ATOL:
         raise _norm_error(nrm)
@@ -432,10 +426,10 @@ def ts_step_batch(
         scale, residue = np.empty(len(rows)), np.empty(len(rows))
         lo = 0
         for (_, _, sites, read, ((g, g_residue, g_scale),)), hi in zip(reading, ends):
-            g_psi[lo:hi] = _kernels.apply_1q(psi[lo:hi], g, sites[0], n)
+            g_psi[lo:hi] = apply_gate(psi[lo:hi], g, sites, n)
             if o_psi is not g_psi:
                 field = _free_field(read[0], read[1], config.omega, config.base_operator)[0]
-                o_psi[lo:hi] = _kernels.apply_1q(psi[lo:hi], field.matrix, read[0], n)
+                o_psi[lo:hi] = apply_gate(psi[lo:hi], field.matrix, (read[0],), n)
             scale[lo:hi], residue[lo:hi] = g_scale, g_residue
             lo = hi
         raw = _row_products(psi, o_psi)
@@ -457,7 +451,7 @@ def ts_step_batch(
         del g_psi
     for rows, d, sites, _, terms in fixed:
         step_dt = config.dt if type(d) is SiteAdvance else 1.0
-        out[rows] = _apply_gate(states[sources[rows]], _gate(sites, terms, step_dt), sites, n)
+        out[rows] = apply_gate(states[sources[rows]], _gate(sites, terms, step_dt), sites, n)
     nrm = np.sqrt(_row_products(out, out).real)
     bad = ~(np.abs(nrm - 1.0) <= NORM_ATOL)
     if bad.any():
@@ -497,7 +491,7 @@ def _blocks(gates) -> list:
     or sites within ``_WINDOW`` adjacent ones. If none fits, it starts a
     new block. A block's ``sites`` are its pair, or every site from its lowest
     to its highest, and ``u`` is its gates applied to the rows of that
-    register's identity. ``_apply_block`` applies it, in the degeneracy
+    register's identity. ``apply_gate`` applies it, in the degeneracy
     walk and to ``compose_map``'s column slabs alike.
     """
     blocks = []  # (site set, gates)
@@ -519,16 +513,9 @@ def _blocks(gates) -> list:
         w = len(register)
         u = np.eye(1 << w, dtype=complex).ravel()
         for g, gate_sites in members:
-            u = _apply_gate(u, g, [register.index(s) for s in gate_sites], 2 * w)
+            u = apply_gate(u, g, [register.index(s) for s in gate_sites], 2 * w)
         fused.append((u.reshape(1 << w, 1 << w), register))
     return fused
-
-
-def _apply_block(amps: np.ndarray, u: np.ndarray, sites, n: int) -> np.ndarray:
-    """A block of ``_blocks`` on a vector or stack: a gate on one site or a pair, else u on the window's middle axis."""
-    if len(sites) <= 2:
-        return _apply_gate(amps, u, sites, n)
-    return _kernels._apply_middle(amps.reshape(-1, len(u), 1 << (n - 1 - sites[-1])), u).reshape(amps.shape)
 
 
 def _workers() -> int:
@@ -611,7 +598,7 @@ def compose_map(record: TrajectoryRecord) -> np.ndarray:
     blocks of ``_blocks`` start the map as their Kronecker product
     (``_kron_start``). Its columns are then cut into slabs of at most
     ``_MAP_CHUNK`` amplitudes, and each slab walks every other block through
-    ``_apply_block``, its 2^k columns the trailing spectator qubits of an
+    ``apply_gate``, its 2^k columns the trailing spectator qubits of an
     (n + k)-site vector, as in the degeneracy walk. The slabs alternate
     between the workers of ``_in_workers``.
     """
@@ -626,7 +613,7 @@ def compose_map(record: TrajectoryRecord) -> np.ndarray:
         for a in starts:
             slab = m[:, a : a + width].copy()
             for u, sites in rest:
-                slab = _apply_block(slab, u, sites, n + k)
+                slab = apply_gate(slab, u, sites, n + k)
             m[:, a : a + width] = slab
 
     _in_workers(work, range(0, 1 << n, width))

@@ -7,7 +7,7 @@ is a pure function of metrics and thresholds, computed by the report type
 itself. Reports are deterministic for a fixed configuration and seed on one
 host with a fixed number of BLAS threads. Every state distance goes through
 ``_state_distances``, whose sums do not use BLAS, so only the N = 14 sweep's
-final-expectation cells (``np.vdot`` in ``_kernels.expect_1q``) can move
+final-expectation cells (``np.vdot`` in ``_real_expectation``) can move
 with the thread count: 6 of the 60 in the benchmark's ``sweep_wide`` seed 1
 report and 11 of 60 at seed 2 differ in the last digit between one and two
 threads (2-core host).
@@ -25,12 +25,11 @@ from .dynamics import (
     BASE_OPERATORS,
     ModelConfig,
     NonlinearitySpec,
-    _apply_block,
-    _apply_gate,
     _blocks,
     _nonlinear_plans,
     _trajectory,
     _unitarity_defect,
+    apply_gate,
     check_dense_sites,
     compose_map,
     evolve,
@@ -424,7 +423,7 @@ def _measurement_branches(state: StateVector, site: int, setting: str):
     for k in range(2):
         v = evecs[:, k]
         proj = np.outer(v, v.conj())
-        amps = _apply_gate(state.amplitudes, proj, (site,), state.n_sites)
+        amps = apply_gate(state.amplitudes, proj, (site,), state.n_sites)
         p = float(np.vdot(amps, amps).real)
         if p < 1e-15:
             continue
@@ -572,10 +571,10 @@ def _coevolved_expectations(pending, adjoints, fused, base, probe_site, n):
     for j in range(len(pending) - 1, -1, -1):
         cols[:, j] = pending[j]
         u_dag, sites = adjoints[j]
-        cols = _apply_gate(cols.reshape(-1), u_dag, sites, n + m).reshape(1 << n, -1)
+        cols = apply_gate(cols, u_dag, sites, n + m)
     for u, sites in fused:
-        cols = _apply_block(cols.reshape(-1), u, sites, n + m).reshape(1 << n, -1)
-    o_cols = _apply_gate(cols.reshape(-1), base, (probe_site,), n + m).reshape(1 << n, -1)
+        cols = apply_gate(cols, u, sites, n + m)
+    o_cols = apply_gate(cols, base, (probe_site,), n + m)
     values = np.einsum("ij,ij->j", cols.conj(), o_cols).real
     return [float(v) for v in values[: len(pending)]]
 

@@ -12,8 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
-from ._kernels import _identity
+from ._kernels import _identity, apply_gate
 
 NORM_ATOL = 1e-12
 HERMITIAN_ATOL = 1e-14
@@ -165,7 +164,7 @@ def expectation(state: StateVector, op: SiteOperator) -> float:
 
 def _real_expectation(state: StateVector, matrix: np.ndarray, site: int) -> float:
     """<psi| matrix_site |psi> for a matrix the caller has found Hermitian."""
-    raw = _kernels.expect_1q(state.amplitudes, matrix, site, state.n_sites)
+    raw = complex(np.vdot(state.amplitudes, apply_gate(state.amplitudes, matrix, (site,), state.n_sites)))
     if abs(raw.imag) > IMAG_ATOL:
         raise _imaginary_residue(raw.imag)
     return float(raw.real)

@@ -11,6 +11,10 @@ not change. To regenerate it all, from the root of a checkout:
 
     PYTHONPATH=src python tests/report_baseline.py
 
+With ``--check`` the same files are written into a temporary directory
+instead, nothing under ``tests/`` changes, and each file that is not
+byte-equal to its baseline is printed; the exit status is 1 if any is.
+
 ``mismatches`` compares a fresh report with its baseline: lines outside the
 metrics and details sections (experiment, version, config, thresholds,
 verdict, foliation) must be equal; in those two sections every cell that
@@ -20,10 +24,14 @@ every other cell must be equal.
 
 from __future__ import annotations
 
+import argparse
+import contextlib
+import io
 import math
 import os
 import re
 import sys
+import tempfile
 from pathlib import Path
 
 BASELINE = Path(__file__).resolve().parent / "baseline"
@@ -40,8 +48,8 @@ _COMPUTED = ("metrics:", "details:")
 _CELL_BREAK = re.compile(r"([ ,=])")
 
 
-def baseline_dir(kind: str, lam: str) -> Path:
-    return BASELINE / f"{kind}-lambda-{lam}"
+def baseline_dir(kind: str, lam: str, root: Path = BASELINE) -> Path:
+    return root / f"{kind}-lambda-{lam}"
 
 
 def perfbench_dirs() -> list[Path]:
@@ -95,8 +103,8 @@ def mismatches(expected: str, actual: str) -> list[str]:
     return out
 
 
-def _write_workload_inputs() -> list[Path]:
-    """Write every committed benchmark input; returns the config files."""
+def _write_workload_inputs(root: Path) -> list[Path]:
+    """Write every benchmark input under ``root``; returns the config files."""
     sys.path.insert(0, str(PERFBENCH))
     import oracle
     import workloads
@@ -105,7 +113,7 @@ def _write_workload_inputs() -> list[Path]:
     for name in workloads.NAMES:
         for seed in PERFBENCH_SEEDS:
             w = workloads.make(name, seed)
-            out = BASELINE / "perfbench" / f"{name}-{seed}"
+            out = root / "perfbench" / f"{name}-{seed}"
             out.mkdir(parents=True, exist_ok=True)
             if w.foliation is not None:
                 (out / FOLIATION_FILE).write_text(oracle.foliation_text(w.foliation))
@@ -116,20 +124,56 @@ def _write_workload_inputs() -> list[Path]:
     return written
 
 
-def main() -> int:
+def write_baseline(root: Path) -> int:
+    """Write every baseline input and report under ``root``; 1 if a verdict failed."""
     from tslattice.cli import parse_config, run
 
     runs = [
-        parse_config(None, {"kind": kind, "lambda": lam, "out": str(baseline_dir(kind, lam)), "format": "structured"})
+        parse_config(
+            None, {"kind": kind, "lambda": lam, "out": str(baseline_dir(kind, lam, root)), "format": "structured"}
+        )
         for kind in KINDS
         for lam in LAMBDAS
     ]
-    runs += [perfbench_config(path, path.parent) for path in _write_workload_inputs()]
+    runs += [perfbench_config(path, path.parent) for path in _write_workload_inputs(root)]
     for cfg in runs:
         if run(cfg) != 0:
             print(f"error: {cfg.out}: a verdict failed", file=sys.stderr)
             return 1
     return 0
+
+
+def _contents(root: Path) -> dict[str, bytes]:
+    return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def differing_files(fresh: Path, baseline: Path = BASELINE) -> list[str]:
+    """Paths, relative to both roots, of the files on one side only or not byte-equal."""
+    a, b = _contents(fresh), _contents(baseline)
+    return sorted(rel for rel in a.keys() | b.keys() if a.get(rel) != b.get(rel))
+
+
+def check() -> int:
+    """Regenerate the baseline into a temporary directory; print each file that differs."""
+    with tempfile.TemporaryDirectory() as tmp:
+        with contextlib.redirect_stdout(io.StringIO()):
+            status = write_baseline(Path(tmp))
+        if status != 0:
+            return status
+        differing = differing_files(Path(tmp))
+    for rel in differing:
+        print(f"differs: {rel}")
+    print(f"{len(differing)} file(s) differ from {BASELINE}")
+    return 1 if differing else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="Regenerate the committed report baseline.")
+    parser.add_argument(
+        "--check", action="store_true", help="write into a temporary directory instead and list the differing files"
+    )
+    args = parser.parse_args(argv)
+    return check() if args.check else write_baseline(BASELINE)
 
 
 if __name__ == "__main__":

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from report_baseline import BASELINE, baseline_dir, mismatches, perfbench_config, perfbench_dirs
+from report_baseline import BASELINE, baseline_dir, differing_files, mismatches, perfbench_config, perfbench_dirs
 
 import tslattice
 
@@ -119,6 +119,10 @@ class TestParseConfig:
         assert cfg.seed == 9
         assert cfg.experiment == "sweep"
 
+    def test_key_given_twice_names_both_lines(self):
+        with pytest.raises(ConfigError, match=r"^line 4: config key 'lambda' is already set on line 2$"):
+            parse_kv_lines("seed = 3\nlambda = 0.5\n# the linear model?\nlambda = 0\n")
+
     def test_comments_and_quotes(self):
         kv = parse_kv_lines("# a comment\nkind = 'local'  # trailing\n\nseed=3\n")
         assert kv == {"kind": "local", "seed": "3"}
@@ -203,6 +207,21 @@ def assert_matches_baseline(out: Path, baseline: Path) -> None:
     assert [p.name for p in expected] == sorted(p.name for p in out.glob("*.report"))
     for p in expected:
         assert mismatches(p.read_text(), (out / p.name).read_text()) == [], p.name
+
+
+def test_baseline_check_names_every_file_that_is_not_byte_equal(tmp_path):
+    # ``report_baseline.py --check`` prints these: a changed byte, and a file on one side only.
+    fresh, baseline = tmp_path / "fresh", tmp_path / "baseline"
+    for root, last_digit in ((fresh, "6"), (baseline, "5")):
+        (root / "perfbench" / "w-1").mkdir(parents=True)
+        (root / "same.report").write_text("metrics:\n  x = 1\n")
+        (root / "perfbench" / "w-1" / "a.report").write_text(f"  x = 1.0000000000000{last_digit}\n")
+    (fresh / "only_fresh.report").write_text("")
+    (baseline / "perfbench" / "w-1" / "only_baseline.cfg").write_text("")
+    assert differing_files(fresh, baseline) == [
+        "only_fresh.report", "perfbench/w-1/a.report", "perfbench/w-1/only_baseline.cfg"
+    ]
+    assert differing_files(baseline, baseline) == []
 
 
 class TestRun:
@@ -607,6 +626,15 @@ class TestMain:
         assert main(["all", "--config", cfgfile, "--out", str(tmp_path / "r"), *flags]) == 1
         assert capsys.readouterr().err.startswith(f"error: config key '{key}': ")
         assert not (tmp_path / "r").exists()
+
+    def test_key_given_twice_in_the_file_exits_1(self, tmp_path, capsys):
+        cfgfile = write_cfg(tmp_path, "experiment = sweep\nlambda = 0.5\nlambda = 0\n")
+        assert main(["--config", cfgfile, "--out", str(tmp_path / "r")]) == 1
+        assert "config key 'lambda' is already set on line 2" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+        # A flag still overrides the file's one value.
+        cfgfile = write_cfg(tmp_path, "experiment = sweep\nlambda = 0.5\n")
+        assert parse_config(cfgfile, {"lambda": "0"}).lam == 0.0
 
     def test_unterminated_quote_exits_1_naming_the_line(self, tmp_path, capsys):
         cfgfile = write_cfg(tmp_path, 'experiment = sweep\nout = "runs#1\n')

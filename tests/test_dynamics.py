@@ -943,15 +943,18 @@ class TestBlocks:
         # fuse into five windows of four sites, and the first two, on sites
         # 2-5 and 6-9, start the map as their Kronecker product. Each of the
         # map's 32 column slabs walks the other three, on the workers' threads.
+        # Only slab-sized calls count: _blocks fuses each window with the
+        # same kernel, on its register's identity.
         final, record = dense_maps_record()
         walked = []
-        block = dynamics._apply_block
+        gate = dynamics.apply_gate
 
         def counted(amps, u, sites, n):
-            walked.append((amps.size, len(u), sites))
-            return block(amps, u, sites, n)
+            if amps.size == dynamics._MAP_CHUNK:
+                walked.append((amps.size, len(u), sites))
+            return gate(amps, u, sites, n)
 
-        monkeypatch.setattr(dynamics, "_apply_block", counted)
+        monkeypatch.setattr(dynamics, "apply_gate", counted)
         u = compose_map(record)
         assert len(record) == 58
         blocks = [(dynamics._MAP_CHUNK, 16, sites) for sites in [(0, 1, 2, 3), (5, 6, 7, 8), (3, 4, 5, 6)]]
@@ -960,11 +963,11 @@ class TestBlocks:
 
 
 def one_gate_at_a_time(record):
-    """The record's gates folded over the identity, each by ``_apply_gate`` on the map's 2n sites."""
+    """The record's gates folded over the identity, each by ``apply_gate`` on the map's 2n sites."""
     n = record.n_sites
     m = np.eye(2**n, dtype=complex).ravel()
     for step in record.steps:
-        m = dynamics._apply_gate(m, step.unitary, step.sites, 2 * n)
+        m = dynamics.apply_gate(m, step.unitary, step.sites, 2 * n)
     return m.reshape(2**n, 2**n)
 
 

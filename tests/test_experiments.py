@@ -14,7 +14,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from reference import random_unitary
 
-from tslattice import _kernels, dynamics, experiments
+from tslattice import dynamics, experiments, quantum_core
 from tslattice.dynamics import (
     BASE_OPERATORS,
     NONLINEARITY_KINDS,
@@ -463,11 +463,8 @@ class TestDegeneracyExperiment:
         want = []
         for k, psi in enumerate(states):
             for u_dag, sites in reversed(adjoints[: k + 1]):
-                if len(sites) == 1:
-                    psi = _kernels.apply_1q(psi, u_dag, sites[0], n)
-                else:
-                    psi = _kernels.apply_2q(psi, u_dag, sites[0], sites[1], n)
-            want.append(_kernels.expect_1q(psi, base, 1, n).real)
+                psi = dynamics.apply_gate(psi, u_dag, sites, n)
+            want.append(np.vdot(psi, dynamics.apply_gate(psi, base, (1,), n)).real)
         assert len(set(np.round(want, 6))) == n_gates
         assert np.max(np.abs(np.array(got) - want)) <= 1e-12
 
@@ -483,9 +480,8 @@ class TestDegeneracyExperiment:
         else:
             fol = random_foliation(n_sites, horizon, seed)
         made = []
-        for name in ("_apply_gate", "_apply_block"):
-            kernel = getattr(experiments, name)
-            monkeypatch.setattr(experiments, name, lambda *args, kernel=kernel: made.append(1) or kernel(*args))
+        kernel = experiments.apply_gate
+        monkeypatch.setattr(experiments, "apply_gate", lambda *args: made.append(1) or kernel(*args))
         experiments._degeneracy_metrics(cfg, fol, n_sites // 2)
         assert len(made) == calls
 
@@ -782,16 +778,18 @@ class TestLambdaZeroRunsTheLinearStep:
     def test_control_scan_groups_linear_rows_by_their_own_site(self, monkeypatch, kind):
         # A linear row's gate does not depend on the remote site's height, so
         # the nonlocal kinds' control scan takes the gates of kind local
-        # (remote site 4).
+        # (remote site 4). Only one-site calls count; link gates share the kernel.
         calls = 0
-        real = _kernels.apply_1q
+        real = dynamics.apply_gate
 
-        def counted(*args):
+        def counted(amps, u, sites, n):
             nonlocal calls
-            calls += 1
-            return real(*args)
+            calls += len(sites) == 1
+            return real(amps, u, sites, n)
 
-        monkeypatch.setattr(_kernels, "apply_1q", counted)
+        # Every module that binds the kernel, so the expectations count too.
+        for module in (dynamics, quantum_core):
+            monkeypatch.setattr(module, "apply_gate", counted)
         remote = {"source_site": 4} if kind == "coefficient_nonlocal" else {}
         _swap_scans([linear_config(cfg_with(kind, n_sites=5, horizon=4, **remote))], 1000)
         assert calls == 580
@@ -818,6 +816,6 @@ def test_experiments_reach_gates_and_workers_only_through_dynamics():
             imported.add(node.module or "")
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             imported.update(alias.name for alias in node.names)
-    assert "dynamics" in imported and "_apply_gate" in imported
+    assert "dynamics" in imported and "apply_gate" in imported
     assert not imported & {"_kernels", "tslattice._kernels", "_in_workers"}
     assert not hasattr(experiments, "_DEFECT_BLOCK")

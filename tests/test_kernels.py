@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 from reference import embedded
 
 from tslattice import _kernels
+from tslattice.quantum_core import StateVector, _real_expectation
 
 
 def random_vec(n, rng):
@@ -25,34 +26,34 @@ class TestPyKernelsAgainstDense:
     """Every site and every ordered pair (adjacent, reversed, non-adjacent)."""
 
     @pytest.mark.parametrize("n", range(1, 9))
-    def test_apply_1q(self, n):
+    def test_one_site(self, n):
         rng = np.random.default_rng(100 + n)
         v = random_vec(n, rng)
         for site in range(n):
             m = random_matrix(2, rng)
             assert_allclose(
-                _kernels.apply_1q(v, m, site, n), embedded(m, [site], n) @ v, rtol=0, atol=1e-13
+                _kernels.apply_gate(v, m, (site,), n), embedded(m, [site], n) @ v, rtol=0, atol=1e-13
             )
 
     @pytest.mark.parametrize("n", range(2, 9))
-    def test_apply_2q(self, n):
+    def test_pair(self, n):
         rng = np.random.default_rng(200 + n)
         v = random_vec(n, rng)
         for a, b in ordered_pairs(n):
             m = random_matrix(4, rng)
             assert_allclose(
-                _kernels.apply_2q(v, m, a, b, n), embedded(m, [a, b], n) @ v, rtol=0, atol=1e-13
+                _kernels.apply_gate(v, m, (a, b), n), embedded(m, [a, b], n) @ v, rtol=0, atol=1e-13
             )
 
     @pytest.mark.parametrize("n", range(1, 9))
-    def test_expect_1q(self, n):
+    def test_one_site_expectation(self, n):
         rng = np.random.default_rng(300 + n)
         v = random_vec(n, rng)
         for site in range(n):
             h = random_matrix(2, rng)
             h = h + h.conj().T
             want = np.vdot(v, embedded(h, [site], n) @ v)
-            assert _kernels.expect_1q(v, h, site, n) == pytest.approx(want, abs=1e-13)
+            assert _real_expectation(StateVector(v, n), h, site) == pytest.approx(want, abs=1e-13)
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_map_layout_of_compose_map(self, n):
@@ -63,11 +64,11 @@ class TestPyKernelsAgainstDense:
         mat = random_matrix(dim, rng)
         for site in range(n):
             u = random_matrix(2, rng)
-            got = _kernels.apply_1q(mat.ravel(), u, site, 2 * n).reshape(dim, dim)
+            got = _kernels.apply_gate(mat.ravel(), u, (site,), 2 * n).reshape(dim, dim)
             assert_allclose(got, embedded(u, [site], n) @ mat, rtol=0, atol=1e-12)
         for a, b in ordered_pairs(n):
             u = random_matrix(4, rng)
-            got = _kernels.apply_2q(mat.ravel(), u, a, b, 2 * n).reshape(dim, dim)
+            got = _kernels.apply_gate(mat.ravel(), u, (a, b), 2 * n).reshape(dim, dim)
             assert_allclose(got, embedded(u, [a, b], n) @ mat, rtol=0, atol=1e-12)
 
 
@@ -113,18 +114,18 @@ class TestPyKernelsWideShapes:
     """Checked against einsum on the same reshape view, an independent product."""
 
     @pytest.mark.parametrize("n, site, route", WIDE_1Q)
-    def test_apply_1q(self, monkeypatch, n, site, route):
+    def test_one_site(self, monkeypatch, n, site, route):
         rng = np.random.default_rng(n * 100 + site)
         v = random_vec(n, rng)
         m = random_matrix(2, rng)
         view = v.reshape(2**site, 2, -1)
         want = np.einsum("ij,ajr->air", m, view).ravel()
         taken = spy_routes(monkeypatch)
-        assert_allclose(_kernels.apply_1q(v, m, site, n), want, rtol=0, atol=1e-13)
+        assert_allclose(_kernels.apply_gate(v, m, (site,), n), want, rtol=0, atol=1e-13)
         assert taken == ([] if route == "matmul" else [route])
 
     @pytest.mark.parametrize("n, a, b, route", WIDE_2Q)
-    def test_apply_2q(self, monkeypatch, n, a, b, route):
+    def test_pair(self, monkeypatch, n, a, b, route):
         rng = np.random.default_rng(n * 10000 + a * 100 + b)
         v = random_vec(n, rng)
         m = random_matrix(4, rng)
@@ -134,7 +135,7 @@ class TestPyKernelsWideShapes:
         spec = "ikjl,ajblr->aibkr" if a < b else "kilj,ajblr->aibkr"
         want = np.einsum(spec, m4, view).ravel()
         taken = spy_routes(monkeypatch)
-        assert_allclose(_kernels.apply_2q(v, m, a, b, n), want, rtol=0, atol=1e-13)
+        assert_allclose(_kernels.apply_gate(v, m, (a, b), n), want, rtol=0, atol=1e-13)
         assert taken == ([] if route == "matmul" else [route])
 
 
@@ -157,8 +158,7 @@ class TestPyKernelsPurity:
         v = self.frozen(random_vec(n, rng))
         m = self.frozen(random_matrix(2, rng))
         v0, m0 = v.copy(), m.copy()
-        out = _kernels.apply_1q(v, m, site, n)
-        _kernels.expect_1q(v, m, site, n)
+        out = _kernels.apply_gate(v, m, (site,), n)
         assert np.array_equal(v, v0) and np.array_equal(m, m0)
         assert out.shape == v.shape and out.flags.writeable
         assert not np.shares_memory(out, v) and not np.shares_memory(out, m)
@@ -169,7 +169,7 @@ class TestPyKernelsPurity:
         v = self.frozen(random_vec(n, rng))
         m = self.frozen(random_matrix(4, rng))
         v0, m0 = v.copy(), m.copy()
-        out = _kernels.apply_2q(v, m, a, b, n)
+        out = _kernels.apply_gate(v, m, (a, b), n)
         assert np.array_equal(v, v0) and np.array_equal(m, m0)
         assert out.shape == v.shape and out.flags.writeable
         assert not np.shares_memory(out, v) and not np.shares_memory(out, m)
@@ -180,9 +180,9 @@ def test_pykernel_ordering_convention():
     v = np.zeros(4, dtype=complex)
     v[0] = 1.0
     x = np.array([[0, 1], [1, 0]], dtype=complex)
-    out = _kernels.apply_1q(v, x, 0, 2)
+    out = _kernels.apply_gate(v, x, (0,), 2)
     assert np.argmax(np.abs(out)) == 0b10
-    out = _kernels.apply_1q(v, x, 1, 2)
+    out = _kernels.apply_gate(v, x, (1,), 2)
     assert np.argmax(np.abs(out)) == 0b01
 
 
@@ -201,30 +201,30 @@ class TestStackedKernels:
 
     @pytest.mark.parametrize("rows", [1, 3, 8])
     @pytest.mark.parametrize("n", range(1, 7))
-    def test_apply_1q(self, monkeypatch, n, rows):
+    def test_one_site(self, monkeypatch, n, rows):
         rng = np.random.default_rng(500 + 10 * n + rows)
         stack = TestPyKernelsPurity.frozen(np.array([random_vec(n, rng) for _ in range(rows)]))
         for site in range(n):
             m = TestPyKernelsPurity.frozen(random_matrix(2, rng))
-            want = np.array([_kernels.apply_1q(v, m, site, n) for v in stack])
+            want = np.array([_kernels.apply_gate(v, m, (site,), n) for v in stack])
             rest = 1 << (n - 1 - site)
             for route in MIDDLE_ROUTES:
                 with monkeypatch.context() as patch:
                     forced_route(patch, route, 2, rest)
                     taken = spy_routes(patch)
-                    got = _kernels.apply_1q(stack, m, site, n)
+                    got = _kernels.apply_gate(stack, m, (site,), n)
                 assert taken == ([] if route == "matmul" else [route])
                 assert got.shape == stack.shape and not np.shares_memory(got, stack)
                 assert_allclose(got, want, rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("rows", [1, 3, 8])
     @pytest.mark.parametrize("n", range(2, 7))
-    def test_apply_2q(self, monkeypatch, n, rows):
+    def test_pair(self, monkeypatch, n, rows):
         rng = np.random.default_rng(600 + 10 * n + rows)
         stack = TestPyKernelsPurity.frozen(np.array([random_vec(n, rng) for _ in range(rows)]))
         for a, b in ordered_pairs(n):
             m = TestPyKernelsPurity.frozen(random_matrix(4, rng))
-            want = np.array([_kernels.apply_2q(v, m, a, b, n) for v in stack])
+            want = np.array([_kernels.apply_gate(v, m, (a, b), n) for v in stack])
             lo, hi = min(a, b), max(a, b)
             rest = 1 << (n - 1 - hi)
             routes = MIDDLE_ROUTES if hi == lo + 1 else ["gather"]
@@ -232,7 +232,7 @@ class TestStackedKernels:
                 with monkeypatch.context() as patch:
                     forced_route(patch, route, 4, rest)
                     taken = spy_routes(patch)
-                    got = _kernels.apply_2q(stack, m, a, b, n)
+                    got = _kernels.apply_gate(stack, m, (a, b), n)
                 assert taken == ([] if route == "matmul" else [route])
                 assert got.shape == stack.shape and not np.shares_memory(got, stack)
                 assert_allclose(got, want, rtol=0, atol=1e-14)
@@ -255,13 +255,38 @@ def test_no_middle_axis_view_is_gathered(monkeypatch):
     m2, m4 = random_matrix(2, rng), random_matrix(4, rng)
     v = random_vec(14, rng)
     for site in range(14):
-        _kernels.apply_1q(v, m2, site, 14)
+        _kernels.apply_gate(v, m2, (site,), 14)
     for lo in range(13):
-        _kernels.apply_2q(v, m4, lo, lo + 1, 14)
-        _kernels.apply_2q(v, m4, lo + 1, lo, 14)
+        _kernels.apply_gate(v, m4, (lo, lo + 1), 14)
+        _kernels.apply_gate(v, m4, (lo + 1, lo), 14)
     stack = np.array([random_vec(10, rng) for _ in range(8)])
-    _kernels.apply_1q(stack, m2, 5, 10)
-    _kernels.apply_2q(stack, m4, 5, 6, 10)
+    _kernels.apply_gate(stack, m2, (5,), 10)
+    _kernels.apply_gate(stack, m4, (5, 6), 10)
     assert shapes[-2:] == [(256, 2, 16), (256, 4, 8)]
     assert len(shapes) == 14 + 2 * 13 + 2
     assert "gather" not in taken
+
+
+class TestWindows:
+    """A run of 3 or 4 adjacent sites, as ``dynamics._blocks`` fuses them, on vectors and stacks."""
+
+    @pytest.mark.parametrize("width", [3, 4])
+    @pytest.mark.parametrize("n", range(4, 9))
+    def test_against_dense(self, monkeypatch, n, width):
+        rng = np.random.default_rng(800 + 10 * n + width)
+        stack = TestPyKernelsPurity.frozen(np.array([random_vec(n, rng) for _ in range(3)]))
+        for lo in range(n - width + 1):
+            sites = tuple(range(lo, lo + width))
+            m = TestPyKernelsPurity.frozen(random_matrix(1 << width, rng))
+            dense = embedded(m, sites, n)
+            rest = 1 << (n - 1 - sites[-1])
+            for route in MIDDLE_ROUTES:
+                with monkeypatch.context() as patch:
+                    forced_route(patch, route, 1 << width, rest)
+                    taken = spy_routes(patch)
+                    got_vec = _kernels.apply_gate(stack[0], m, sites, n)
+                    got_stack = _kernels.apply_gate(stack, m, sites, n)
+                assert taken == ([] if route == "matmul" else [route, route])
+                assert got_stack.shape == stack.shape and not np.shares_memory(got_stack, stack)
+                assert_allclose(got_vec, dense @ stack[0], rtol=0, atol=1e-13)
+                assert_allclose(got_stack, stack @ dense.T, rtol=0, atol=1e-13)
