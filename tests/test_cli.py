@@ -632,9 +632,6 @@ class TestMain:
         assert main(["--config", cfgfile, "--out", str(tmp_path / "r")]) == 1
         assert "config key 'lambda' is already set on line 2" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
-        # A flag still overrides the file's one value.
-        cfgfile = write_cfg(tmp_path, "experiment = sweep\nlambda = 0.5\n")
-        assert parse_config(cfgfile, {"lambda": "0"}).lam == 0.0
 
     def test_unterminated_quote_exits_1_naming_the_line(self, tmp_path, capsys):
         cfgfile = write_cfg(tmp_path, 'experiment = sweep\nout = "runs#1\n')
