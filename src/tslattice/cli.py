@@ -1,7 +1,7 @@
 """Batch front end: config parsing, experiment dispatch, report files.
 
-Config files are flat ``key = value`` text; flags override file values;
-unknown keys are rejected. Every run writes ``<out>/<experiment>.report``
+Config files are flat ``key = value`` text; a flag's value is parsed as its
+key's file value and overrides it; unknown keys are rejected. Every run writes ``<out>/<experiment>.report``
 (nested, for regression diffing) and/or ``<out>/<experiment>.rows`` (flat
 comma-separated rows, for plotting), with reals at 15 significant digits.
 Exit code: 0 all verdicts pass, 2 some verdict failed, 1 usage/config/IO error.
@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import KERNEL_BACKEND, __version__
@@ -42,7 +42,14 @@ from .spacetime import Foliation, FoliationError, foliation_from_text, validate_
 
 
 class ConfigError(ValueError):
-    """A config file or flag value that cannot be accepted as-is."""
+    """A config file, command line or input file that cannot be accepted as-is."""
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """A malformed command line is a usage error like a malformed config line: exit 1, not argparse's 2."""
+
+    def error(self, message):
+        raise ConfigError(message)
 
 
 # The experiments in the order ``all`` runs them: a runner and a rule, the
@@ -135,12 +142,12 @@ class RunConfig:
     foliation_file: str = ""
 
     def resolved(self) -> "RunConfig":
-        cfg = RunConfig(**{f.name: getattr(self, f.name) for f in fields(self)})
-        if cfg.partner_site < 0:
-            cfg.partner_site = cfg.n_sites - 1
-        if cfg.bob_site < 0:
-            cfg.bob_site = cfg.n_sites - 1
-        return cfg
+        last = self.n_sites - 1
+        return replace(
+            self,
+            partner_site=last if self.partner_site < 0 else self.partner_site,
+            bob_site=last if self.bob_site < 0 else self.bob_site,
+        )
 
     def to_model_config(self) -> ModelConfig:
         cfg = self.resolved()
@@ -188,7 +195,7 @@ _SETTERS = {
     "n_foliations": lambda c, k, v: setattr(c, "n_foliations", _check_range(k, _parse_int(k, v), 0, 100000)),
     "seed": lambda c, k, v: setattr(c, "seed", _check_non_negative(k, _parse_int(k, v))),
     "exploration_budget": lambda c, k, v: setattr(c, "exploration_budget", _check_range(k, _parse_int(k, v), 1, 10**9)),
-    "out": lambda c, k, v: setattr(c, "out", v),
+    "out": lambda c, k, v: setattr(c, "out", _check_non_empty(k, v)),
     "format": lambda c, k, v: setattr(c, "format", _parse_choice(k, v, _FORMATS)),
     "foliation_file": lambda c, k, v: setattr(c, "foliation_file", v),
 }
@@ -210,6 +217,19 @@ def _check_non_negative(key: str, value: int) -> int:
     if value < 0:
         raise ConfigError(f"config key {key!r}: {value} must be >= 0")
     return value
+
+
+def _check_non_empty(key: str, value: str) -> str:
+    if not value:
+        raise ConfigError(f"config key {key!r}: must not be empty")
+    return value
+
+
+def _read_text(what: str, path: str) -> str:
+    try:
+        return Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {what} file {path!r}: {exc}") from None
 
 
 def _parse_value(value: str, ln: int, raw: str) -> str:
@@ -249,11 +269,7 @@ def parse_config(path: str | None = None, overrides: dict[str, str] | None = Non
     cfg = RunConfig()
     items: list[tuple[str, str]] = []
     if path:
-        try:
-            text = Path(path).read_text()
-        except OSError as exc:
-            raise ConfigError(f"cannot read config file {path!r}: {exc}") from None
-        items.extend(parse_kv_lines(text).items())
+        items.extend(parse_kv_lines(_read_text("config", path)).items())
     if overrides:
         items.extend(overrides.items())
     for key, value in items:
@@ -269,17 +285,9 @@ def parse_config(path: str | None = None, overrides: dict[str, str] | None = Non
 # -- report rendering -----------------------------------------------------------
 
 
-def _fmt_cell(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.15g}"
-    return str(value)
-
-
 def render_rows(report: ExperimentReport) -> str:
-    lines = [",".join(report.detail_header)]
-    for row in report.details:
-        lines.append(",".join(_fmt_cell(v) for v in row))
-    return "\n".join(lines) + "\n"
+    rows = (",".join(f"{v:.15g}" if isinstance(v, float) else str(v) for v in row) for row in report.details)
+    return "\n".join([",".join(report.detail_header), *rows]) + "\n"
 
 
 def render_structured(report: ExperimentReport) -> str:
@@ -295,21 +303,17 @@ def render_structured(report: ExperimentReport) -> str:
         lines.append("foliation:")
         lines.extend(f"  {ln}" for ln in report.foliation_text.splitlines())
     lines.append("details:")
-    lines.append("  " + ",".join(report.detail_header))
-    lines.extend("  " + ",".join(_fmt_cell(v) for v in row) for row in report.details)
+    lines.extend(f"  {ln}" for ln in render_rows(report).splitlines())
     return "\n".join(lines) + "\n"
 
 
 def write_report(report: ExperimentReport, out_dir: Path, fmt: str) -> list[Path]:
     written = []
-    if fmt in ("structured", "both"):
-        p = out_dir / f"{report.name}.report"
-        p.write_text(render_structured(report))
-        written.append(p)
-    if fmt in ("rows", "both"):
-        p = out_dir / f"{report.name}.rows"
-        p.write_text(render_rows(report))
-        written.append(p)
+    for name, suffix, render in (("structured", "report", render_structured), ("rows", "rows", render_rows)):
+        if fmt in (name, "both"):
+            p = out_dir / f"{report.name}.{suffix}"
+            p.write_text(render(report))
+            written.append(p)
     return written
 
 
@@ -322,11 +326,7 @@ def _resolve(cfg: RunConfig) -> tuple[ModelConfig, Foliation | None]:
     if not cfg.foliation_file:
         return model, None
     try:
-        text = Path(cfg.foliation_file).read_text()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read foliation file {cfg.foliation_file!r}: {exc}") from None
-    try:
-        fol = foliation_from_text(text)
+        fol = foliation_from_text(_read_text("foliation", cfg.foliation_file))
         validate_foliation(fol, model.n_sites, model.horizon)
     except FoliationError as exc:
         raise ConfigError(f"foliation file {cfg.foliation_file!r}: {exc}") from None
@@ -383,28 +383,26 @@ def run(cfg: RunConfig) -> int:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="tslattice",
         description="Foliation experiments for nonlinear hypersurface dynamics on a qubit chain.",
     )
     parser.add_argument(
         "experiment",
         nargs="?",
-        choices=_EXPERIMENT_CHOICES,
-        help="experiment to run (default: the config file's selector, or 'all')",
+        help=f"one of {', '.join(_EXPERIMENT_CHOICES)} (default: the config file's selector, or 'all')",
     )
-    parser.add_argument("--config", help="flat key = value config file")
-    parser.add_argument("--seed", type=int, help="override the RNG seed")
-    parser.add_argument("--out", help="output directory for report files")
-    parser.add_argument("--format", choices=_FORMATS, help="report file format(s) to write")
-    parser.add_argument("--foliation-file", help="replay a serialized foliation")
-    # Every destination but ``config`` is a config key; a flag left out is None.
-    args = vars(parser.parse_args(argv))
-    path = args.pop("config")
-    overrides = {key: str(value) for key, value in args.items() if value is not None}
+    parser.add_argument("--config", metavar="FILE", help="flat key = value config file")
+    parser.add_argument("--seed", metavar="N", help="override the RNG seed")
+    parser.add_argument("--out", metavar="DIR", help="output directory for report files")
+    parser.add_argument("--format", help=f"report file format(s) to write: one of {', '.join(_FORMATS)}")
+    parser.add_argument("--foliation-file", metavar="FILE", help="replay a serialized foliation")
     try:
-        cfg = parse_config(path, overrides)
-        return run(cfg)
+        # Every destination but ``config`` is a config key, its value the raw
+        # string that a config line would give; a flag left out is None.
+        args = vars(parser.parse_args(argv))
+        path = args.pop("config")
+        return run(parse_config(path, {key: value for key, value in args.items() if value is not None}))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -5,12 +5,11 @@ configuration, named scalar metrics, the thresholds used for the verdict, and
 per-sample detail rows. Each one embeds its lambda = 0 control; the verdict
 is a pure function of metrics and thresholds, computed by the report type
 itself. Reports are deterministic for a fixed configuration and seed on one
-host with a fixed number of BLAS threads. Every state distance goes through
-``_state_distances``, whose sums do not use BLAS, so only the N = 14 sweep's
-final-expectation cells (``np.vdot`` in ``_real_expectation``) can move
-with the thread count: 6 of the 60 in the benchmark's ``sweep_wide`` seed 1
-report and 11 of 60 at seed 2 differ in the last digit between one and two
-threads (2-core host).
+host with a fixed number of BLAS threads. At N = 14 OpenBLAS splits
+``np.vdot`` by thread, and each state-reading step of ``ts_step`` takes its
+coefficient from it (``_real_expectation``), so there the states, distances
+and final expectations can move with the thread count (see the README). The
+order-swap scan (``_row_products``) and ``_state_distances`` sum without BLAS.
 """
 
 from __future__ import annotations

@@ -112,6 +112,12 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=r"^config key 'seed': -1 must be >= 0$"):
             parse_config(str(p))
 
+    @pytest.mark.parametrize("text, flags", [("out =\n", {}), ('out = ""\n', {}), ("", {"out": ""})])
+    def test_empty_out_names_the_key(self, tmp_path, text, flags):
+        # Path("") is the working directory: an empty out would write there.
+        with pytest.raises(ConfigError, match=r"^config key 'out': must not be empty$"):
+            parse_config(write_cfg(tmp_path, text), flags)
+
     def test_flags_override_file(self, tmp_path):
         p = tmp_path / "c.cfg"
         p.write_text("seed = 1\nexperiment = sweep\n")
@@ -542,12 +548,11 @@ class TestExperimentTable:
             assert run_one(name, cfg).name == name
 
     def test_command_line_choices(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["sweeps"])
-        assert exc.value.code == 2
+        # The positional experiment goes through the config key's parser.
+        assert main(["sweeps"]) == 1
         err = capsys.readouterr().err
-        assert "invalid choice: 'sweeps'" in err
-        listed = re.findall(r"\w+", err.split("choose from", 1)[1])
+        assert err.startswith("error: config key 'experiment': 'sweeps' is not one of ")
+        listed = re.findall(r"\w+", err.split("is not one of", 1)[1])
         assert listed == ACCEPTED_EXPERIMENTS
 
 
@@ -658,6 +663,53 @@ class TestMain:
         assert (tmp_path / "a" / "sweep.rows").read_text() != (
             tmp_path / "b" / "sweep.rows"
         ).read_text()
+
+
+def run_cli(argv, cwd):
+    """``python -m tslattice.cli`` with ``argv`` in a fresh process working in ``cwd``."""
+    src = str(Path(tslattice.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run(
+        [sys.executable, "-m", "tslattice.cli", *argv], cwd=cwd, env=env, capture_output=True, text=True
+    )
+
+
+class TestCommandLine:
+    """The process's exit status: 2 only for a failed verdict, 1 for every malformed command line."""
+
+    SMALL = b"experiment = sweep\nn_sites = 4\nhorizon = 2\nn_foliations = 3\n"
+
+    @pytest.mark.parametrize(
+        "flags, extra",
+        [(["--seed", "abc"], b""), (["--seed", "1.5"], b""), (["--seed"], b""),
+         (["--format", "bogus"], b""), (["--bogus"], b""), (["sweeps"], b""),
+         ([], b"# \xff\n"), ([], b"out =\n")],
+        ids=["seed-word", "seed-real", "seed-no-value", "format", "unknown-flag", "experiment",
+             "undecodable-config", "empty-out"],
+    )
+    def test_malformed_command_line_exits_1_without_a_report(self, tmp_path, flags, extra):
+        # Every report would land under the working directory: ./reports by default, . for an empty out.
+        (tmp_path / "run.cfg").write_bytes(self.SMALL + extra)
+        done = run_cli(["--config", "run.cfg", *flags], tmp_path)
+        assert done.returncode == 1, done.stderr
+        assert done.stderr.startswith("error: "), done.stderr
+        assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+
+    def test_a_hex_seed_flag_reads_like_the_config_line(self, tmp_path):
+        (tmp_path / "run.cfg").write_bytes(self.SMALL)
+        (tmp_path / "seed16.cfg").write_bytes(self.SMALL + b"seed = 16\n")
+        flagged = run_cli(["--config", "run.cfg", "--seed", "0x10", "--out", "flag"], tmp_path)
+        written = run_cli(["--config", "seed16.cfg", "--out", "file"], tmp_path)
+        assert (flagged.returncode, written.returncode) == (0, 0), flagged.stderr + written.stderr
+        rows = (tmp_path / "flag" / "sweep.rows").read_text()
+        assert rows == (tmp_path / "file" / "sweep.rows").read_text()
+        assert ",16," in rows
+
+    def test_help_names_every_experiment_and_format(self, tmp_path):
+        done = run_cli(["--help"], tmp_path)
+        assert done.returncode == 0
+        named = set(re.findall(r"\w+", done.stdout))
+        assert set(ACCEPTED_EXPERIMENTS) | {"rows", "structured", "both"} <= named
 
 
 class TestDiagonalBaseWarning:
