@@ -383,8 +383,10 @@ def run(cfg: RunConfig) -> int:
 
 
 def main(argv=None) -> int:
+    # No prefix matching: a flag names its key exactly, as a config line does.
     parser = _ArgumentParser(
         prog="tslattice",
+        allow_abbrev=False,
         description="Foliation experiments for nonlinear hypersurface dynamics on a qubit chain.",
     )
     parser.add_argument(

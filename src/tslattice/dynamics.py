@@ -475,23 +475,26 @@ def evolve(state0: StateVector, foliation: Foliation, config: ModelConfig):
     return state, TrajectoryRecord(tuple(steps), config.n_sites)
 
 
-# Widest run of adjacent sites one block of the dense map covers: a
-# 2^_WINDOW matrix on the map's middle axis. On ten dense_maps-shaped
-# records, compose_map took 0.86x the time at 4 as at 3; 5 and 6 saved
-# 2-5 ms more per map, about 1-2% of a benchmark round.
+# Widest run of adjacent sites one block covers (a 2^w matrix on the middle
+# axis), as each caller of _blocks asks. On the dense_maps records of seeds
+# 1-10 (two workers, one BLAS thread), compose_map took 19.2 ms at 6 against
+# 22.0, 20.2, 22.6 and 19.9 ms at 4, 5, 7 and 8; the degeneracy walk's
+# 8-column batches took 21.0 ms a run at 4 against 22.3 ms at 6.
+_MAP_WINDOW = 6
 _WINDOW = 4
 
 
-def _blocks(gates) -> list:
+def _blocks(gates, window: int) -> list:
     """``(u, sites)`` blocks whose product, in order, is that of the ``(u, sites)`` gates.
 
     A gate may move back to the last block that shares a site with it, or
     to any later block, since gates on disjoint sites commute. It joins the
     first of those whose sites, with its own, are still one block: a pair,
-    or sites within ``_WINDOW`` adjacent ones. If none fits, it starts a
-    new block. A block's ``sites`` are its pair, or every site from its lowest
-    to its highest, and ``u`` is its gates applied to the rows of that
-    register's identity. ``apply_gate`` applies it, in the degeneracy
+    or sites within ``window`` adjacent ones (``_MAP_WINDOW`` for
+    ``compose_map``, ``_WINDOW`` for the degeneracy walk). If none fits, it
+    starts a new block. A block's ``sites`` are its pair, or every site from
+    its lowest to its highest, and ``u`` is its gates applied to the rows of
+    that register's identity. ``apply_gate`` applies it, in the degeneracy
     walk and to ``compose_map``'s column slabs alike.
     """
     blocks = []  # (site set, gates)
@@ -500,7 +503,7 @@ def _blocks(gates) -> list:
         first = max((k for k, (block, _) in enumerate(blocks) if block & gate), default=0)
         for block, members in blocks[first:]:
             joined = block | gate
-            if len(joined) <= 2 or max(joined) - min(joined) < _WINDOW:
+            if len(joined) <= 2 or max(joined) - min(joined) < window:
                 block |= gate
                 members.append((u, sites))
                 break
@@ -509,7 +512,7 @@ def _blocks(gates) -> list:
     fused = []
     for sites, members in blocks:
         lo, hi = min(sites), max(sites)
-        register = tuple(range(lo, hi + 1)) if hi - lo < _WINDOW else (lo, hi)
+        register = tuple(range(lo, hi + 1)) if hi - lo < window else (lo, hi)
         w = len(register)
         u = np.eye(1 << w, dtype=complex).ravel()
         for g, gate_sites in members:
@@ -560,9 +563,10 @@ def _kron_start(blocks, n: int):
     A block whose sites meet no earlier block's commutes to the front. The
     Kronecker product of those blocks, with the identity elsewhere, is
     written once into a strided view of a zeroed map: each run of a block's
-    adjacent sites is one row axis and one column axis, and each other site
-    one axis that steps its row and column at once, the diagonal. Two outer
-    products of balanced size meet in the view, so the map is never held twice.
+    adjacent sites (all of a window's, one of a far pair's) is one row axis
+    and one column axis, and each other site one axis that steps its row and
+    column at once, the diagonal. Two outer products of balanced size meet
+    in the view, so the map is never held twice.
     """
     front, rest, seen = [], [], set()
     for block in blocks:
@@ -574,7 +578,7 @@ def _kron_start(blocks, n: int):
     free = set(range(n)).difference(*(sites for _, sites in front))
     shape, strides, factors = [2] * len(free), [step[s] * (dim + 1) for s in free], []
     for u, sites in front:
-        runs = [sites] if sites[-1] - sites[0] < _WINDOW else [sites[:1], sites[1:]]
+        runs = [sites] if sites[-1] - sites[0] == len(sites) - 1 else [sites[:1], sites[1:]]
         sizes = [1 << len(run) for run in runs] * 2
         factors.append(u.reshape(sizes))
         shape += sizes
@@ -594,17 +598,20 @@ def compose_map(record: TrajectoryRecord) -> np.ndarray:
     """Dense product of the recorded per-step unitaries, in application order.
 
     The result acts on state-independent objects; it is unitary even though
-    the state map that produced the record is not linear. The leading
-    blocks of ``_blocks`` start the map as their Kronecker product
+    the state map that produced the record is not linear. The gates fuse
+    into ``_blocks`` of up to ``_MAP_WINDOW`` adjacent sites, and the
+    leading blocks start the map as their Kronecker product
     (``_kron_start``). Its columns are then cut into slabs of at most
     ``_MAP_CHUNK`` amplitudes, and each slab walks every other block through
     ``apply_gate``, its 2^k columns the trailing spectator qubits of an
-    (n + k)-site vector, as in the degeneracy walk. The slabs alternate
-    between the workers of ``_in_workers``.
+    (n + k)-site vector, as in the degeneracy walk. Every slab is the same
+    work, and the slabs alternate between the workers of ``_in_workers``,
+    so two workers take equal shares; a worker holds its slab and one
+    block's product at a time.
     """
     n = record.n_sites
     check_dense_sites("composed map", n)
-    m, rest = _kron_start(_blocks((step.unitary, step.sites) for step in record.steps), n)
+    m, rest = _kron_start(_blocks(((step.unitary, step.sites) for step in record.steps), _MAP_WINDOW), n)
     m = m.reshape(1 << n, 1 << n)
     width = min(1 << n, _MAP_CHUNK >> n)
     k = width.bit_length() - 1
@@ -630,22 +637,29 @@ def _unitarity_defect(u: np.ndarray) -> float:
     """max|u^dag u - I|, formed one block of rows at a time, NaN if any entry is NaN.
 
     u^dag u is Hermitian for any u, so each block of rows is formed from its
-    diagonal on: the upper half holds every entry's magnitude. The blocks
-    alternate between the workers of ``_in_workers``.
+    diagonal on: the upper half holds every entry's magnitude. Block j is
+    paired with block -1 - j, so every pair meets the same number of
+    columns, and the pairs alternate between the workers of
+    ``_in_workers``: two workers take equal shares of the triangle. A
+    block's product is dropped before the next is formed, so a worker holds
+    one product and its column copy at a time.
     """
+    dim = u.shape[1]
+    starts = range(0, dim, _DEFECT_BLOCK)
+    pairs = [sorted({starts[j], starts[-1 - j]}) for j in range((len(starts) + 1) // 2)]
 
-    def work(starts):
-        worst = []
-        for a in starts:
-            b = min(a + _DEFECT_BLOCK, u.shape[1])
-            rows = u[:, a:b].conj().T @ u[:, a:]
-            k = np.arange(b - a)
-            rows[k, k] -= 1.0
-            worst.append(np.abs(rows).max())
+    def defect(a):
+        b = min(a + _DEFECT_BLOCK, dim)
+        rows = u[:, a:b].conj().T @ u[:, a:]
+        k = np.arange(b - a)
+        rows[k, k] -= 1.0
+        return np.abs(rows).max()
+
+    def work(share):
         # np.max, unlike max(), propagates a NaN from any block.
-        return np.max(worst)
+        return np.max([defect(a) for pair in share for a in pair])
 
-    return float(np.max(_in_workers(work, range(0, u.shape[1], _DEFECT_BLOCK))))
+    return float(np.max(_in_workers(work, pairs)))
 
 
 def linear_config(config: ModelConfig) -> ModelConfig:

@@ -24,6 +24,7 @@ from .dynamics import (
     BASE_OPERATORS,
     ModelConfig,
     NonlinearitySpec,
+    _WINDOW,
     _blocks,
     _nonlinear_plans,
     _trajectory,
@@ -595,7 +596,7 @@ def _degeneracy_metrics(config: ModelConfig, foliation: Foliation, probe_site: i
         if len(pending) == batch or k == len(foliation.steps):
             coevolved += _coevolved_expectations(pending, adjoints, fused, base, probe_site, n)
             if k < len(foliation.steps):
-                fused = _blocks(reversed(adjoints)) + fused
+                fused = _blocks(reversed(adjoints), _WINDOW) + fused
             adjoints, pending = [], []
         tau = surface.heights[probe_site]
         e_ip = _real_expectation(psi, free_field(probe_site, tau, config).matrix, probe_site)

@@ -682,10 +682,10 @@ class TestCommandLine:
     @pytest.mark.parametrize(
         "flags, extra",
         [(["--seed", "abc"], b""), (["--seed", "1.5"], b""), (["--seed"], b""),
-         (["--format", "bogus"], b""), (["--bogus"], b""), (["sweeps"], b""),
-         ([], b"# \xff\n"), ([], b"out =\n")],
-        ids=["seed-word", "seed-real", "seed-no-value", "format", "unknown-flag", "experiment",
-             "undecodable-config", "empty-out"],
+         (["--format", "bogus"], b""), (["--bogus"], b""), (["--se", "7"], b""), ([], b"se = 7\n"),
+         (["sweeps"], b""), ([], b"# \xff\n"), ([], b"out =\n")],
+        ids=["seed-word", "seed-real", "seed-no-value", "format", "unknown-flag", "flag-prefix", "key-prefix",
+             "experiment", "undecodable-config", "empty-out"],
     )
     def test_malformed_command_line_exits_1_without_a_report(self, tmp_path, flags, extra):
         # Every report would land under the working directory: ./reports by default, . for an empty out.

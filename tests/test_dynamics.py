@@ -850,35 +850,40 @@ def one_gate_per_link(steps):
     return len(pairs) + len({step.sites[0] for step in steps if len(step.sites) == 1} - linked)
 
 
-def is_one_pass(sites):
-    """A far pair, or at most ``_WINDOW`` adjacent sites listed in order."""
-    if len(sites) == 2 and sites[1] - sites[0] >= dynamics._WINDOW:
+def is_one_pass(sites, window):
+    """A far pair, or at most ``window`` adjacent sites listed in order."""
+    if len(sites) == 2 and sites[1] - sites[0] >= window:
         return True
-    return len(sites) <= dynamics._WINDOW and list(sites) == list(range(sites[0], sites[0] + len(sites)))
+    return len(sites) <= window and list(sites) == list(range(sites[0], sites[0] + len(sites)))
+
+
+# The windows of both callers of _blocks: the degeneracy walk's and compose_map's.
+WINDOWS = (dynamics._WINDOW, dynamics._MAP_WINDOW)
 
 
 class TestBlocks:
     """``_blocks`` keeps the product of a record's gates, in blocks of one pass each."""
 
     @staticmethod
-    def check(steps, n):
-        blocks = dynamics._blocks((step.unitary, step.sites) for step in steps)
+    def check(steps, n, window=dynamics._MAP_WINDOW):
+        blocks = dynamics._blocks(((step.unitary, step.sites) for step in steps), window)
         want = kron_product(((step.unitary, step.sites) for step in steps), n)
         assert np.max(np.abs(kron_product(blocks, n) - want)) <= 1e-13
         assert np.max(np.abs(compose_map(TrajectoryRecord(tuple(steps), n)) - want)) <= 1e-13
-        assert all(is_one_pass(sites) for _, sites in blocks)
+        assert all(is_one_pass(sites, window) for _, sites in blocks)
         return blocks
 
+    @pytest.mark.parametrize("window", WINDOWS)
     @pytest.mark.parametrize("n", range(2, 8))
     @pytest.mark.parametrize("order", ["synchronous", "staircase", "random"])
-    def test_product_of_every_kind_and_foliation(self, n, order):
+    def test_product_of_every_kind_and_foliation(self, n, order, window):
         if order == "random":
             fol = random_foliation(n, 3, 100 + n)
         else:
             fol = canonical_foliation(n, 3, order)
         for cfg in kind_configs(n):
             _, record = evolve(plus_state(n), fol, cfg)
-            blocks = self.check(record.steps, n)
+            blocks = self.check(record.steps, n, window)
             assert len(blocks) <= one_gate_per_link(record.steps)
 
     def test_partner_below_the_advancing_site(self):
@@ -905,46 +910,46 @@ class TestBlocks:
         blocks = self.check(steps, 4)
         assert [sites for _, sites in blocks] == [(0, 1, 2, 3)]
 
-    def test_far_pairs_stay_pairs(self):
-        # Sites 0 and 5 are further apart than a window: a block on both is a
-        # pair, which a one-site gate on a third site cannot join.
+    @pytest.mark.parametrize("window", WINDOWS)
+    def test_far_pairs_stay_pairs(self, window):
+        # Sites 0 and f = window + 1 are further apart than a window: a block
+        # on both is a pair, which a one-site gate on a third site cannot join.
         rng = np.random.default_rng(14)
-        steps = [hand_step(sites, rng) for sites in [(0, 5), (2,), (5, 0), (0,), (2, 3), (4, 5), (1, 0)]]
-        blocks = self.check(steps, 6)
-        assert [sites for _, sites in blocks] == [(0, 5), (2, 3, 4, 5), (0, 1)]
+        f = window + 1
+        steps = [hand_step(sites, rng) for sites in [(0, f), (2,), (f, 0), (0,), (2, 3), (f - 1, f), (1, 0)]]
+        blocks = self.check(steps, f + 1, window)
+        assert [sites for _, sites in blocks] == [(0, f), tuple(range(2, f + 1)), (0, 1)]
 
     @settings(max_examples=150, deadline=None)
     @given(
         n=st.integers(1, 7),
         seed=st.integers(0, 2**16),
         picks=st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6), st.booleans()), max_size=24),
+        window=st.sampled_from(WINDOWS),
     )
-    def test_random_records(self, n, seed, picks):
+    def test_random_records(self, n, seed, picks, window):
         # One-site gates, and pairs both adjacent and far, in either order.
         rng = np.random.default_rng(seed)
         steps = []
         for a, b, one_site in picks:
             a, b = a % n, b % n
             steps.append(hand_step((a,) if one_site or a == b else (a, b), rng))
-        self.check(steps, n)
+        self.check(steps, n, window)
 
-    def test_map_is_the_same_for_every_window(self, monkeypatch):
+    def test_map_is_the_same_for_every_window(self):
         cfg = make_config(n_sites=7, horizon=3, kind="operator_nonlocal", lam=0.5, partner_site=6)
         _, record = evolve(plus_state(7), random_foliation(7, 3, 15), cfg)
-        maps = []
-        for window in (2, 3, 4, 5):
-            monkeypatch.setattr(dynamics, "_WINDOW", window)
-            self.check(record.steps, 7)
-            maps.append(compose_map(record))
+        maps = [kron_product(self.check(record.steps, 7, window), 7) for window in range(2, 7)]
         assert max(np.max(np.abs(u - maps[0])) for u in maps) <= 1e-13
 
     def test_dense_maps_record_takes_three_passes(self, monkeypatch):
         # The benchmark's dense_maps record: its 58 steps (18 of them links)
-        # fuse into five windows of four sites, and the first two, on sites
-        # 2-5 and 6-9, start the map as their Kronecker product. Each of the
-        # map's 32 column slabs walks the other three, on the workers' threads.
-        # Only slab-sized calls count: _blocks fuses each window with the
-        # same kernel, on its register's identity.
+        # fuse into three windows of five or six sites, and the first, on
+        # sites 2-7, starts the map (the Kronecker product with the identity
+        # on the other sites). Each of the map's 32 column slabs walks the
+        # other two, on the workers' threads: three passes over the map. Only
+        # slab-sized calls count: _blocks fuses each window with the same
+        # kernel, on its register's identity.
         final, record = dense_maps_record()
         walked = []
         gate = dynamics.apply_gate
@@ -957,7 +962,7 @@ class TestBlocks:
         monkeypatch.setattr(dynamics, "apply_gate", counted)
         u = compose_map(record)
         assert len(record) == 58
-        blocks = [(dynamics._MAP_CHUNK, 16, sites) for sites in [(0, 1, 2, 3), (5, 6, 7, 8), (3, 4, 5, 6)]]
+        blocks = [(dynamics._MAP_CHUNK, 32, sites) for sites in [(0, 1, 2, 3, 4), (5, 6, 7, 8, 9)]]
         assert sorted(walked) == sorted(blocks * 32)
         assert np.abs(u[:, 0] - final.amplitudes).max() <= 1e-13
 
@@ -974,7 +979,7 @@ def one_gate_at_a_time(record):
 def front_sites(record):
     """Sites of the blocks that start the map: those that meet no earlier block."""
     front, seen = [], set()
-    for _, sites in dynamics._blocks((step.unitary, step.sites) for step in record.steps):
+    for _, sites in dynamics._blocks(((step.unitary, step.sites) for step in record.steps), dynamics._MAP_WINDOW):
         if not seen.intersection(sites):
             front.append(sites)
         seen.update(sites)
@@ -991,44 +996,50 @@ class TestKronStart:
         return u
 
     def test_far_pair_in_the_front(self):
-        # operator_nonlocal's pair (0, 6) and the link (4, 5) lead; sites 1-3
+        # operator_nonlocal's pair (0, 8) and the link (6, 7) lead; sites 1-5
         # start as the identity.
-        cfg = make_config(n_sites=7, horizon=2, kind="operator_nonlocal", lam=0.5, partner_site=0)
-        _, record = evolve(plus_state(7), random_foliation(7, 2, 0), cfg)
-        assert front_sites(record) == [(0, 6), (4, 5)]
+        cfg = make_config(n_sites=9, horizon=2, kind="operator_nonlocal", lam=0.5, partner_site=0)
+        _, record = evolve(plus_state(9), random_foliation(9, 2, 0), cfg)
+        assert front_sites(record) == [(0, 8), (6, 7)]
         self.check(record)
 
-    @pytest.mark.parametrize("sites", [(0,), (3,), (1, 2), (2, 1), (0, 5), (5, 0)])
-    def test_one_step_record(self, sites):
+    @pytest.mark.parametrize(
+        "sites, front",
+        [((0,), (0,)), ((3,), (3,)), ((1, 2), (1, 2)), ((2, 1), (1, 2)), ((0, 6), (0, 6)), ((6, 0), (0, 6))]
+        # A pair within a window is a block on the six sites from one to the other.
+        + [((0, 5), (0, 1, 2, 3, 4, 5)), ((5, 0), (0, 1, 2, 3, 4, 5))],
+    )
+    def test_one_step_record(self, sites, front):
         rng = np.random.default_rng(30 + len(sites))
-        record = TrajectoryRecord((hand_step(sites, rng),), 6)
-        assert front_sites(record) == [tuple(sorted(sites))]
+        record = TrajectoryRecord((hand_step(sites, rng),), 7)
+        assert front_sites(record) == [front]
         self.check(record)
 
     def test_single_leading_block(self):
-        # The links fuse into a window on sites 0-3; (3, 4) shares site 3, so
-        # it is a pass over a map that starts with sites 4 and 5 free.
+        # The links fuse into a window on sites 0-5; (5, 6) shares site 5, so
+        # it is a pass over a map that starts with sites 6 and 7 free.
         rng = np.random.default_rng(33)
-        steps = [hand_step(sites, rng) for sites in [(0, 1), (1, 2), (2, 3), (3, 4)]]
-        record = TrajectoryRecord(tuple(steps), 6)
-        assert front_sites(record) == [(0, 1, 2, 3)]
+        steps = [hand_step(sites, rng) for sites in [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6)]]
+        record = TrajectoryRecord(tuple(steps), 8)
+        assert front_sites(record) == [(0, 1, 2, 3, 4, 5)]
         self.check(record)
 
     @pytest.mark.parametrize("seed", [21, 1, 2, 3, 5, 27])
     def test_dense_maps_records(self, seed):
         cfg = make_config(n_sites=10, horizon=4, kind="local", lam=0.5)
         _, record = evolve(zero_state(10), random_foliation(10, 4, seed), cfg)
-        assert len(front_sites(record)) == 2
+        # One six-site window leads, with the identity on the other four sites.
+        assert [len(sites) for sites in front_sites(record)] == [6]
         self.check(record)
 
     @pytest.mark.parametrize("entry", [(0, 0), (3, 1)])
     def test_nan_in_a_front_block_gives_a_nan_defect(self, entry):
         # The first step's gate leads; each of its entries reaches the map.
         rng = np.random.default_rng(34)
-        steps = [hand_step(sites, rng) for sites in [(4, 5), (0, 1), (1, 2), (2, 3)]]
+        steps = [hand_step(sites, rng) for sites in [(6, 7), (0, 1), (1, 2), (2, 3)]]
         steps[0].unitary[entry] = np.nan
-        record = TrajectoryRecord(tuple(steps), 6)
-        assert front_sites(record)[0] == (4, 5)
+        record = TrajectoryRecord(tuple(steps), 8)
+        assert front_sites(record)[0] == (6, 7)
         assert math.isnan(dynamics._unitarity_defect(compose_map(record)))
 
 
@@ -1160,14 +1171,15 @@ class TestWorkers:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_far_pairs_walk_column_slabs(self, monkeypatch, workers):
-        # operator_nonlocal with partner 9 on the dense_maps foliation: 23 of
-        # the 37 blocks after the Kronecker start are far pairs, whose gather
+        # operator_nonlocal with partner 9 on the dense_maps foliation: 15 of
+        # the 27 blocks after the Kronecker start are far pairs, whose gather
         # copies a slab, not the map (a new map per far pair peaked at 64 MiB).
         monkeypatch.setattr(dynamics, "_workers", lambda: workers)
         cfg = make_config(n_sites=10, horizon=4, kind="operator_nonlocal", lam=0.5, partner_site=9)
         _, record = evolve(zero_state(10), random_foliation(10, 4, 21), cfg)
-        _, rest = dynamics._kron_start(dynamics._blocks((step.unitary, step.sites) for step in record.steps), 10)
-        assert (len(rest), sum(sites[-1] - sites[0] >= dynamics._WINDOW for _, sites in rest)) == (37, 23)
+        gates = ((step.unitary, step.sites) for step in record.steps)
+        _, rest = dynamics._kron_start(dynamics._blocks(gates, dynamics._MAP_WINDOW), 10)
+        assert (len(rest), sum(sites[-1] - sites[0] >= dynamics._MAP_WINDOW for _, sites in rest)) == (27, 15)
         u, peak = self.traced_peak(record)
         assert np.max(np.abs(u - one_gate_at_a_time(record))) <= 1e-13
         assert peak < 24 << 20

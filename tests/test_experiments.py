@@ -456,7 +456,7 @@ class TestDegeneracyExperiment:
         for lo in range(0, n_gates, batch):
             hi = min(lo + batch, n_gates)
             got += experiments._coevolved_expectations(states[lo:hi], adjoints[lo:hi], fused, base, 1, n)
-            fused = dynamics._blocks(reversed(adjoints[lo:hi])) + fused
+            fused = dynamics._blocks(reversed(adjoints[lo:hi]), dynamics._WINDOW) + fused
         registers = {sites for _, sites in fused}
         assert any(len(sites) > 1 and sites[-1] - sites[0] >= dynamics._WINDOW for sites in registers)
         assert any(len(sites) > 1 and sites[-1] - sites[0] < dynamics._WINDOW for sites in registers)
@@ -584,11 +584,46 @@ class TestUnitarityDefect:
         assert got[0] > 1e-9
         assert got == [got[0]] * 3
 
+    @staticmethod
+    def block_edges(dim):
+        """The corners of every row block's strip of the upper triangle, (0, dim - 1) among them.
+
+        Rows a..b-1 form columns a..dim-1: the first and last row, each from
+        its diagonal entry and at the last column.
+        """
+        edges = set()
+        for a in range(0, dim, dynamics._DEFECT_BLOCK):
+            b = min(a + dynamics._DEFECT_BLOCK, dim)
+            edges.update({(a, a), (a, dim - 1), (b - 1, b - 1), (b - 1, dim - 1)})
+        return sorted(edges)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("n", [4, 10])
+    def test_every_block_edge_is_formed(self, monkeypatch, n, workers):
+        # One planted defect at a time: 1e-9 off the diagonal of the
+        # identity (u^dag u then differs from I by 1e-9 at that entry and its
+        # mirror), or a last diagonal entry of sqrt(1 + 1e-9). A block left
+        # out, or one cut short of a row or a column, misses it and reads 0.
+        # The maps are real: which entries the blocks form does not depend on
+        # the dtype, and a real product takes a quarter of the time.
+        monkeypatch.setattr(dynamics, "_workers", lambda: workers)
+        dim = 1 << n
+        u = np.eye(dim)
+        edges = self.block_edges(dim)
+        assert (0, dim - 1) in edges and (dim - 1, dim - 1) in edges
+        for row, col in edges:
+            planted = np.sqrt(1 + 1e-9) if row == col else 1e-9
+            u[row, col] = planted
+            assert dynamics._unitarity_defect(u) == pytest.approx(1e-9, rel=1e-6)
+            u[row, col] = float(row == col)
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_peak_memory_at_ten_sites(self, monkeypatch, workers):
         # The dense expression holds four 16 MiB arrays at once at n = 10; a
         # block of 64 rows holds a 1 MiB product and a 1 MiB column copy, on
-        # each worker.
+        # each worker, and drops them before the next block (2.0 MiB traced
+        # with one worker, 3.9 MiB with two; 2.9 and 5.6 MiB while the last
+        # block's product was kept until the next one was formed).
         monkeypatch.setattr(dynamics, "_workers", lambda: workers)
         u = random_unitary(1 << 10, np.random.default_rng(710))
         want = self.dense(u)
@@ -599,7 +634,7 @@ class TestUnitarityDefect:
         finally:
             tracemalloc.stop()
         assert got == pytest.approx(want, rel=0, abs=1e-15)
-        assert peak < 8 << 20
+        assert peak < workers * (9 << 18)  # 2.25 MiB a worker
 
 
 class TestEntanglementMonitor:

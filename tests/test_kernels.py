@@ -268,9 +268,9 @@ def test_no_middle_axis_view_is_gathered(monkeypatch):
 
 
 class TestWindows:
-    """A run of 3 or 4 adjacent sites, as ``dynamics._blocks`` fuses them, on vectors and stacks."""
+    """A run of 3 to 6 adjacent sites, as ``dynamics._blocks`` fuses them, on vectors and stacks."""
 
-    @pytest.mark.parametrize("width", [3, 4])
+    @pytest.mark.parametrize("width", [3, 4, 5, 6])
     @pytest.mark.parametrize("n", range(4, 9))
     def test_against_dense(self, monkeypatch, n, width):
         rng = np.random.default_rng(800 + 10 * n + width)
