@@ -477,9 +477,10 @@ def evolve(state0: StateVector, foliation: Foliation, config: ModelConfig):
 
 # Widest run of adjacent sites one block covers (a 2^w matrix on the middle
 # axis), as each caller of _blocks asks. On the dense_maps records of seeds
-# 1-10 (two workers, one BLAS thread), compose_map took 19.2 ms at 6 against
-# 22.0, 20.2, 22.6 and 19.9 ms at 4, 5, 7 and 8; the degeneracy walk's
-# 8-column batches took 21.0 ms a run at 4 against 22.3 ms at 6.
+# 1-10 (two workers, one BLAS thread), compose_map took 7.0-7.2 ms at 6
+# against 15.1-16.1, 12.5-13.1, 7.3-9.0 and 13.3-14.7 ms at 4, 5, 7 and 8;
+# the degeneracy walk's 8-column batches took 21.0 ms a run at 4 against
+# 22.3 ms at 6.
 _MAP_WINDOW = 6
 _WINDOW = 4
 
@@ -494,8 +495,9 @@ def _blocks(gates, window: int) -> list:
     ``compose_map``, ``_WINDOW`` for the degeneracy walk). If none fits, it
     starts a new block. A block's ``sites`` are its pair, or every site from
     its lowest to its highest, and ``u`` is its gates applied to the rows of
-    that register's identity. ``apply_gate`` applies it, in the degeneracy
-    walk and to ``compose_map``'s column slabs alike.
+    that register's identity. ``apply_gate`` applies it in the degeneracy
+    walk and to ``compose_map``'s column slabs, and ``_fold`` takes it as a
+    factor.
     """
     blocks = []  # (site set, gates)
     for u, sites in gates:
@@ -555,43 +557,74 @@ def _in_workers(work, chunks) -> list:
 # map: a slab and one block's product are 1 MiB per worker. With slabs of
 # 2^16 the N = 10 map's traced peak with two workers was 20.0 MiB, not 18.0.
 _MAP_CHUNK = 1 << 15
+# Most sites one factor of compose_map's start spans: an eight-site factor
+# is 1 MiB, as much as a worker's slab and block.
+_FACTOR_SITES = 8
+# Entries of one chunk of _contract. Beside an eight-site factor and the
+# N = 10 map, two workers' chunks peaked at 17.6 MiB traced; chunks of 2^15
+# took 18.1 MiB in the same time.
+_CONTRACT_CHUNK = 1 << 14
 
 
-def _kron_start(blocks, n: int):
-    """``(m, rest)``: the flat 2^n x 2^n map of the leading ``blocks`` of ``_blocks``, and the others in order.
+def _leading(blocks) -> int:
+    """How many of ``blocks``, from the first, span at most ``_FACTOR_SITES`` sites together."""
+    seen = set()
+    for k, (_, sites) in enumerate(blocks):
+        seen.update(sites)
+        if len(seen) > _FACTOR_SITES:
+            return k
+    return len(blocks)
 
-    A block whose sites meet no earlier block's commutes to the front. The
-    Kronecker product of those blocks, with the identity elsewhere, is
-    written once into a strided view of a zeroed map: each run of a block's
-    adjacent sites (all of a window's, one of a far pair's) is one row axis
-    and one column axis, and each other site one axis that steps its row and
-    column at once, the diagonal. Two outer products of balanced size meet
-    in the view, so the map is never held twice.
+
+def _contract(left, right, sites) -> np.ndarray:
+    """The flat matrix of ``left · right``, two ``(u, sites)`` factors, on the ascending ``sites``.
+
+    Each factor's sites ascend and are among ``sites``. The identity acts
+    on every site neither factor touches, and an entry sums over the sites
+    both touch only: with one axis per row or column bit, the factors' own
+    bits index the rows and columns of one matrix product and the shared
+    sites' bits its inner index. Chunks of its rows alternate over
+    ``_in_workers``, each written once into a strided view of a zeroed
+    matrix, where an untouched site's axis steps its row and column at once.
     """
-    front, rest, seen = [], [], set()
-    for block in blocks:
-        (rest if seen.intersection(block[1]) else front).append(block)
-        seen.update(block[1])
-    dim = 1 << n
-    m = np.zeros(dim * dim, dtype=complex)
-    step = [m.itemsize << (n - 1 - s) for s in range(n)]  # column strides; a row stride is dim times one
-    free = set(range(n)).difference(*(sites for _, sites in front))
-    shape, strides, factors = [2] * len(free), [step[s] * (dim + 1) for s in free], []
-    for u, sites in front:
-        runs = [sites] if sites[-1] - sites[0] == len(sites) - 1 else [sites[:1], sites[1:]]
-        sizes = [1 << len(run) for run in runs] * 2
-        factors.append(u.reshape(sizes))
-        shape += sizes
-        strides += [step[run[-1]] * dim for run in runs] + [step[run[-1]] for run in runs]
-    size = [f.size for f in factors]
-    k = min(range(len(factors) + 1), key=lambda k: max(math.prod(size[:k]), math.prod(size[k:])))
-    a = b = np.ones(())
-    for f in factors[:k]:
-        a = np.multiply.outer(a, f)
-    for f in factors[k:]:
-        b = np.multiply.outer(b, f)
-    np.multiply.outer(a, b, out=np.lib.stride_tricks.as_strided(m, shape, strides))
-    return m, rest
+    # A bit is (site, 0), its row, or (site, 1), its column: left sums over
+    # its shared sites' column bits, right over their row bits.
+    ops = []
+    for (u, u_sites), other, summed in ((left, right[1], 1), (right, left[1], 0)):
+        k = len(u_sites)
+        own = [(s, c) for c in (0, 1) for s in u_sites if c != summed or s not in other]
+        bits = own + [(s, summed) for s in u_sites if s in other]
+        ops.append((u.reshape((2,) * 2 * k).transpose([u_sites.index(s) + k * c for s, c in bits]), own))
+    if len(ops[1][1]) > len(ops[0][1]):  # more own bits give the rows: chunks of few wide rows run slower
+        ops.reverse()
+    (rows, row_bits), (cols, col_bits) = ops
+    cols = cols.reshape(1 << len(col_bits), -1).T
+    m = len(sites)
+    out = np.zeros(1 << 2 * m, dtype=complex)
+    # A column bit's stride; a row bit's is 2^m times it, and an untouched site's axis the sum of both.
+    strides = [(out.itemsize << m - 1 - sites.index(s)) << m * (1 - c) for s, c in row_bits + col_bits]
+    free = [(out.itemsize << m - 1 - k) * ((1 << m) + 1) for k, s in enumerate(sites) if s not in left[1] + right[1]]
+    view = np.lib.stride_tricks.as_strided(out, [2] * len(strides + free), strides + free)
+    height = min(1 << len(row_bits), max(1, _CONTRACT_CHUNK >> len(col_bits)))
+    lead = len(row_bits) + 1 - height.bit_length()  # row bits fixed in one chunk
+    shape = [2] * (len(strides) - lead) + [1] * len(free)
+
+    def work(chunks):
+        for j in chunks:
+            at = np.unravel_index(j, [2] * lead)
+            view[at] = (rows[at].reshape(height, -1) @ cols).reshape(shape)
+
+    _in_workers(work, range(1 << lead))
+    return out
+
+
+def _fold(blocks) -> tuple:
+    """``(u, sites)``: the product of ``_blocks`` blocks in order, on their ascending sites (no site if none)."""
+    factor = blocks[0] if blocks else (np.ones((1, 1), dtype=complex), ())
+    for block in blocks[1:]:
+        sites = tuple(sorted({*factor[1], *block[1]}))
+        factor = (_contract(block, factor, sites).reshape(1 << len(sites), -1), sites)
+    return factor
 
 
 def compose_map(record: TrajectoryRecord) -> np.ndarray:
@@ -599,31 +632,34 @@ def compose_map(record: TrajectoryRecord) -> np.ndarray:
 
     The result acts on state-independent objects; it is unitary even though
     the state map that produced the record is not linear. The gates fuse
-    into ``_blocks`` of up to ``_MAP_WINDOW`` adjacent sites, and the
-    leading blocks start the map as their Kronecker product
-    (``_kron_start``). Its columns are then cut into slabs of at most
-    ``_MAP_CHUNK`` amplitudes, and each slab walks every other block through
-    ``apply_gate``, its 2^k columns the trailing spectator qubits of an
-    (n + k)-site vector, as in the degeneracy walk. Every slab is the same
-    work, and the slabs alternate between the workers of ``_in_workers``,
-    so two workers take equal shares; a worker holds its slab and one
-    block's product at a time.
+    into ``_blocks`` of up to ``_MAP_WINDOW`` adjacent sites. The leading
+    blocks on at most ``_FACTOR_SITES`` sites fold into a right factor, the
+    next ones on at most as many into a left factor, and the map is written
+    once as ``left · right`` (``_contract``). Any later blocks (long
+    records, far pairs) walk its columns in slabs of at most ``_MAP_CHUNK``
+    amplitudes through ``apply_gate``, the slab's 2^k columns the trailing
+    spectator qubits of an (n + k)-site vector. Chunks and slabs alternate
+    between the workers of ``_in_workers``, each the same work.
     """
     n = record.n_sites
     check_dense_sites("composed map", n)
-    m, rest = _kron_start(_blocks(((step.unitary, step.sites) for step in record.steps), _MAP_WINDOW), n)
-    m = m.reshape(1 << n, 1 << n)
+    blocks = _blocks(((step.unitary, step.sites) for step in record.steps), _MAP_WINDOW)
+    front = _leading(blocks)
+    back = front + _leading(blocks[front:])
+    m = _contract(_fold(blocks[front:back]), _fold(blocks[:front]), tuple(range(n))).reshape(1 << n, 1 << n)
+    walk = blocks[back:]
     width = min(1 << n, _MAP_CHUNK >> n)
     k = width.bit_length() - 1
 
     def work(starts):
         for a in starts:
             slab = m[:, a : a + width].copy()
-            for u, sites in rest:
+            for u, sites in walk:
                 slab = apply_gate(slab, u, sites, n + k)
             m[:, a : a + width] = slab
 
-    _in_workers(work, range(0, 1 << n, width))
+    if walk:
+        _in_workers(work, range(0, 1 << n, width))
     return m
 
 

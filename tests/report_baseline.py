@@ -13,7 +13,9 @@ not change. To regenerate it all, from the root of a checkout:
 
 With ``--check`` the same files are written into a temporary directory
 instead, nothing under ``tests/`` changes, and each file that is not
-byte-equal to its baseline is printed; the exit status is 1 if any is.
+byte-equal to its baseline is printed, followed by each cell that moved, as
+file, key, baseline value -> new value; the exit status is 1 if any file
+differs.
 
 ``mismatches`` compares a fresh report with its baseline: lines outside the
 metrics and details sections (experiment, version, config, thresholds,
@@ -153,16 +155,62 @@ def differing_files(fresh: Path, baseline: Path = BASELINE) -> list[str]:
     return sorted(rel for rel in a.keys() | b.keys() if a.get(rel) != b.get(rel))
 
 
+def _cells(section: str | None, header: list[str] | None, line: str, ln: int) -> list[tuple[str, str]]:
+    """``(key, value)`` for each cell of one report line: a metric, a details field, or else the whole line."""
+    if section == "metrics:" and " = " in line:
+        name, value = line.strip().split(" = ", 1)
+        return [(f"metrics.{name}", value)]
+    fields = line.strip().split(",")
+    if section == "details:" and header is not None and len(fields) == len(header):
+        return [(f"details[{fields[0]}].{column}", value) for column, value in zip(header, fields)]
+    return [(f"line {ln}", line)]
+
+
+def moved_cells(expected: str, actual: str) -> list[str]:
+    """``key: baseline -> new`` for each cell of ``actual`` that is not byte-equal to the baseline ``expected``.
+
+    A metric is keyed by its name, a details field by its row's first field
+    and its column's header, and any other line, whole, by its number.
+    """
+    exp_lines, act_lines = expected.splitlines(), actual.splitlines()
+    if len(exp_lines) != len(act_lines):
+        return [f"lines: {len(exp_lines)} -> {len(act_lines)}"]
+    out, section, header = [], None, None
+    for ln, (e, a) in enumerate(zip(exp_lines, act_lines), start=1):
+        if not e.startswith("  "):
+            section, header = e, None
+        old, new = _cells(section, header, e, ln), _cells(section, header, a, ln)
+        if [key for key, _ in old] != [key for key, _ in new]:
+            old, new = [(f"line {ln}", e)], [(f"line {ln}", a)]
+        out += [f"{key}: {x} -> {y}" for (key, x), (_, y) in zip(old, new) if x != y]
+        if section == "details:" and header is None and e.startswith("  "):
+            header = e.strip().split(",")
+    return out
+
+
+def difference_lines(fresh: Path, baseline: Path = BASELINE) -> list[str]:
+    """For each file that differs, ``differs: <file>`` and then each moved cell as ``<file>: <key>: <old> -> <new>``."""
+    lines = []
+    for rel in differing_files(fresh, baseline):
+        old, new = baseline / rel, fresh / rel
+        lines.append(f"differs: {rel}")
+        if not old.exists() or not new.exists():
+            lines.append(f"  {rel}: only in the {'new run' if new.exists() else 'baseline'}")
+        else:
+            lines += [f"  {rel}: {cell}" for cell in moved_cells(old.read_text(), new.read_text())]
+    return lines
+
+
 def check() -> int:
-    """Regenerate the baseline into a temporary directory; print each file that differs."""
+    """Regenerate the baseline into a temporary directory; print each file that differs, and its moved cells."""
     with tempfile.TemporaryDirectory() as tmp:
         with contextlib.redirect_stdout(io.StringIO()):
             status = write_baseline(Path(tmp))
         if status != 0:
             return status
         differing = differing_files(Path(tmp))
-    for rel in differing:
-        print(f"differs: {rel}")
+        for line in difference_lines(Path(tmp)):
+            print(line)
     print(f"{len(differing)} file(s) differ from {BASELINE}")
     return 1 if differing else 0
 

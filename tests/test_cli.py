@@ -8,7 +8,15 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from report_baseline import BASELINE, baseline_dir, differing_files, mismatches, perfbench_config, perfbench_dirs
+from report_baseline import (
+    BASELINE,
+    baseline_dir,
+    difference_lines,
+    differing_files,
+    mismatches,
+    perfbench_config,
+    perfbench_dirs,
+)
 
 import tslattice
 
@@ -228,6 +236,38 @@ def test_baseline_check_names_every_file_that_is_not_byte_equal(tmp_path):
         "only_fresh.report", "perfbench/w-1/a.report", "perfbench/w-1/only_baseline.cfg"
     ]
     assert differing_files(baseline, baseline) == []
+
+
+def test_baseline_check_prints_every_moved_cell(tmp_path):
+    # ``report_baseline.py --check`` prints each moved cell of a differing
+    # file as file, key, baseline -> new: a metric by its name, a details
+    # field by its row and column, any other line by its number.
+    report = (
+        "experiment: nonlinearity\nmetrics:\n  a = {a}\n  b = 2\n"
+        "details:\n  quantity,value\n  a,{a}\n  b,2\nverdict: {verdict}\n"
+    )
+    fresh, baseline = tmp_path / "fresh", tmp_path / "baseline"
+    for root, a, verdict in ((fresh, "1.6", "fail"), (baseline, "1.5", "pass")):
+        (root / "w-1").mkdir(parents=True)
+        (root / "w-1" / "n.report").write_text(report.format(a=a, verdict=verdict))
+        (root / "same.report").write_text(report.format(a=1, verdict="pass"))
+    (fresh / "short.report").write_text("metrics:\n")
+    (baseline / "short.report").write_text("metrics:\n  a = 1\n")
+    (baseline / "only_baseline.report").write_text("")
+    (fresh / "only_fresh.report").write_text("")
+    assert difference_lines(fresh, baseline) == [
+        "differs: only_baseline.report",
+        "  only_baseline.report: only in the baseline",
+        "differs: only_fresh.report",
+        "  only_fresh.report: only in the new run",
+        "differs: short.report",
+        "  short.report: lines: 2 -> 1",
+        "differs: w-1/n.report",
+        "  w-1/n.report: metrics.a: 1.5 -> 1.6",
+        "  w-1/n.report: details[a].value: 1.5 -> 1.6",
+        "  w-1/n.report: line 9: verdict: pass -> verdict: fail",
+    ]
+    assert difference_lines(baseline, baseline) == []
 
 
 class TestRun:

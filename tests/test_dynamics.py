@@ -942,30 +942,6 @@ class TestBlocks:
         maps = [kron_product(self.check(record.steps, 7, window), 7) for window in range(2, 7)]
         assert max(np.max(np.abs(u - maps[0])) for u in maps) <= 1e-13
 
-    def test_dense_maps_record_takes_three_passes(self, monkeypatch):
-        # The benchmark's dense_maps record: its 58 steps (18 of them links)
-        # fuse into three windows of five or six sites, and the first, on
-        # sites 2-7, starts the map (the Kronecker product with the identity
-        # on the other sites). Each of the map's 32 column slabs walks the
-        # other two, on the workers' threads: three passes over the map. Only
-        # slab-sized calls count: _blocks fuses each window with the same
-        # kernel, on its register's identity.
-        final, record = dense_maps_record()
-        walked = []
-        gate = dynamics.apply_gate
-
-        def counted(amps, u, sites, n):
-            if amps.size == dynamics._MAP_CHUNK:
-                walked.append((amps.size, len(u), sites))
-            return gate(amps, u, sites, n)
-
-        monkeypatch.setattr(dynamics, "apply_gate", counted)
-        u = compose_map(record)
-        assert len(record) == 58
-        blocks = [(dynamics._MAP_CHUNK, 32, sites) for sites in [(0, 1, 2, 3, 4), (5, 6, 7, 8, 9)]]
-        assert sorted(walked) == sorted(blocks * 32)
-        assert np.abs(u[:, 0] - final.amplitudes).max() <= 1e-13
-
 
 def one_gate_at_a_time(record):
     """The record's gates folded over the identity, each by ``apply_gate`` on the map's 2n sites."""
@@ -976,71 +952,134 @@ def one_gate_at_a_time(record):
     return m.reshape(2**n, 2**n)
 
 
-def front_sites(record):
-    """Sites of the blocks that start the map: those that meet no earlier block."""
-    front, seen = [], set()
-    for _, sites in dynamics._blocks(((step.unitary, step.sites) for step in record.steps), dynamics._MAP_WINDOW):
-        if not seen.intersection(sites):
-            front.append(sites)
-        seen.update(sites)
-    return front
+def traced_compose(monkeypatch, record):
+    """``(u, start, walked)``: compose_map's map, the sites of the (left, right) factors its start
+    contracts, and the sites of each block that a column slab walked.
+
+    The start is the last ``_contract`` call, after those that fold the
+    factors; a slab is a 2-D ``apply_gate`` input, where ``_blocks`` fuses
+    on flat vectors.
+    """
+    contracted, walked = [], []
+    contract, gate = dynamics._contract, dynamics.apply_gate
+
+    def spy_contract(left, right, sites):
+        contracted.append((left[1], right[1]))
+        return contract(left, right, sites)
+
+    def spy_gate(amps, u, sites, n):
+        if amps.ndim == 2:
+            walked.append(tuple(sites))
+        return gate(amps, u, sites, n)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(dynamics, "_contract", spy_contract)
+        patch.setattr(dynamics, "apply_gate", spy_gate)
+        u = compose_map(record)
+    return u, contracted[-1], walked
 
 
-class TestKronStart:
-    """The map starts as the Kronecker product of its leading blocks; its column slabs walk the other blocks."""
+LINKS_TO_EIGHT = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 8)]
+
+
+class TestFactorStart:
+    """The map starts as ``left · right``, two folded factors summed over the sites they share."""
 
     @staticmethod
-    def check(record):
-        u = compose_map(record)
+    def check(monkeypatch, record):
+        u, start, walked = traced_compose(monkeypatch, record)
         assert np.max(np.abs(u - one_gate_at_a_time(record))) <= 1e-13
-        return u
-
-    def test_far_pair_in_the_front(self):
-        # operator_nonlocal's pair (0, 8) and the link (6, 7) lead; sites 1-5
-        # start as the identity.
-        cfg = make_config(n_sites=9, horizon=2, kind="operator_nonlocal", lam=0.5, partner_site=0)
-        _, record = evolve(plus_state(9), random_foliation(9, 2, 0), cfg)
-        assert front_sites(record) == [(0, 8), (6, 7)]
-        self.check(record)
+        return start, walked
 
     @pytest.mark.parametrize(
-        "sites, front",
-        [((0,), (0,)), ((3,), (3,)), ((1, 2), (1, 2)), ((2, 1), (1, 2)), ((0, 6), (0, 6)), ((6, 0), (0, 6))]
+        "links, n, start",
+        [
+            # A window on sites 0-5 is the right factor; the links after it
+            # fuse on sites 5-8, which would make nine, so they are the left
+            # factor, sharing site 5; site 9 is on neither.
+            (LINKS_TO_EIGHT, 10, ((5, 6, 7, 8), (0, 1, 2, 3, 4, 5))),
+            # Two blocks far apart fold into one factor on sites 0, 1, 8 and
+            # 9: a Kronecker product, with the identity on sites 2-7.
+            ([(0, 1), (8, 9)], 10, ((), (0, 1, 8, 9))),
+            ([(2, 3)], 6, ((), (2, 3))),
+        ],
+        ids=["shared-site", "kronecker", "between"],
+    )
+    def test_sites_outside_both_factors(self, monkeypatch, links, n, start):
+        rng = np.random.default_rng(40 + n)
+        record = TrajectoryRecord(tuple(hand_step(sites, rng) for sites in links), n)
+        assert self.check(monkeypatch, record) == (start, [])
+
+    @pytest.mark.parametrize(
+        "steps, start",
+        [
+            # The far pair (0, 8) and the window on 1-6 fold into the right
+            # factor; the link (6, 7) is the left one.
+            ([(0, 8), (1, 2), (3, 4), (4, 5), (5, 6), (6, 7)], ((6, 7), (0, 1, 2, 3, 4, 5, 6, 8))),
+            # Reversed: the window on 3-7 and the link (1, 2) fold into the
+            # right factor; the far pair is the left one, on no shared site.
+            ([(6, 7), (5, 6), (4, 5), (3, 4), (1, 2), (0, 8)], ((0, 8), (1, 2, 3, 4, 5, 6, 7))),
+        ],
+        ids=["right", "left"],
+    )
+    def test_far_pair_inside_a_factor(self, monkeypatch, steps, start):
+        rng = np.random.default_rng(41)
+        record = TrajectoryRecord(tuple(hand_step(sites, rng) for sites in steps), 9)
+        assert self.check(monkeypatch, record) == (start, [])
+
+    @pytest.mark.parametrize(
+        "sites, block",
+        [((), ()), ((0,), (0,)), ((3,), (3,)), ((1, 2), (1, 2)), ((2, 1), (1, 2)), ((0, 6), (0, 6)), ((6, 0), (0, 6))]
         # A pair within a window is a block on the six sites from one to the other.
         + [((0, 5), (0, 1, 2, 3, 4, 5)), ((5, 0), (0, 1, 2, 3, 4, 5))],
     )
-    def test_one_step_record(self, sites, front):
+    def test_one_block_and_empty_records(self, monkeypatch, sites, block):
         rng = np.random.default_rng(30 + len(sites))
-        record = TrajectoryRecord((hand_step(sites, rng),), 7)
-        assert front_sites(record) == [front]
-        self.check(record)
+        record = TrajectoryRecord((hand_step(sites, rng),) if sites else (), 7)
+        assert self.check(monkeypatch, record) == (((), block), [])
 
-    def test_single_leading_block(self):
-        # The links fuse into a window on sites 0-5; (5, 6) shares site 5, so
-        # it is a pass over a map that starts with sites 6 and 7 free.
-        rng = np.random.default_rng(33)
-        steps = [hand_step(sites, rng) for sites in [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6)]]
-        record = TrajectoryRecord(tuple(steps), 8)
-        assert front_sites(record) == [(0, 1, 2, 3, 4, 5)]
-        self.check(record)
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_blocks_after_the_left_factor_walk_column_slabs(self, monkeypatch, workers):
+        # At T = 8 the seed 1 record fuses into five blocks: a six-site window
+        # is the right factor, the next block the left one, and each of the
+        # map's 32 column slabs walks the other three.
+        monkeypatch.setattr(dynamics, "_workers", lambda: workers)
+        cfg = make_config(n_sites=10, horizon=8, kind="local", lam=0.5)
+        final, record = evolve(zero_state(10), random_foliation(10, 8, 1), cfg)
+        blocks = dynamics._blocks(((step.unitary, step.sites) for step in record.steps), dynamics._MAP_WINDOW)
+        (left, right), walked = self.check(monkeypatch, record)
+        assert (len(blocks), len(right), len(walked)) == (5, 6, 3 * 32)
+        assert sorted(walked) == sorted([sites for _, sites in blocks[2:]] * 32)
+        assert np.abs(compose_map(record)[:, 0] - final.amplitudes).max() <= 1e-13
 
-    @pytest.mark.parametrize("seed", [21, 1, 2, 3, 5, 27])
-    def test_dense_maps_records(self, seed):
+    @pytest.mark.parametrize("seed", list(range(1, 11)) + [21])
+    def test_dense_maps_records_take_no_slab_pass(self, monkeypatch, seed):
+        # The benchmark's dense_maps records fuse into three blocks; the two
+        # factors cover all ten sites and share three, so each entry of the
+        # map is a sum of 8 terms, and no block walks the map.
         cfg = make_config(n_sites=10, horizon=4, kind="local", lam=0.5)
-        _, record = evolve(zero_state(10), random_foliation(10, 4, seed), cfg)
-        # One six-site window leads, with the identity on the other four sites.
-        assert [len(sites) for sites in front_sites(record)] == [6]
-        self.check(record)
+        final, record = evolve(zero_state(10), random_foliation(10, 4, seed), cfg)
+        (left, right), walked = self.check(monkeypatch, record)
+        assert walked == []
+        assert (set(left) | set(right), len(set(left) & set(right))) == (set(range(10)), 3)
+        assert np.abs(compose_map(record)[:, 0] - final.amplitudes).max() <= 1e-13
 
+    @pytest.mark.parametrize("step", [0, -1], ids=["right", "left"])
     @pytest.mark.parametrize("entry", [(0, 0), (3, 1)])
-    def test_nan_in_a_front_block_gives_a_nan_defect(self, entry):
-        # The first step's gate leads; each of its entries reaches the map.
+    def test_nan_in_either_factor_gives_a_nan_defect(self, step, entry):
+        # The first gate is in the right factor, the last in the left one;
+        # each of their entries reaches the map.
         rng = np.random.default_rng(34)
-        steps = [hand_step(sites, rng) for sites in [(6, 7), (0, 1), (1, 2), (2, 3)]]
-        steps[0].unitary[entry] = np.nan
-        record = TrajectoryRecord(tuple(steps), 8)
-        assert front_sites(record)[0] == (6, 7)
+        steps = [hand_step(sites, rng) for sites in LINKS_TO_EIGHT]
+        steps[step].unitary[entry] = np.nan
+        record = TrajectoryRecord(tuple(steps), 10)
         assert math.isnan(dynamics._unitarity_defect(compose_map(record)))
+
+    @pytest.mark.parametrize("n", [8, 9, 10])
+    def test_every_kind_against_one_gate_at_a_time(self, monkeypatch, n):
+        for cfg in kind_configs(n):
+            _, record = evolve(plus_state(n), random_foliation(n, 3, 18), cfg)
+            self.check(monkeypatch, record)
 
 
 def dense_maps_record():
@@ -1160,8 +1199,8 @@ class TestWorkers:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_peak_memory_at_ten_sites(self, monkeypatch, workers):
-        # One 16 MiB map, changed in place, and per worker a 512 KiB column
-        # slab and one block's product; a pass that makes a new map holds two
+        # One 16 MiB map, written once, beside its 1 MiB eight-site factor and
+        # per worker one 256 KiB chunk; a pass that makes a new map holds two
         # maps (32 MiB).
         monkeypatch.setattr(dynamics, "_workers", lambda: workers)
         final, record = dense_maps_record()
@@ -1171,15 +1210,15 @@ class TestWorkers:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_far_pairs_walk_column_slabs(self, monkeypatch, workers):
-        # operator_nonlocal with partner 9 on the dense_maps foliation: 15 of
-        # the 27 blocks after the Kronecker start are far pairs, whose gather
+        # operator_nonlocal with partner 9 on the dense_maps foliation: 11 of
+        # the 20 blocks after the two factors are far pairs, whose gather
         # copies a slab, not the map (a new map per far pair peaked at 64 MiB).
         monkeypatch.setattr(dynamics, "_workers", lambda: workers)
         cfg = make_config(n_sites=10, horizon=4, kind="operator_nonlocal", lam=0.5, partner_site=9)
         _, record = evolve(zero_state(10), random_foliation(10, 4, 21), cfg)
-        gates = ((step.unitary, step.sites) for step in record.steps)
-        _, rest = dynamics._kron_start(dynamics._blocks(gates, dynamics._MAP_WINDOW), 10)
-        assert (len(rest), sum(sites[-1] - sites[0] >= dynamics._MAP_WINDOW for _, sites in rest)) == (27, 15)
+        _, _, walked = traced_compose(monkeypatch, record)
+        far = sum(sites[-1] - sites[0] >= dynamics._MAP_WINDOW for sites in walked)
+        assert (len(walked), far) == (20 * 32, 11 * 32)
         u, peak = self.traced_peak(record)
         assert np.max(np.abs(u - one_gate_at_a_time(record))) <= 1e-13
         assert peak < 24 << 20
