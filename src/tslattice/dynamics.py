@@ -293,11 +293,15 @@ def _closed_form_gate(g: np.ndarray, residue: float, theta: float, sites) -> np.
 
     For a Hermitian g, u^dag u - I = sin^2(theta) (g^2 - I), so
     sin^2(theta) max|g^2 - I| <= UNITARY_ATOL is the unitarity test of u
-    without forming u^dag u; a NaN theta fails it.
+    without forming u^dag u; a NaN theta fails it. A zero angle (0 or -0.0)
+    gives the shared read-only ``_identity``, which is never applied:
+    ``ts_step`` copies the state instead and ``_blocks`` drops it.
     """
     sin = math.sin(theta)
     if not sin * sin * residue <= UNITARY_ATOL:
         raise _not_unitary(sites)
+    if sin == 0.0:
+        return _identity(g.shape[0])
     return math.cos(theta) * _identity(g.shape[0]) - (1j * sin) * g
 
 
@@ -356,7 +360,7 @@ def ts_step(
         terms = ((g, residue, scale + c),)
     step_dt = config.dt if isinstance(d, SiteAdvance) else 1.0
     u = _gate(sites, terms, step_dt)
-    out = apply_gate(state.amplitudes, u, sites, n)
+    out = state.amplitudes.copy() if u is _identity(len(u)) else apply_gate(state.amplitudes, u, sites, n)
     nrm = math.sqrt(np.vdot(out, out).real)
     if not abs(nrm - 1.0) <= NORM_ATOL:
         raise _norm_error(nrm)
@@ -497,10 +501,13 @@ def _blocks(gates, window: int) -> list:
     its lowest to its highest, and ``u`` is its gates applied to the rows of
     that register's identity. ``apply_gate`` applies it in the degeneracy
     walk and to ``compose_map``'s column slabs, and ``_fold`` takes it as a
-    factor.
+    factor. A zero-angle rotation (the shared ``_identity``) is dropped, so
+    it is never applied; gates that are all identities make no block.
     """
     blocks = []  # (site set, gates)
     for u, sites in gates:
+        if u is _identity(len(u)):
+            continue
         gate = set(sites)
         first = max((k for k, (block, _) in enumerate(blocks) if block & gate), default=0)
         for block, members in blocks[first:]:
@@ -584,8 +591,9 @@ def _contract(left, right, sites) -> np.ndarray:
     both touch only: with one axis per row or column bit, the factors' own
     bits index the rows and columns of one matrix product and the shared
     sites' bits its inner index. Chunks of its rows alternate over
-    ``_in_workers``, each written once into a strided view of a zeroed
-    matrix, where an untouched site's axis steps its row and column at once.
+    ``_in_workers``, each written once into a strided view of the matrix,
+    where an untouched site's axis steps its row and column at once. The
+    matrix is zeroed first only if such a site leaves entries unwritten.
     """
     # A bit is (site, 0), its row, or (site, 1), its column: left sums over
     # its shared sites' column bits, right over their row bits.
@@ -600,10 +608,11 @@ def _contract(left, right, sites) -> np.ndarray:
     (rows, row_bits), (cols, col_bits) = ops
     cols = cols.reshape(1 << len(col_bits), -1).T
     m = len(sites)
-    out = np.zeros(1 << 2 * m, dtype=complex)
+    untouched = [k for k, s in enumerate(sites) if s not in left[1] + right[1]]
+    out = (np.zeros if untouched else np.empty)(1 << 2 * m, dtype=complex)
     # A column bit's stride; a row bit's is 2^m times it, and an untouched site's axis the sum of both.
     strides = [(out.itemsize << m - 1 - sites.index(s)) << m * (1 - c) for s, c in row_bits + col_bits]
-    free = [(out.itemsize << m - 1 - k) * ((1 << m) + 1) for k, s in enumerate(sites) if s not in left[1] + right[1]]
+    free = [(out.itemsize << m - 1 - k) * ((1 << m) + 1) for k in untouched]
     view = np.lib.stride_tricks.as_strided(out, [2] * len(strides + free), strides + free)
     height = min(1 << len(row_bits), max(1, _CONTRACT_CHUNK >> len(col_bits)))
     lead = len(row_bits) + 1 - height.bit_length()  # row bits fixed in one chunk
@@ -635,18 +644,22 @@ def compose_map(record: TrajectoryRecord) -> np.ndarray:
     into ``_blocks`` of up to ``_MAP_WINDOW`` adjacent sites. The leading
     blocks on at most ``_FACTOR_SITES`` sites fold into a right factor, the
     next ones on at most as many into a left factor, and the map is written
-    once as ``left · right`` (``_contract``). Any later blocks (long
-    records, far pairs) walk its columns in slabs of at most ``_MAP_CHUNK``
-    amplitudes through ``apply_gate``, the slab's 2^k columns the trailing
-    spectator qubits of an (n + k)-site vector. Chunks and slabs alternate
-    between the workers of ``_in_workers``, each the same work.
+    once as ``left · right`` (``_contract``), or is the right factor's
+    matrix if there is no left one and it spans every site. Any later
+    blocks (long records, far pairs) walk its columns in slabs of at most
+    ``_MAP_CHUNK`` amplitudes through ``apply_gate``, the slab's 2^k columns
+    the trailing spectator qubits of an (n + k)-site vector. Chunks and
+    slabs alternate between the workers of ``_in_workers``, each the same
+    work.
     """
     n = record.n_sites
     check_dense_sites("composed map", n)
     blocks = _blocks(((step.unitary, step.sites) for step in record.steps), _MAP_WINDOW)
     front = _leading(blocks)
     back = front + _leading(blocks[front:])
-    m = _contract(_fold(blocks[front:back]), _fold(blocks[:front]), tuple(range(n))).reshape(1 << n, 1 << n)
+    left, right = _fold(blocks[front:back]), _fold(blocks[:front])
+    m = right[0] if not left[1] and right[1] == tuple(range(n)) else _contract(left, right, tuple(range(n)))
+    m = m.reshape(1 << n, 1 << n)
     walk = blocks[back:]
     width = min(1 << n, _MAP_CHUNK >> n)
     k = width.bit_length() - 1

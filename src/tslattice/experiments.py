@@ -26,6 +26,7 @@ from .dynamics import (
     NonlinearitySpec,
     _WINDOW,
     _blocks,
+    _identity,
     _nonlinear_plans,
     _trajectory,
     _unitarity_defect,
@@ -548,11 +549,11 @@ def signaling_experiment(
 
 # Probe vectors co-evolved together fill at most this many amplitudes
 # (2^13 complex = 128 KiB), so a batch holds max(1, 2^13 / 2^n) steps.
-# Per run, with earlier batches fused (local, one BLAS thread), 2^13 /
-# 2^14 / 2^15 took 12.6 / 13.7 / 16.6 ms at n = 10, T = 4; 15 / 16 / 25 ms
-# at n = 8, T = 16; 33 / 38 / 50 ms at n = 6, T = 64. Only long runs at
-# n = 10 gain from wider batches (788 / 497 / 374 ms at T = 64), and 2^14
-# lifts the walk's peak at n = 10 above 1 MiB.
+# Per experiment (local, one BLAS thread; the all-zero control applies no
+# gate), 2^13 / 2^14 / 2^15 took 13 / 16 / 16 ms at n = 10, T = 4; 23 / 24
+# / 29 ms at n = 8, T = 16; 52 / 62 / 75 ms at n = 6, T = 64. Only long
+# runs at n = 10 gain from wider batches (970 / 650 / 513 ms at T = 64),
+# and 2^14 lifts the walk's peak at n = 10 above 1 MiB.
 _COEVOLVE_BLOCK = 1 << 13
 
 
@@ -564,14 +565,16 @@ def _coevolved_expectations(pending, adjoints, fused, base, probe_site, n):
     psi_k joins its own column when the walk reaches u_k^dag, so each column
     gets u_k^dag, ..., down to the batch's first gate, then every fused block.
     The columns, padded to 2^m, are the trailing qubits of one 2^(n+m)
-    vector, which the kernels pass over as spectators.
+    vector, which the kernels pass over as spectators. A zero-angle step's
+    u^dag is the shared ``_identity``, never applied here or fused.
     """
     m = (len(pending) - 1).bit_length()
     cols = np.zeros((1 << n, 1 << m), dtype=complex)
     for j in range(len(pending) - 1, -1, -1):
         cols[:, j] = pending[j]
         u_dag, sites = adjoints[j]
-        cols = apply_gate(cols, u_dag, sites, n + m)
+        if u_dag is not _identity(len(u_dag)):
+            cols = apply_gate(cols, u_dag, sites, n + m)
     for u, sites in fused:
         cols = apply_gate(cols, u, sites, n + m)
     o_cols = apply_gate(cols, base, (probe_site,), n + m)
@@ -591,7 +594,8 @@ def _degeneracy_metrics(config: ModelConfig, foliation: Foliation, probe_site: i
     coevolved = []
     physical = []
     for k, (psi, surface, entry) in enumerate(_trajectory(psi0, foliation, config), start=1):
-        adjoints.append((np.ascontiguousarray(entry.unitary.conj().T), entry.sites))
+        u = entry.unitary  # the shared identity is its own adjoint
+        adjoints.append((u if u is _identity(len(u)) else np.ascontiguousarray(u.conj().T), entry.sites))
         pending.append(psi.amplitudes)
         if len(pending) == batch or k == len(foliation.steps):
             coevolved += _coevolved_expectations(pending, adjoints, fused, base, probe_site, n)
@@ -636,11 +640,13 @@ def degeneracy_experiment(config: ModelConfig, foliation: Foliation | None = Non
     U_k^dag = u_1^dag ... u_k^dag of the recorded per-step unitaries is
     applied to psi_k. In batches of max(1, 2^13 / 2^n) steps, the probe
     vectors walk their own batch's gates one at a time (u_k^dag first),
-    then the fused blocks of every earlier batch. Against a dense map
-    updated one gate per step, the walk took 0.07-0.79x the time at n = 8
-    and 10 (horizons 4-256 and 16-64) and 0.81-0.86x at n = 7 up to
-    horizon 64, but 1.1-1.5x at n = 4 and 6 from horizon 16 on. Like the
-    dense-map experiments, it is limited to n_sites <= MAX_DENSE_SITES (10).
+    then the fused blocks of every earlier batch; no zero-angle gate is
+    applied, so the all-zero control walks none. Against a dense map updated
+    one gate per step, the walk took 0.06-0.77x the time at n = 8 and 10
+    (horizons 4-256 and 16-64) and 0.54-0.69x at n = 7 up to horizon 64,
+    but 1.05-1.18x at n = 4 from horizon 64 and at n = 6 at horizon 256.
+    Like the dense-map experiments, it is limited to n_sites <=
+    MAX_DENSE_SITES (10).
     """
     n, t = config.n_sites, config.horizon
     check_degeneracy_probe(config)

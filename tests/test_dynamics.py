@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -665,6 +666,55 @@ class TestMovedChecksStillFail:
             ts_step(StateVector(np.array([1.0, 0.0]), 1), initial_surface(3, 2), LinkApply((0, 1), 0), cfg)
 
 
+class TestZeroAngleGates:
+    """A zero-angle rotation is the shared read-only identity, and no step or block applies it."""
+
+    @pytest.mark.parametrize("theta", [0.0, -0.0])
+    def test_zero_angle_is_the_shared_identity(self, theta):
+        oi, residue = dynamics._free_field(0, 3, 0.7, "x")
+        pair, pair_residue = dynamics._pair_generator(0, 3, 1, 2, 0.7, "x")
+        assert dynamics._closed_form_gate(oi.matrix, residue, theta, (0,)) is dynamics._identity(2)
+        assert dynamics._closed_form_gate(pair, pair_residue, theta, (0, 1)) is dynamics._identity(4)
+        assert not dynamics._identity(2).flags.writeable
+
+    @pytest.mark.parametrize("theta", [1e-300, -1e-300, 1e-310, 5e-324])
+    def test_tiny_angles_are_rotations(self, theta):
+        # sin(theta) is theta here, so the off-diagonal entries are -i theta.
+        u = dynamics._closed_form_gate(PAULI_X, 0.0, theta, (0,))
+        assert u is not dynamics._identity(2)
+        assert u[0, 1] == u[1, 0] == complex(0.0, -theta)
+        [(block, sites)] = dynamics._blocks([(u, (1,)), (dynamics._identity(2), (0,))], dynamics._WINDOW)
+        assert sites == (1,) and block[0, 1] == complex(0.0, -theta)
+
+    def test_nan_angle_still_fails_the_unitarity_test(self):
+        message = r"^operator at site 0 is not unitary within 1e-12$"
+        with pytest.raises(ValueError, match=message):
+            dynamics._closed_form_gate(PAULI_X, 0.0, math.nan, (0,))
+        # A NaN coupling cannot pass ModelConfig; set one past its check.
+        cfg = make_config(n_sites=3, horizon=2, mu=0.0, link_coupling=0.0)
+        object.__setattr__(cfg, "mu", math.nan)
+        with pytest.raises(ValueError, match=message):
+            ts_step(plus_state(3), gate_then_site_surface(), SiteAdvance(0), cfg)
+
+    def test_zero_angle_step_copies_the_state(self, monkeypatch):
+        made = []
+        kernel = dynamics.apply_gate
+        monkeypatch.setattr(dynamics, "apply_gate", lambda *args: made.append(1) or kernel(*args))
+        cfg = make_config(n_sites=3, horizon=2, mu=0.0, link_coupling=0.0)
+        psi = random_state(3, np.random.default_rng(35))
+        for s, d in ((initial_surface(3, 2), LinkApply((0, 1), 0)), (gate_then_site_surface(), SiteAdvance(0))):
+            out, _, entry = ts_step(psi, s, d, cfg)
+            assert not np.shares_memory(out.amplitudes, psi.amplitudes)
+            assert np.array_equal(out.amplitudes, psi.amplitudes)
+            assert entry.unitary is dynamics._identity(2 ** len(entry.sites))
+            assert entry.coefficient == 0.0
+        assert made == []
+        # The norm test still runs on the copy.
+        psi.amplitudes[0] *= 1.0 + 1e-9
+        with pytest.raises(ValueError, match="deviates from 1 beyond 1e-12"):
+            ts_step(psi, initial_surface(3, 2), LinkApply((0, 1), 0), cfg)
+
+
 class TestSizeMismatch:
     """ts_step and ts_step_batch step only a state and surface of the config's size."""
 
@@ -954,18 +1004,26 @@ def one_gate_at_a_time(record):
 
 def traced_compose(monkeypatch, record):
     """``(u, start, walked)``: compose_map's map, the sites of the (left, right) factors its start
-    contracts, and the sites of each block that a column slab walked.
+    contracts (None if it contracts none), and the sites of each block that a column slab walked.
 
-    The start is the last ``_contract`` call, after those that fold the
-    factors; a slab is a 2-D ``apply_gate`` input, where ``_blocks`` fuses
-    on flat vectors.
+    The start is the ``_contract`` call made outside ``_fold``, which
+    contracts blocks into factors; a slab is a 2-D ``apply_gate`` input,
+    where ``_blocks`` fuses on flat vectors.
     """
-    contracted, walked = [], []
-    contract, gate = dynamics._contract, dynamics.apply_gate
+    starts, walked, folding = [], [], []
+    contract, fold, gate = dynamics._contract, dynamics._fold, dynamics.apply_gate
 
     def spy_contract(left, right, sites):
-        contracted.append((left[1], right[1]))
+        if not folding:
+            starts.append((left[1], right[1]))
         return contract(left, right, sites)
+
+    def spy_fold(blocks):
+        folding.append(blocks)
+        try:
+            return fold(blocks)
+        finally:
+            folding.pop()
 
     def spy_gate(amps, u, sites, n):
         if amps.ndim == 2:
@@ -974,9 +1032,11 @@ def traced_compose(monkeypatch, record):
 
     with monkeypatch.context() as patch:
         patch.setattr(dynamics, "_contract", spy_contract)
+        patch.setattr(dynamics, "_fold", spy_fold)
         patch.setattr(dynamics, "apply_gate", spy_gate)
         u = compose_map(record)
-    return u, contracted[-1], walked
+    assert len(starts) <= 1
+    return u, starts[0] if starts else None, walked
 
 
 LINKS_TO_EIGHT = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 8)]
@@ -1075,11 +1135,75 @@ class TestFactorStart:
         record = TrajectoryRecord(tuple(steps), 10)
         assert math.isnan(dynamics._unitarity_defect(compose_map(record)))
 
+    @pytest.mark.parametrize("n", [6, 8])
+    def test_a_right_factor_on_every_site_is_the_map(self, monkeypatch, n):
+        # Up to eight sites every block folds into the right factor, so
+        # there is no left factor, and the record's blocks cover every site.
+        for cfg in kind_configs(n):
+            _, record = evolve(plus_state(n), random_foliation(n, 3, 1), cfg)
+            assert self.check(monkeypatch, record) == (None, [])
+
+    @pytest.mark.parametrize("n", [6, 8, 10])
+    @pytest.mark.parametrize("base", ["x", "z"])
+    def test_zero_angle_links_against_one_gate_at_a_time(self, monkeypatch, n, base):
+        # With J = 0 every link gate is the identity, which _blocks drops;
+        # base z makes every site gate diagonal.
+        for cfg in kind_configs(n):
+            cfg = replace(cfg, link_coupling=0.0, base_operator=base)
+            _, record = evolve(plus_state(n), random_foliation(n, 3, 19), cfg)
+            links = [step.unitary for step in record.steps if isinstance(step.deformation, LinkApply)]
+            assert links and all(u is dynamics._identity(4) for u in links)
+            self.check(monkeypatch, record)
+
+    @pytest.mark.parametrize("n", [2, 7, 10])
+    def test_an_all_identity_record_is_the_identity(self, monkeypatch, n):
+        cfg = make_config(n_sites=n, horizon=3, omega=0.0, mu=0.0, link_coupling=0.0)
+        _, record = evolve(plus_state(n), random_foliation(n, 3, 20), cfg)
+        assert dynamics._blocks(((step.unitary, step.sites) for step in record.steps), dynamics._MAP_WINDOW) == []
+        u, start, walked = traced_compose(monkeypatch, record)
+        assert (start, walked) == (((), ()), [])
+        assert np.array_equal(u, np.eye(2**n))
+
     @pytest.mark.parametrize("n", [8, 9, 10])
     def test_every_kind_against_one_gate_at_a_time(self, monkeypatch, n):
         for cfg in kind_configs(n):
             _, record = evolve(plus_state(n), random_foliation(n, 3, 18), cfg)
             self.check(monkeypatch, record)
+
+
+class TestContractFill:
+    """``_contract`` leaves no entry unwritten: it zeroes the matrix only for sites neither factor touches."""
+
+    @staticmethod
+    def contract_with_nan_empty(monkeypatch, left, right, n):
+        empty = np.empty
+
+        def nan_empty(*args, **kwargs):
+            out = empty(*args, **kwargs)
+            out.fill(np.nan)
+            return out
+
+        with monkeypatch.context() as patch:
+            patch.setattr(dynamics.np, "empty", nan_empty)
+            got = dynamics._contract(left, right, tuple(range(n)))
+        want = embedded(left[0], left[1], n) @ embedded(right[0], right[1], n)
+        assert not np.isnan(got).any()
+        assert np.max(np.abs(got.reshape(2**n, 2**n) - want)) <= 1e-13
+
+    @pytest.mark.parametrize(
+        "left_sites, right_sites",
+        [((2, 3, 4), (0, 1, 2, 3)), ((), (0, 1, 2, 3, 4)), ((0, 4), (1, 2, 3)), ((0, 1, 2, 3, 4), (1, 3))],
+    )
+    def test_factors_on_every_site_write_every_entry(self, monkeypatch, left_sites, right_sites):
+        rng = np.random.default_rng(36)
+        left, right = ((random_unitary(2 ** len(s), rng), s) for s in (left_sites, right_sites))
+        self.contract_with_nan_empty(monkeypatch, left, right, 5)
+
+    @pytest.mark.parametrize("left_sites, right_sites", [((0, 1), (3, 4)), ((), (1, 2)), ((), ())])
+    def test_a_free_site_still_gets_the_identity(self, monkeypatch, left_sites, right_sites):
+        rng = np.random.default_rng(37)
+        left, right = ((random_unitary(2 ** len(s), rng), s) for s in (left_sites, right_sites))
+        self.contract_with_nan_empty(monkeypatch, left, right, 5)
 
 
 def dense_maps_record():

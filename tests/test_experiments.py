@@ -7,6 +7,7 @@ import math
 import sys
 import tracemalloc
 from collections import deque
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -484,6 +485,44 @@ class TestDegeneracyExperiment:
         monkeypatch.setattr(experiments, "apply_gate", lambda *args: made.append(1) or kernel(*args))
         experiments._degeneracy_metrics(cfg, fol, n_sites // 2)
         assert len(made) == calls
+
+    @pytest.mark.parametrize(
+        "kind, extra",
+        [
+            ("local", {"link_coupling": 0.0}),
+            ("coefficient_nonlocal", {"mu": 0.0, "source_site": 1}),
+            ("operator_nonlocal", {"mu": 0.0, "partner_site": 1}),
+        ],
+        ids=["local-J0", "coefficient_nonlocal-mu0", "operator_nonlocal-mu0"],
+    )
+    def test_zero_angle_steps_match_dense_composed_map(self, kind, extra):
+        # J = 0 makes every link gate the identity; mu = 0 makes the remote
+        # site's own (linear) advance the identity, between steps that are not.
+        cfg = cfg_with(kind, n_sites=5, horizon=3, **extra)
+        fol = random_foliation(5, 3, 8)
+        _, record = evolve(default_initial_state(cfg), fol, cfg)
+        identities = [step.unitary is dynamics._identity(len(step.unitary)) for step in record.steps]
+        assert any(identities) and not all(identities)
+        r = degeneracy_experiment(cfg, foliation=fol)
+        want = dense_coevolved_expectations(cfg, fol, 2)
+        assert np.max(np.abs([row[3] for row in r.details[1:]] - want)) <= 1e-12
+
+    def test_all_zero_control_walks_no_gate(self, monkeypatch):
+        # The control's every step is a zero-angle rotation: no step, block
+        # or walk applies one, and each batch takes only its expectation.
+        cfg = cfg_with("local", n_sites=10, horizon=4)
+        frozen = replace(cfg, omega=0.0, mu=0.0, link_coupling=0.0, nonlinearity=replace(cfg.nonlinearity, lam=0.0))
+        fol = random_foliation(10, 4, 21)
+        base = BASE_OPERATORS[cfg.base_operator]
+        walked, stepped = [], []
+        walk, step = experiments.apply_gate, dynamics.apply_gate
+        monkeypatch.setattr(experiments, "apply_gate", lambda amps, u, *rest: walked.append(u) or walk(amps, u, *rest))
+        monkeypatch.setattr(dynamics, "apply_gate", lambda *args: stepped.append(1) or step(*args))
+        drift, variation, rows = experiments._degeneracy_metrics(frozen, fol, 5)
+        assert stepped == []
+        assert len(walked) == -(-len(fol.steps) // 8) and all(u is base for u in walked)
+        assert len(rows) == len(fol.steps) + 1
+        assert drift <= 1e-15 and variation == 0.0
 
     def test_peak_memory_has_no_dense_map(self):
         # A 2^10 x 2^10 complex map is 16 MiB; the walk over the recorded
