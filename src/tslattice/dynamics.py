@@ -481,10 +481,10 @@ def evolve(state0: StateVector, foliation: Foliation, config: ModelConfig):
 
 # Widest run of adjacent sites one block covers (a 2^w matrix on the middle
 # axis), as each caller of _blocks asks. On the dense_maps records of seeds
-# 1-10 (two workers, one BLAS thread), compose_map took 7.0-7.2 ms at 6
-# against 15.1-16.1, 12.5-13.1, 7.3-9.0 and 13.3-14.7 ms at 4, 5, 7 and 8;
-# the degeneracy walk's 8-column batches took 21.0 ms a run at 4 against
-# 22.3 ms at 6.
+# 1-10 (two workers, one BLAS thread, 2-core host; mean of per-seed medians
+# of 15 calls), compose_map took 4.9 ms at 6 against 12.0, 10.0, 5.6 and
+# 10.9 ms at 4, 5, 7 and 8; the degeneracy walk's main run, 11.1 ms at 4
+# and 11.2 ms at 6.
 _MAP_WINDOW = 6
 _WINDOW = 4
 

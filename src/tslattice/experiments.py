@@ -4,12 +4,9 @@ Every experiment returns an ExperimentReport carrying the resolved
 configuration, named scalar metrics, the thresholds used for the verdict, and
 per-sample detail rows. Each one embeds its lambda = 0 control; the verdict
 is a pure function of metrics and thresholds, computed by the report type
-itself. Reports are deterministic for a fixed configuration and seed on one
-host with a fixed number of BLAS threads. At N = 14 OpenBLAS splits
-``np.vdot`` by thread, and each state-reading step of ``ts_step`` takes its
-coefficient from it (``_real_expectation``), so there the states, distances
-and final expectations can move with the thread count (see the README). The
-order-swap scan (``_row_products``) and ``_state_distances`` sum without BLAS.
+itself. Reports are deterministic for a fixed configuration and seed, at
+any BLAS thread count: every sum that reaches a state or a report is
+``_row_products``, which does not go through BLAS (see the README).
 """
 
 from __future__ import annotations
@@ -42,6 +39,7 @@ from .quantum_core import (
     DensityMatrix,
     StateVector,
     _real_expectation,
+    _row_products,
     _state_distances,
     basis_state,
     bell_pair_state,
@@ -425,7 +423,7 @@ def _measurement_branches(state: StateVector, site: int, setting: str):
         v = evecs[:, k]
         proj = np.outer(v, v.conj())
         amps = apply_gate(state.amplitudes, proj, (site,), state.n_sites)
-        p = float(np.vdot(amps, amps).real)
+        p = float(_row_products(amps, amps).real)
         if p < 1e-15:
             continue
         branches.append(
@@ -578,7 +576,7 @@ def _coevolved_expectations(pending, adjoints, fused, base, probe_site, n):
     for u, sites in fused:
         cols = apply_gate(cols, u, sites, n + m)
     o_cols = apply_gate(cols, base, (probe_site,), n + m)
-    values = np.einsum("ij,ij->j", cols.conj(), o_cols).real
+    values = _row_products(cols.T, o_cols.T).real
     return [float(v) for v in values[: len(pending)]]
 
 
@@ -712,14 +710,14 @@ def map_nonlinearity_check(
         final_1, _ = evolve(psi1, foliation, cfg)
         final_2, _ = evolve(psi2, foliation, cfg)
         lin_amps = final_1.amplitudes + final_2.amplitudes
-        lin = StateVector(lin_amps / np.linalg.norm(lin_amps), n)
+        lin = StateVector(lin_amps / math.sqrt(_row_products(lin_amps, lin_amps).real), n)
         return final_sum, record, state_distance(final_sum, lin)
 
     final_sum, record, superposition_defect = superposition_for(config)
     u = compose_map(record)
     unitarity_defect = _unitarity_defect(u)
     mapped = u @ psi_sum.amplitudes
-    mapped = mapped / np.linalg.norm(mapped)
+    mapped = mapped / math.sqrt(_row_products(mapped, mapped).real)
     compose_consistency = state_distance(StateVector(mapped, n), final_sum)
     _, _, control_defect = superposition_for(linear_config(config))
 

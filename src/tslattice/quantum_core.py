@@ -164,7 +164,7 @@ def expectation(state: StateVector, op: SiteOperator) -> float:
 
 def _real_expectation(state: StateVector, matrix: np.ndarray, site: int) -> float:
     """<psi| matrix_site |psi> for a matrix the caller has found Hermitian."""
-    raw = complex(np.vdot(state.amplitudes, apply_gate(state.amplitudes, matrix, (site,), state.n_sites)))
+    raw = complex(_row_products(state.amplitudes, apply_gate(state.amplitudes, matrix, (site,), state.n_sites)))
     if abs(raw.imag) > IMAG_ATOL:
         raise _imaginary_residue(raw.imag)
     return float(raw.real)
@@ -207,8 +207,10 @@ def state_distance(a: StateVector, b: StateVector) -> float:
     Evaluated as the norm of the phase-aligned difference min_phi
     ||a - e^{i phi} b||, which is the same quantity but keeps full double
     precision near zero (the naive 2 - 2|<a|b>| cancels catastrophically).
-    It is ``_state_distances`` on one row pair, whose sums do not go through
-    BLAS, so the result does not depend on the BLAS thread count.
+    Like every sum that reaches a state or a report, it makes no BLAS call
+    (``_row_products`` and an axis-wise norm), so it does not depend on the
+    BLAS thread count; only the norm guards of ``ts_step`` and
+    ``StateVector``, which decide whether to raise, keep the faster BLAS sums.
     """
     if a.n_sites != b.n_sites:
         raise ValueError(f"dimension mismatch: {a.n_sites} vs {b.n_sites} sites")
@@ -216,8 +218,8 @@ def state_distance(a: StateVector, b: StateVector) -> float:
 
 
 def _row_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """<a_r|b_r> for each row r of two ``(B, 2^n)`` amplitude stacks."""
-    return np.einsum("ri,ri->r", a.conj(), b)
+    """<a_r|b_r> for each row r of two ``(B, 2^n)`` amplitude stacks, or <a|b> of two vectors."""
+    return np.einsum("...i,...i->...", a.conj(), b)
 
 
 def _state_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:

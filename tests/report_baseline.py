@@ -30,7 +30,6 @@ import argparse
 import contextlib
 import io
 import math
-import os
 import re
 import sys
 import tempfile
@@ -225,9 +224,4 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    # One BLAS thread, as the benchmark runs: the N = 14 sweep's final
-    # expectations (np.vdot) can move in the last digit with the thread
-    # count; its distances do not. Set before numpy loads.
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[var] = "1"
     sys.exit(main())

@@ -294,11 +294,21 @@ class TestRun:
             assert run(perfbench_config(cfg_path, tmp_path)) == 0, capsys.readouterr().out
         assert_matches_baseline(tmp_path, inputs)
 
-    def test_sweep_distances_ignore_the_blas_thread_count(self, tmp_path):
+    @pytest.mark.parametrize(
+        "config_text",
+        [
+            (BASELINE / "perfbench" / "sweep_wide-1" / "sweep.cfg").read_text(),
+            "experiment = sweep\nn_sites = 14\nhorizon = 4\nkind = local\nn_foliations = 2\n",
+            "experiment = signal\nn_sites = 14\n",
+            "experiment = integrability\nn_sites = 14\nexploration_budget = 20\n",
+        ],
+        ids=["sweep_wide-1", "sweep-local", "signal", "integrability"],
+    )
+    def test_reports_ignore_the_blas_thread_count(self, tmp_path, config_text):
         # OpenBLAS splits a dot product over 2^14 amplitudes by thread, and
-        # the last digit moves with it; the distances do not go through BLAS.
-        # The final-expectation columns still do, so they are not compared.
-        cfg_path = BASELINE / "perfbench" / "sweep_wide-1" / "sweep.cfg"
+        # its last digit moves with the split; no sum that reaches a state
+        # or a report goes through BLAS, so the files are byte-identical.
+        cfg_path = write_cfg(tmp_path, config_text)
         src = str(Path(tslattice.__file__).resolve().parents[1])
         reports = []
         for threads in ("1", "2"):
@@ -309,14 +319,10 @@ class TestRun:
                 "OMP_NUM_THREADS": threads,
             }
             out = tmp_path / threads
-            argv = ["sweep", "--config", str(cfg_path), "--out", str(out), "--format", "structured"]
+            argv = ["--config", cfg_path, "--out", str(out), "--format", "structured"]
             subprocess.run([sys.executable, "-m", "tslattice.cli", *argv], env=env, capture_output=True, check=True)
-            lines = (out / "sweep.report").read_text().splitlines()
-            metrics = lines[lines.index("metrics:") + 1 : lines.index("thresholds:")]
-            metrics = [ln for ln in metrics if "max_pairwise_distance" in ln]
-            rows = lines[lines.index("details:") + 2 :]
-            reports.append((metrics, [row.split(",")[2] for row in rows]))
-        assert len(reports[0][0]) == 2 and len(reports[0][1]) == 4
+            reports.append(sorted((p.name, p.read_bytes()) for p in out.iterdir()))
+        assert len(reports[0]) == 1
         assert reports[0] == reports[1]
 
     @pytest.mark.parametrize("base", ["x", "y"])
