@@ -224,8 +224,21 @@ def _kron2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(4, 4)
 
 
-def _step_plan(surface: Hypersurface, d: Deformation, config: ModelConfig):
-    """``(sites, c, read, terms)`` of one deformation, from its surface alone.
+def _read_heights(surface: Hypersurface, d: Deformation, config: ModelConfig) -> tuple:
+    """The heights of ``surface`` that ``d``'s plan may read: ``(tau_i, tau_j)``.
+
+    tau_i is the advancing site's height and tau_j the remote site's, each
+    None where there is none: a link's fields are at its own time, and only
+    the nonlocal kinds have a remote site.
+    """
+    if isinstance(d, LinkApply):
+        return None, None
+    j = config.nonlinearity.remote_site
+    return surface.heights[d.site], None if j is None else surface.heights[j]
+
+
+def _step_plan(d: Deformation, tau_i, tau_j, config: ModelConfig):
+    """``(sites, c, read, terms)`` of one deformation, from the heights its fields read (``_read_heights``).
 
     The generator is the sum of ``scale * g`` over ``terms``. Each term
     ``(g, residue, scale)`` holds a cached involution g, with g @ g = I up to
@@ -252,7 +265,6 @@ def _step_plan(surface: Hypersurface, d: Deformation, config: ModelConfig):
         g, residue = _pair_generator(i, t, j, t, omega, base)
         return d.link, 0.0, None, ((g, residue, config.link_coupling),)
     i = d.site
-    tau_i = surface.heights[i]
     oi, residue = _free_field(i, tau_i, omega, base)
     linear = ((oi.matrix, residue, config.mu),)
     if nl.lam == 0.0 or not nl.active_at(i):
@@ -263,8 +275,8 @@ def _step_plan(surface: Hypersurface, d: Deformation, config: ModelConfig):
     if j == i:
         return (i,), 0.0, None, linear
     if nl.kind == "coefficient_nonlocal":
-        return (i,), None, (j, surface.heights[j]), linear
-    pair, pair_residue = _pair_generator(i, tau_i, j, surface.heights[j], omega, base)
+        return (i,), None, (j, tau_j), linear
+    pair, pair_residue = _pair_generator(i, tau_i, j, tau_j, omega, base)
     terms = ((_kron2(oi.matrix, IDENTITY_2), residue, config.mu), (pair, pair_residue, nl.lam))
     return (i, j), nl.lam, None, terms
 
@@ -276,10 +288,12 @@ def _nonlinear_plans(config: ModelConfig) -> tuple:
     Plans depend on the surface only through the heights their fields read, so
     the initial surface's site advances show them all (none at lambda = 0).
     They are memoized per config; they hold no generator, so every step still
-    takes its fields, and their tests, from the generator caches.
+    takes its gate from ``_fixed_gate`` or its fields from the generator
+    caches, with their tests.
     """
     surface = initial_surface(config.n_sites, config.horizon)
-    plans = ((i, _step_plan(surface, SiteAdvance(i), config)) for i in range(config.n_sites))
+    advances = (SiteAdvance(i) for i in range(config.n_sites))
+    plans = ((d.site, _step_plan(d, *_read_heights(surface, d, config), config)) for d in advances)
     return tuple((i, sites, read) for i, (sites, _, read, _) in plans if read is not None or len(sites) == 2)
 
 
@@ -317,6 +331,25 @@ def _gate(sites, terms, step_dt: float) -> np.ndarray:
     return u
 
 
+@lru_cache(maxsize=4096)
+def _fixed_gate(d: Deformation, tau_i, tau_j, config: ModelConfig):
+    """``(sites, c, u)`` of a plan with a fixed coefficient, or None where the plan reads the state.
+
+    A fixed gate depends only on the deformation, the heights its fields read
+    (``_read_heights``) and the config, never on the rest of the surface, so
+    ``ts_step`` and ``ts_step_batch`` share one entry across foliations. Its
+    unitarity tests run once, when the entry is built by ``_gate`` from the
+    tested generator caches; a gate that fails them raises and is not stored.
+    ``u`` is read-only.
+    """
+    sites, c, read, terms = _step_plan(d, tau_i, tau_j, config)
+    if read is not None:
+        return None
+    u = _gate(sites, terms, config.dt if isinstance(d, SiteAdvance) else 1.0)
+    u.flags.writeable = False
+    return sites, c, u
+
+
 def _check_sizes(state_sites: int, surface_sites: int, n: int) -> None:
     if not state_sites == surface_sites == n:
         raise ValueError(f"sizes differ: state has {state_sites} sites, surface {surface_sites}, config {n}")
@@ -331,14 +364,16 @@ def ts_step(
     the link coupling. Every gate is built in closed form
     (``_closed_form_gate``) from the terms of ``_step_plan``: one
     rotation, or for operator_nonlocal's two-site advance the product of
-    its two commuting rotations.
+    its two commuting rotations. A gate with a fixed coefficient is built
+    once per deformation, heights read and config (``_fixed_gate``); a
+    gate whose coefficient reads the state is built at every step.
 
     Each check runs where its data is made, with the tolerance and error it
     has elsewhere: ``apply_deformation`` raises NotEnabledError, every free
     field and pair generator was tested Hermitian when its cache entry was
     built, each rotation is tested unitary from its generator's stored
-    residue (a product of two also by ``is_unitary``), and the new state's
-    norm is tested with one inner product. The returned state and surface
+    residue (a product of two also by ``is_unitary``) when it is built, and
+    the new state's norm is tested with one inner product. The returned state and surface
     are not validated a second time. State, surface and config must have
     one size, so every site the step touches or reads is in range.
 
@@ -351,15 +386,15 @@ def ts_step(
     n = config.n_sites
     _check_sizes(state.n_sites, surface.n_sites, n)
     surface_next = apply_deformation(surface, d)
-    sites, c, read, terms = _step_plan(surface, d, config)
-    if read is not None:
-        site, tau = read
+    heights = _read_heights(surface, d, config)
+    fixed = _fixed_gate(d, *heights, config)
+    if fixed is not None:
+        sites, c, u = fixed
+    else:  # a site advance whose coefficient reads the state
+        sites, _, (site, tau), ((g, residue, scale),) = _step_plan(d, *heights, config)
         field = _free_field(site, tau, config.omega, config.base_operator)[0]
         c = config.nonlinearity.lam * _real_expectation(state, field.matrix, site)
-        ((g, residue, scale),) = terms
-        terms = ((g, residue, scale + c),)
-    step_dt = config.dt if isinstance(d, SiteAdvance) else 1.0
-    u = _gate(sites, terms, step_dt)
+        u = _gate(sites, ((g, residue, scale + c),), config.dt)
     out = state.amplitudes.copy() if u is _identity(len(u)) else apply_gate(state.amplitudes, u, sites, n)
     nrm = math.sqrt(np.vdot(out, out).real)
     if not abs(nrm - 1.0) <= NORM_ATOL:
@@ -380,7 +415,8 @@ def ts_step_batch(
     Rows are grouped by what fixes the generator: a link and time, or the
     advancing site and the heights its fields read (the memoized
     ``_nonlinear_plans`` say which sites read the remote height). A group
-    with a fixed coefficient takes one closed-form gate in one kernel call.
+    with a fixed coefficient takes its gate from ``_fixed_gate``, as
+    ``ts_step`` does, in one kernel call.
     A group whose coefficient reads the state forms G psi_r in one kernel
     call (O psi_r for a remote source in one more), into its slice of one
     stack that holds every such row of the call. One coefficient pass then
@@ -417,8 +453,13 @@ def ts_step_batch(
     for rows in groups.values():
         d, surface = deformations[rows[0]], surfaces[rows[0]]
         _check_sizes(n, surface.n_sites, n)
-        sites, _, read, terms = _step_plan(surface, d, config)
-        (fixed if read is None else reading).append((rows, d, sites, read, terms))
+        heights = _read_heights(surface, d, config)
+        gate = _fixed_gate(d, *heights, config)
+        if gate is None:
+            sites, _, read, terms = _step_plan(d, *heights, config)
+            reading.append((rows, sites, read, terms))
+        else:
+            fixed.append((rows, gate))
     if reading:
         # One coefficient pass over every reading row. It runs before ``out``
         # is made, so that its stacks and ``out`` are never all held at once.
@@ -426,10 +467,10 @@ def ts_step_batch(
         ends = np.cumsum([len(group[0]) for group in reading])
         psi = states[sources[rows]]
         g_psi = np.empty_like(psi)
-        o_psi = g_psi if all(read[0] == sites[0] for _, _, sites, read, _ in reading) else np.empty_like(psi)
+        o_psi = g_psi if all(read[0] == sites[0] for _, sites, read, _ in reading) else np.empty_like(psi)
         scale, residue = np.empty(len(rows)), np.empty(len(rows))
         lo = 0
-        for (_, _, sites, read, ((g, g_residue, g_scale),)), hi in zip(reading, ends):
+        for (_, sites, read, ((g, g_residue, g_scale),)), hi in zip(reading, ends):
             g_psi[lo:hi] = apply_gate(psi[lo:hi], g, sites, n)
             if o_psi is not g_psi:
                 field = _free_field(read[0], read[1], config.omega, config.base_operator)[0]
@@ -444,7 +485,7 @@ def ts_step_batch(
         sin = np.sin(theta)
         bad = ~(sin * sin * residue <= UNITARY_ATOL)
         if bad.any():
-            raise _not_unitary(reading[int(np.searchsorted(ends, bad.argmax(), side="right"))][2])
+            raise _not_unitary(reading[int(np.searchsorted(ends, bad.argmax(), side="right"))][1])
         psi *= np.cos(theta)[:, None]
         g_psi *= (-1j * sin)[:, None]
         g_psi += psi
@@ -453,9 +494,8 @@ def ts_step_batch(
     if reading:
         out[rows] = g_psi
         del g_psi
-    for rows, d, sites, _, terms in fixed:
-        step_dt = config.dt if type(d) is SiteAdvance else 1.0
-        out[rows] = apply_gate(states[sources[rows]], _gate(sites, terms, step_dt), sites, n)
+    for rows, (sites, _, u) in fixed:
+        out[rows] = apply_gate(states[sources[rows]], u, sites, n)
     nrm = np.sqrt(_row_products(out, out).real)
     bad = ~(np.abs(nrm - 1.0) <= NORM_ATOL)
     if bad.any():

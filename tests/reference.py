@@ -79,7 +79,7 @@ def apply_gate(state: StateVector, u: np.ndarray, sites) -> StateVector:
 
 def reference_generator(state: StateVector, surface, d, cfg):
     """``(sites, generator, c)`` of one deformation, c read from ``state`` where the plan reads it."""
-    sites, c, read, terms = dynamics._step_plan(surface, d, cfg)
+    sites, c, read, terms = dynamics._step_plan(d, *dynamics._read_heights(surface, d, cfg), cfg)
     if read is not None:
         site, tau = read
         field = embedded(dynamics.free_field(site, tau, cfg).matrix, (site,), cfg.n_sites)
@@ -110,7 +110,7 @@ def rk4_step(state: StateVector, surface, d, cfg) -> StateVector:
     read field are built once per step; only <O> is taken per stage.
     """
     n = cfg.n_sites
-    sites, _, read, terms = dynamics._step_plan(surface, d, cfg)
+    sites, _, read, terms = dynamics._step_plan(d, *dynamics._read_heights(surface, d, cfg), cfg)
     fixed = embedded(sum(scale * g for g, _, scale in terms), sites, n)
     if read is None:
         def generator(psi):

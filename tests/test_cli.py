@@ -473,6 +473,21 @@ class TestRun:
             outs.append((tmp_path / sub / "sweep.report").read_bytes())
         assert outs[0] == outs[1]
 
+    @pytest.mark.parametrize("kind", NONLINEARITY_KINDS)
+    def test_cold_and_warm_gate_memo_write_equal_reports(self, tmp_path, kind):
+        # At the defaults (N = 6, lambda = 0.5) the first run builds every fixed
+        # gate and the second builds none: it reads them all from the memo.
+        memo = tslattice.dynamics._fixed_gate
+        memo.cache_clear()
+        outs, misses = [], []
+        for sub in ("cold", "warm"):
+            cfg = parse_config(write_cfg(tmp_path, f"kind = {kind}\n"), {"out": str(tmp_path / sub)})
+            assert run(cfg) == 0
+            outs.append({p.name: p.read_bytes() for p in (tmp_path / sub).iterdir()})
+            misses.append(memo.cache_info().misses)
+        assert misses[0] > 0 and misses[1] == misses[0]
+        assert outs[0] == outs[1]
+
     def test_foliation_file_replay(self, tmp_path):
         fol = canonical_foliation(4, 2, "staircase")
         fpath = tmp_path / "f.txt"

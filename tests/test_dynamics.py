@@ -356,7 +356,7 @@ class TestNonlinearPlans:
                     for s, edges in zip(surfaces, successors):
                         for d in edges:
                             if isinstance(d, SiteAdvance):
-                                sites, _, read, _ = dynamics._step_plan(s, d, cfg)
+                                sites, _, read, _ = dynamics._step_plan(d, *dynamics._read_heights(s, d, cfg), cfg)
                                 if read is not None or len(sites) == 2:
                                     seen.add((d.site, sites, None if read is None else read[0]))
                 plans = dynamics._nonlinear_plans(cfg)
@@ -490,6 +490,8 @@ class TestClosedFormGates:
 
             return wrapper
 
+        # Every gate of the evolution is built here, none taken from the memo.
+        dynamics._fixed_gate.cache_clear()
         monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
         monkeypatch.setattr(
             dynamics, "_closed_form_gate", counted("closed", dynamics._closed_form_gate)
@@ -589,8 +591,10 @@ class TestExactFlow:
 
 
 def clear_generator_caches():
+    """Empty the field and pair caches and the gate memo built from them."""
     dynamics._free_field.cache_clear()
     dynamics._pair_generator.cache_clear()
+    dynamics._fixed_gate.cache_clear()
 
 
 @pytest.fixture
@@ -1576,3 +1580,98 @@ class TestBatchedStepFaults:
             # The value is the row's own norm, formed by another summation.
             reported = [float(str(exc.value).split()[2]) for exc in (got, want)]
             assert reported[0] == pytest.approx(reported[1], rel=0, abs=1e-15)
+
+
+def reachable_steps(n, horizon):
+    """Every ``(surface, deformation)`` of the reachable-surface graph, level by level."""
+    return [
+        [(s, d) for s, edges in zip(surfaces, successors) for d in edges]
+        for surfaces, successors in surface_levels(n, horizon)
+    ]
+
+
+def bits(*values):
+    return [np.asarray(v).tobytes() for v in values]
+
+
+class TestGateMemo:
+    """``_fixed_gate`` builds each fixed-coefficient gate once; a warm memo changes no bit."""
+
+    @pytest.mark.parametrize("nl", ALL_KINDS, ids=KIND_IDS)
+    @pytest.mark.parametrize("n, horizon", [(2, 1), (3, 2), (4, 1), (4, 2)])
+    def test_warm_memo_steps_as_an_empty_one(self, nl, n, horizon):
+        # The remote site of ALL_KINDS, wrapped onto the lattice.
+        nl = {key: value % n if key.endswith("_site") else value for key, value in nl.items()}
+        cfg = make_config(n_sites=n, horizon=horizon, **nl)
+        levels = [level for level in reachable_steps(n, horizon) if level]
+        psi = random_state(n, np.random.default_rng(36 + n))
+        stack = np.array([psi.amplitudes, plus_state(n).amplitudes])
+
+        def batch(level):
+            surfaces, steps = zip(*level)
+            return dynamics.ts_step_batch(stack, [k % 2 for k in range(len(level))], surfaces, steps, cfg)
+
+        cold_steps, cold_batches = [], []
+        for level in levels:
+            for s, d in level:
+                dynamics._fixed_gate.cache_clear()
+                out, _, entry = ts_step(psi, s, d, cfg)
+                cold_steps.append(bits(out.amplitudes, entry.coefficient, entry.unitary))
+            dynamics._fixed_gate.cache_clear()
+            cold_batches.append(batch(level).tobytes())
+        # One walk fills the memo, and each later surface with a filled key reads its entry.
+        warm_steps = []
+        for level in levels:
+            for s, d in level:
+                out, _, entry = ts_step(psi, s, d, cfg)
+                warm_steps.append(bits(out.amplitudes, entry.coefficient, entry.unitary))
+        assert warm_steps == cold_steps
+        filled = dynamics._fixed_gate.cache_info()
+        assert filled.hits > 0
+        # The batch's groups read the entries ts_step filled, and build none.
+        assert [batch(level).tobytes() for level in levels] == cold_batches
+        assert dynamics._fixed_gate.cache_info().misses == filled.misses
+
+    def test_configs_differing_in_one_coupling_share_no_entry(self):
+        base = make_config(n_sites=4, horizon=2, kind="operator_nonlocal", lam=0.5, partner_site=3)
+        configs = [base] + [replace(base, **{name: getattr(base, name) + 0.25}) for name in ("dt", "mu", "link_coupling", "omega")]
+        start = initial_surface(4, 2)
+        steps = [(start, LinkApply((0, 1), 0)), (apply_deformation(start, LinkApply((0, 1), 0)), SiteAdvance(0))]
+        dynamics._fixed_gate.cache_clear()
+        gates = [ts_step(plus_state(4), s, d, cfg)[2].unitary for cfg in configs for s, d in steps]
+        assert dynamics._fixed_gate.cache_info().currsize == len(gates) == 10
+        assert len({id(u) for u in gates}) == len(gates)
+        assert dynamics._fixed_gate.cache_info().maxsize is not None
+
+    def test_cached_gate_is_read_only(self):
+        cfg = make_config(n_sites=3, horizon=2, kind="operator_nonlocal", lam=0.5, partner_site=2)
+        for s, d in ((initial_surface(3, 2), LinkApply((0, 1), 0)), (gate_then_site_surface(), SiteAdvance(0))):
+            _, _, entry = ts_step(plus_state(3), s, d, cfg)
+            before = entry.unitary.copy()
+            with pytest.raises(ValueError, match="read-only"):
+                entry.unitary[0, 0] = 5.0
+            _, _, again = ts_step(zero_state(3), s, d, cfg)
+            assert again.unitary is entry.unitary
+            assert np.array_equal(again.unitary, before)
+
+    def test_planted_residue_raises_on_every_call(self, monkeypatch):
+        dynamics._fixed_gate.cache_clear()
+        field, pair = dynamics._free_field, dynamics._pair_generator
+        monkeypatch.setattr(dynamics, "_free_field", lambda *key: (field(*key)[0], 1e6))
+        monkeypatch.setattr(dynamics, "_pair_generator", lambda *key: (pair(*key)[0], 1e6))
+        linear = make_config(n_sites=3, horizon=2)
+        pair_cfg = make_config(n_sites=3, horizon=2, kind="operator_nonlocal", lam=0.5, partner_site=2)
+        cases = [
+            (linear, gate_then_site_surface(), SiteAdvance(0), "at site 0"),
+            (linear, initial_surface(3, 2), LinkApply((0, 1), 0), r"on sites \(0, 1\)"),
+            (pair_cfg, gate_then_site_surface(), SiteAdvance(0), r"on sites \(0, 2\)"),
+        ]
+        stack = plus_state(3).amplitudes[None, :]
+        for cfg, s, d, where in cases:
+            message = rf"^operator {where} is not unitary within 1e-12$"
+            for _ in range(2):
+                with pytest.raises(ValueError, match=message):
+                    ts_step(plus_state(3), s, d, cfg)
+                with pytest.raises(ValueError, match=message):
+                    dynamics.ts_step_batch(stack, [0], [s], [d], cfg)
+        assert dynamics._fixed_gate.cache_info().currsize == 0
