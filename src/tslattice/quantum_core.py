@@ -217,9 +217,34 @@ def state_distance(a: StateVector, b: StateVector) -> float:
     return float(_state_distances(a.amplitudes[None, :], b.amplitudes[None, :])[0])
 
 
+# Rows of at least this many amplitudes (256 KiB) take _row_products' path
+# with no conjugated copy. In a warm loop a vector sums faster through
+# a.conj() (2.5 against 8.5 us at 32 amplitudes, 9.9 against 20.4 us at
+# 2^12). At N = 14 the copy's allocation is the cost: the local sweep at
+# the defaults made 865,500 minor page faults with it and 26,800 without,
+# and took x0.84 the time. At 2^12 and 2^13 the copy made no more faults,
+# and the local sweep at the defaults was slower without it (N = 12:
+# 0.54-0.61 s with the copy against 0.58-0.72 s; N = 13: 0.85-0.96 s
+# against 0.92-1.20 s).
+_VIEW_ROWS = 1 << 14
+
+
 def _row_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """<a_r|b_r> for each row r of two ``(B, 2^n)`` amplitude stacks, or <a|b> of two vectors."""
-    return np.einsum("...i,...i->...", a.conj(), b)
+    """<a_r|b_r> for each row r of two ``(B, 2^n)`` amplitude stacks, or <a|b> of two vectors.
+
+    A row of at least ``_VIEW_ROWS`` amplitudes makes no conjugated copy of
+    ``a``: the real part is one sum over the float views of both rows, and
+    the imaginary part the difference of two sums over their strided real
+    and imaginary halves. Shorter rows take one ``einsum`` over ``a.conj()``.
+    The path depends on the shape alone, and neither calls BLAS.
+    """
+    if a.shape[-1] < _VIEW_ROWS:
+        return np.einsum("...i,...i->...", a.conj(), b)
+    av, bv = a[..., None].view(np.float64), b[..., None].view(np.float64)
+    out = np.empty(a.shape[:-1], dtype=complex)
+    out.real = np.einsum("...ik,...ik->...", av, bv)
+    out.imag = np.einsum("...i,...i->...", av[..., 0], bv[..., 1]) - np.einsum("...i,...i->...", av[..., 1], bv[..., 0])
+    return out[()]
 
 
 def _state_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Statevector and small-matrix operations against independent oracles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,8 @@ from tslattice.quantum_core import (
     DensityMatrix,
     SiteOperator,
     StateVector,
+    _VIEW_ROWS,
+    _row_products,
     _state_distances,
     basis_state,
     bell_pair_state,
@@ -409,6 +412,40 @@ class TestStateDistance:
         b = np.array([y.amplitudes for _, y in pairs])
         want = [state_distance(x, y) for x, y in pairs]
         assert_allclose(_state_distances(a, b), want, rtol=0, atol=1e-15)
+
+
+class TestRowProducts:
+    """``_row_products`` against ``np.vdot`` per row, on both sides of ``_VIEW_ROWS``."""
+
+    @staticmethod
+    def stacks(n, rng):
+        return [np.array([random_state(n, rng).amplitudes for _ in range(3)]) for _ in range(2)]
+
+    @pytest.mark.parametrize("n", [2, 12, 13, 14])
+    def test_matches_vdot_on_stacks_vectors_and_strided_rows(self, n):
+        a, b = self.stacks(n, np.random.default_rng(20 + n))
+        want = np.array([np.vdot(x, y) for x, y in zip(a, b)])
+        assert_allclose(_row_products(a, b), want, rtol=0, atol=1e-15)
+        assert_allclose(_row_products(a[1], b[1]), want[1], rtol=0, atol=1e-15)
+        # Rows of a column-major stack: the amplitudes of a row are strided.
+        strided = [np.asfortranarray(x) for x in (a, b)]
+        assert_allclose(_row_products(*strided), want, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("n", [2, 13])
+    def test_short_rows_sum_as_one_einsum(self, n):
+        a, b = self.stacks(n, np.random.default_rng(30 + n))
+        assert _row_products(a, b).tobytes() == np.einsum("ri,ri->r", a.conj(), b).tobytes()
+
+    def test_long_rows_make_no_conjugated_copy(self):
+        assert 1 << 14 >= _VIEW_ROWS
+        a, b = self.stacks(14, np.random.default_rng(54))
+        tracemalloc.start()
+        try:
+            _row_products(a, b)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < a[0].nbytes // 16
 
 
 class TestNormAndCommutation:
