@@ -373,9 +373,10 @@ def ts_step(
     field and pair generator was tested Hermitian when its cache entry was
     built, each rotation is tested unitary from its generator's stored
     residue (a product of two also by ``is_unitary``) when it is built, and
-    the new state's norm is tested with one inner product. The returned state and surface
-    are not validated a second time. State, surface and config must have
-    one size, so every site the step touches or reads is in range.
+    the new state's norm is tested with one inner product. The returned
+    state and surface are not validated a second time. State, surface and
+    config must have one size, so every site the step touches or reads is
+    in range.
 
     Where the plan reads the state, the recorded coefficient is
     c = lambda * <O(site, tau)>, one expectation of a cached free field; an
