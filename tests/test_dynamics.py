@@ -1634,7 +1634,8 @@ class TestGateMemo:
 
     def test_configs_differing_in_one_coupling_share_no_entry(self):
         base = make_config(n_sites=4, horizon=2, kind="operator_nonlocal", lam=0.5, partner_site=3)
-        configs = [base] + [replace(base, **{name: getattr(base, name) + 0.25}) for name in ("dt", "mu", "link_coupling", "omega")]
+        couplings = ("dt", "mu", "link_coupling", "omega")
+        configs = [base] + [replace(base, **{name: getattr(base, name) + 0.25}) for name in couplings]
         start = initial_surface(4, 2)
         steps = [(start, LinkApply((0, 1), 0)), (apply_deformation(start, LinkApply((0, 1), 0)), SiteAdvance(0))]
         dynamics._fixed_gate.cache_clear()
