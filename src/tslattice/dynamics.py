@@ -404,8 +404,39 @@ def ts_step(
     return StateVector._unchecked(out, n), surface_next, entry
 
 
+def _group_key(config: ModelConfig) -> tuple:
+    """What ``_row_groups`` reads of a config: the remote site and the sites whose plan reads or acts on it.
+
+    It is ``()`` where no plan reaches the remote site: for the linear
+    model and ``local``, so configs of one lattice group one leg set alike.
+    """
+    j = config.nonlinearity.remote_site
+    reach = frozenset(
+        i for i, sites, read in _nonlinear_plans(config) if j in sites or (read is not None and read[0] == j)
+    )
+    return (j, reach) if reach else ()
+
+
+def _row_groups(surfaces, deformations, key: tuple) -> list:
+    """The row lists of ``ts_step_batch``'s generator groups, in the order of their first rows.
+
+    Rows share a group when they share what fixes the generator: a link and
+    time, or the advancing site and the heights its fields read (the
+    remote site's only at a site of ``key``, a ``_group_key``).
+    """
+    j, reach = key or (None, ())
+    groups: dict = {}
+    for r, (s, d) in enumerate(zip(surfaces, deformations)):
+        if type(d) is LinkApply:
+            group = (d.link, d.time)
+        else:
+            group = (d.site, s.heights[d.site], s.heights[j] if d.site in reach else None)
+        groups.setdefault(group, []).append(r)
+    return list(groups.values())
+
+
 def ts_step_batch(
-    states: np.ndarray, sources, surfaces, deformations, config: ModelConfig
+    states: np.ndarray, sources, surfaces, deformations, config: ModelConfig, groups=None
 ) -> np.ndarray:
     """``ts_step``'s new amplitudes for many states at once, as a ``(B, 2^n)`` stack.
 
@@ -413,11 +444,12 @@ def ts_step_batch(
     ``surfaces[r]``, which the caller has found enabled there; surfaces are
     not advanced and no trajectory is recorded.
 
-    Rows are grouped by what fixes the generator: a link and time, or the
-    advancing site and the heights its fields read (the memoized
-    ``_nonlinear_plans`` say which sites read the remote height). A group
-    with a fixed coefficient takes its gate from ``_fixed_gate``, as
-    ``ts_step`` does, in one kernel call.
+    Rows are grouped by ``_row_groups``; a caller stepping one leg set
+    under several configs of one ``_group_key`` may pass its ``groups``
+    once for all of them. A group with a fixed coefficient takes its gate
+    from ``_fixed_gate``, as ``ts_step`` does. Every such row of the call is
+    gathered once, each group's contiguous slice of that stack is stepped
+    in one kernel call, and the stack is scattered into the result once.
     A group whose coefficient reads the state forms G psi_r in one kernel
     call (O psi_r for a remote source in one more), into its slice of one
     stack that holds every such row of the call. One coefficient pass then
@@ -438,20 +470,10 @@ def ts_step_batch(
         raise ValueError(f"stack of shape {states.shape} is not (M, 2^{n})")
     sources = np.asarray(sources, dtype=np.intp)
     nl = config.nonlinearity
-    j = nl.remote_site
-    # Sites whose plan reads or acts on the remote site, so its height is in their key.
-    reach = {
-        i for i, sites, read in _nonlinear_plans(config) if j in sites or (read is not None and read[0] == j)
-    }
-    groups: dict = {}
-    for r, (s, d) in enumerate(zip(surfaces, deformations)):
-        if type(d) is LinkApply:
-            key = (d.link, d.time)
-        else:
-            key = (d.site, s.heights[d.site], s.heights[j] if d.site in reach else None)
-        groups.setdefault(key, []).append(r)
+    if groups is None:
+        groups = _row_groups(surfaces, deformations, _group_key(config))
     fixed, reading = [], []  # reading: the groups whose coefficient reads the state
-    for rows in groups.values():
+    for rows in groups:
         d, surface = deformations[rows[0]], surfaces[rows[0]]
         _check_sizes(n, surface.n_sites, n)
         heights = _read_heights(surface, d, config)
@@ -495,8 +517,16 @@ def ts_step_batch(
     if reading:
         out[rows] = g_psi
         del g_psi
-    for rows, (sites, _, u) in fixed:
-        out[rows] = apply_gate(states[sources[rows]], u, sites, n)
+    if fixed:
+        rows = [r for group, _ in fixed for r in group]
+        psi = states[sources[rows]]
+        lo = 0
+        for group, (sites, _, u) in fixed:
+            hi = lo + len(group)
+            psi[lo:hi] = apply_gate(psi[lo:hi], u, sites, n)
+            lo = hi
+        out[rows] = psi
+        del psi
     nrm = np.sqrt(_row_products(out, out).real)
     bad = ~(np.abs(nrm - 1.0) <= NORM_ATOL)
     if bad.any():

@@ -23,8 +23,10 @@ from .dynamics import (
     NonlinearitySpec,
     _WINDOW,
     _blocks,
+    _group_key,
     _identity,
     _nonlinear_plans,
+    _row_groups,
     _trajectory,
     _unitarity_defect,
     apply_gate,
@@ -172,7 +174,8 @@ def _fmt_deformation(d) -> str:
 # Amplitudes in one chunk's legs: a surface with m enabled deformations has
 # m first and m(m - 1) second legs. 2^18 (4 MiB) holds a whole level up to
 # n = 6; at n = 8, horizon 2, the widest level's 15,236 legs of 256
-# amplitudes would be 60 MiB.
+# amplitudes would be 60 MiB. A chunk's stacks are held for one config at a
+# time.
 _SWAP_BLOCK = 1 << 18
 
 
@@ -189,39 +192,43 @@ def _swap_chunks(successors, take: int, n: int):
     yield lo, take
 
 
-def _swap_level(config: ModelConfig, states, level, after, take: int, expand: bool):
-    """Order-swap the pairs on the first ``take`` surfaces of ``level``, whose states are ``states``.
+def _swap_level(configs, states, level, after, take: int, expand: bool):
+    """Order-swap the pairs on the first ``take`` surfaces of ``level`` for each config; ``states[k]`` are config k's.
 
-    Returns (the states of ``after``, the next level, if ``expand``, else
-    None; pairs checked; the level's witness row, or None if no residue is
-    above 0).
+    Each chunk is planned once for every config: its first legs, the legs
+    that discover the next level's surfaces, and its pair legs, with the
+    diamond property asserted once per pair. Each leg set is grouped once
+    per ``_group_key`` (``_row_groups``). The configs then step through the
+    plan one after another, so one config's stacks are held at a time.
+
+    Returns, per config, (the states of ``after``, the next level, if
+    ``expand``, else None; pairs checked; the level's witness row, or None
+    if no residue is above 0).
     """
-    n = config.n_sites
+    n = configs[0].n_sites
+    keys = [_group_key(config) for config in configs]
     surfaces, successors = level
     next_surfaces, next_successors = after or ((), ())
-    next_states = np.empty((len(next_surfaces), 1 << n), dtype=complex) if expand else None
+    next_states = [np.empty((len(next_surfaces), 1 << n), dtype=complex) if expand else None for _ in configs]
     # Successors are numbered in discovery order: a leg discovers its
     # surface when its index is above every earlier leg's.
     discovered = -1
     pairs = 0
-    witness = None
+    witnesses = [None] * len(configs)
     for lo, hi in _swap_chunks(successors, take, n):
-        sources, legs, steps, targets = [], [], [], []
+        sources, legs, steps, found, targets = [], [], [], [], []
         for p in range(lo, hi):
             for d, q in successors[p].items():
+                if q > discovered:
+                    found.append(len(legs))
+                    targets.append(q)
+                    discovered = q
                 sources.append(p)
                 legs.append(surfaces[p])
                 steps.append(d)
-                targets.append(q)
         if not legs:
             continue
-        first = ts_step_batch(states, sources, legs, steps, config)
-        if expand:
-            for row, q in enumerate(targets):
-                if q > discovered:
-                    next_states[q] = first[row]
-                    discovered = q
-        opened, sources, legs, steps = [], [], [], []
+        opened, pair_sources, pair_legs, pair_steps = [], [], [], []
         row = 0  # surface p's first leg in the first-leg stack
         for p in range(lo, hi):
             s, out = surfaces[p], tuple(successors[p].items())
@@ -232,25 +239,36 @@ def _swap_level(config: ModelConfig, states, level, after, take: int, expand: bo
                         f"diamond property violated at {s.heights} for {d1}, {d2}"
                     )
                 opened.append((s, d1, d2))
-                sources += (row + e1, row + e2)
-                legs += (next_surfaces[a], next_surfaces[b])
-                steps += (d2, d1)
+                pair_sources += (row + e1, row + e2)
+                pair_legs += (next_surfaces[a], next_surfaces[b])
+                pair_steps += (d2, d1)
             row += len(out)
-        if not opened:
-            continue
-        second = ts_step_batch(first, sources, legs, steps, config)
-        residues = _state_distances(second[0::2], second[1::2])
         pairs += len(opened)
-        w = int(np.argmax(residues))
-        if residues[w] > (0.0 if witness is None else witness[3]):
-            s, d1, d2 = opened[w]
-            witness = (
-                " ".join(map(str, s.heights)),
-                _fmt_deformation(d1),
-                _fmt_deformation(d2),
-                float(residues[w]),
-            )
-    return next_states, pairs, witness
+        first_groups, pair_groups = {}, {}
+        for k, (config, key) in enumerate(zip(configs, keys)):
+            if key not in first_groups:
+                first_groups[key] = _row_groups(legs, steps, key)
+            first = ts_step_batch(states[k], sources, legs, steps, config, first_groups[key])
+            if expand:
+                next_states[k][targets] = first[found]
+            if not opened:
+                continue
+            if key not in pair_groups:
+                pair_groups[key] = _row_groups(pair_legs, pair_steps, key)
+            second = ts_step_batch(first, pair_sources, pair_legs, pair_steps, config, pair_groups[key])
+            del first
+            residues = _state_distances(second[0::2], second[1::2])
+            del second
+            w = int(np.argmax(residues))
+            if residues[w] > (0.0 if witnesses[k] is None else witnesses[k][3]):
+                s, d1, d2 = opened[w]
+                witnesses[k] = (
+                    " ".join(map(str, s.heights)),
+                    _fmt_deformation(d1),
+                    _fmt_deformation(d2),
+                    float(residues[w]),
+                )
+    return [(states_k, pairs, witness) for states_k, witness in zip(next_states, witnesses)]
 
 
 def _swap_scans(configs, budget: int):
@@ -269,8 +287,9 @@ def _swap_scans(configs, budget: int):
         take = min(len(level[0]), budget - visited)
         visited += take
         expand = visited < budget and after is not None
-        for k, config in enumerate(configs):
-            states[k], pairs, witness = _swap_level(config, states[k], level, after, take, expand)
+        scanned = _swap_level(configs, states, level, after, take, expand)
+        states = [next_states for next_states, _, _ in scanned]
+        for k, (_, pairs, witness) in enumerate(scanned):
             results[k][2] += pairs
             if witness is not None and witness[3] > results[k][0]:
                 results[k][:2] = witness[3], witness
@@ -291,18 +310,20 @@ def integrability_check(config: ModelConfig, exploration_budget: int = 2000) -> 
     The scan covers the first ``exploration_budget`` reachable surfaces in
     breadth-first order; a surface carries the state reached along the edge
     that discovered it. ``surface_levels`` builds the surface graph once,
-    one level (step count) at a time, and the lambda = 0 control and the
-    main scan both read each level, so two levels are held at a time. A
+    one level (step count) at a time, so two levels are held at a time. A
     level is cut into chunks of whole surfaces whose legs hold at most
-    ``_SWAP_BLOCK`` amplitudes. A chunk's first legs, one per enabled
+    ``_SWAP_BLOCK`` amplitudes. Each chunk is planned once for both the
+    lambda = 0 control and the main scan (``_swap_level``), which then
+    step through it in turn. A chunk's first legs, one per enabled
     deformation, are one ``ts_step_batch`` call; each opens every pair it
     belongs to, and the edge that discovered a surface gives the next level
     its state. The chunk's second legs are one more call. Within a call,
-    rows that share a generator are one group and one kernel call, and the
-    rows whose coefficient reads the state share one coefficient pass.
-    Each call, and the verdict rules, read the config's plans from one
-    memoized ``_nonlinear_plans`` entry. The witness is the first strict
-    maximum in surface order, then ``itertools.combinations`` order.
+    rows that share a generator are one group, the fixed-coefficient groups
+    share one gather, and the rows whose coefficient reads the state share
+    one coefficient pass. Each call, and the verdict rules, read the
+    config's plans from one memoized ``_nonlinear_plans`` entry. The
+    witness is the first strict maximum in surface order, then
+    ``itertools.combinations`` order.
 
     Checks: ``apply_deformation`` (so ``is_enabled``) makes every edge of
     the graph; the diamond property (both orders enabled and reaching one

@@ -1482,6 +1482,32 @@ class TestBatchedStep:
             want, _, _ = ts_step(psi, s, d, cfg)
             assert_allclose(row, want.amplitudes, rtol=0, atol=1e-14)
 
+    @pytest.mark.parametrize("n", [4, 14])
+    @pytest.mark.parametrize("kind, lam", [("local", 0.0), ("operator_nonlocal", 0.5)], ids=["linear", "operator_nonlocal"])
+    def test_interleaved_fixed_groups_step_as_their_own_kernel_calls(self, n, kind, lam):
+        # Every row has a fixed gate: links and site advances, one- and
+        # two-site, whose groups interleave in shuffled row order. Each
+        # group's rows are bit-equal to one kernel call on that group's
+        # states with its memoized gate.
+        partner = n - 1 if kind == "operator_nonlocal" else None
+        cfg = make_config(n_sites=n, horizon=2, kind=kind, lam=lam, partner_site=partner)
+        rng = np.random.default_rng(37 + n)
+        s, pool = initial_surface(n, 2), []
+        for d in random_foliation(n, 2, n).steps[:8]:
+            pool += [(s, e) for e in enabled_deformations(s)]
+            s = apply_deformation(s, d)
+        rows = [pool[k] for k in rng.permutation(len(pool))[:24]]
+        assert {type(d) for _, d in rows} == {SiteAdvance, LinkApply}
+        stack = np.array([random_state(n, rng).amplitudes for _ in range(5)])
+        sources = rng.integers(len(stack), size=len(rows))
+        got = dynamics.ts_step_batch(stack, sources, *zip(*rows), cfg)
+        groups = dynamics._row_groups(*zip(*rows), dynamics._group_key(cfg))
+        assert any(group[-1] - group[0] >= len(group) for group in groups)  # some group interleaves
+        for group in groups:
+            s, d = rows[group[0]]
+            sites, _, u = dynamics._fixed_gate(d, *dynamics._read_heights(s, d, cfg), cfg)
+            assert np.array_equal(got[group], dynamics.apply_gate(stack[sources[group]], u, sites, n))
+
     def test_rejects_a_stack_of_the_wrong_width(self):
         cfg = make_config(n_sites=3, horizon=2)
         with pytest.raises(ValueError, match=r"^stack of shape \(2, 4\) is not \(M, 2\^3\)$"):

@@ -219,6 +219,36 @@ class TestSwapScanSharedLegs:
         cfgs = [cfg_with(kind, lam=lam, n_sites=4, horizon=3) for kind, lam in MODELS]
         assert _swap_scans(cfgs, budget) == [swap_scan(cfg, budget) for cfg in cfgs]
 
+    @pytest.mark.parametrize("kind", NONLINEARITY_KINDS)
+    @pytest.mark.parametrize("budget", [100, 10000])
+    def test_control_beside_its_config_scans_as_each_alone(self, kind, budget):
+        # 100 cuts the level of surfaces 85-115 part-way; 10000 is exhaustive.
+        cfg = cfg_with(kind, n_sites=5, horizon=4)
+        pair = (linear_config(cfg), cfg)
+        assert _swap_scans(pair, budget) == [_swap_scans((c,), budget)[0] for c in pair]
+
+    @pytest.mark.parametrize("kind, shared", [("local", True), ("coefficient_nonlocal", False)])
+    def test_leg_sets_are_grouped_once_per_group_key(self, monkeypatch, kind, shared):
+        # The linear model and local group alike, so one grouping serves both
+        # scans; coefficient_nonlocal's reading sites key on the source's height.
+        calls = {"_row_groups": 0, "ts_step_batch": 0}
+
+        def spy(module, name):
+            real = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        spy(experiments, "_row_groups")
+        spy(dynamics, "_row_groups")
+        spy(experiments, "ts_step_batch")
+        integrability_check(cfg_with(kind, n_sites=5, horizon=4), exploration_budget=1000)
+        assert calls["ts_step_batch"] > 0
+        assert calls["_row_groups"] * (2 if shared else 1) == calls["ts_step_batch"]
+
     @pytest.mark.parametrize("block", [1, 64, 1 << 10])
     def test_chunked_levels_match_whole_levels(self, monkeypatch, block):
         # At block 1 every chunk is one surface; larger blocks cut levels elsewhere.
@@ -226,19 +256,23 @@ class TestSwapScanSharedLegs:
         monkeypatch.setattr(experiments, "_SWAP_BLOCK", block)
         assert_scan_matches_reference(swap_scan(cfg, 10000), reference_swap_scan(cfg, 10000))
 
-    def test_peak_memory_is_chunked_at_eight_sites(self):
+    @pytest.mark.parametrize("control", [False, True], ids=["alone", "beside_control"])
+    def test_peak_memory_is_chunked_at_eight_sites(self, control):
         # The widest of the 24 levels at n = 8, horizon 2 holds 624 surfaces
         # and 15,236 first and second legs of 256 amplitudes: 60 MiB as one
         # stack. Chunks of 2^18 amplitudes keep every stack at 4 MiB, and
-        # the scan holds two levels of the surface graph at a time.
+        # the scan holds two levels of the surface graph at a time. Beside
+        # the lambda = 0 control, as in integrability_check, a chunk's stacks
+        # are held for one config at a time.
         cfg = cfg_with("local", n_sites=8, horizon=2)
+        configs = (linear_config(cfg), cfg) if control else (cfg,)
         widths = [len(surfaces) for surfaces, _ in surface_levels(8, 2)]
         widest = widths.index(max(widths))
         budget = sum(widths[: widest + 1])
         assert (max(widths), budget) == (624, 3209)
         tracemalloc.start()
         try:
-            (_, _, visited, _, _), = _swap_scans((cfg,), budget)
+            *_, (_, _, visited, _, _) = _swap_scans(configs, budget)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
