@@ -104,12 +104,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True, text=True, check=True)
-    dirty = subprocess.run(["git", "status", "--porcelain"], cwd=ROOT, capture_output=True, text=True, check=True)
+    # Only the program and the benchmark decide what a run measures.
+    dirty = subprocess.run(
+        ["git", "status", "--porcelain", "--", "src", "perfbench"], cwd=ROOT, capture_output=True, text=True, check=True
+    )
     with tempfile.TemporaryDirectory() as tmp:
         parent = Path(tmp)
         bench = {
             "parent": export(args.parent, parent),
-            "change": {"head": head.stdout.strip(), "uncommitted_changes": bool(dirty.stdout.strip())},
+            "change": {"head": head.stdout.strip(), "uncommitted_program_changes": bool(dirty.stdout.strip())},
             "seconds": args.seconds,
             "seeds": args.seeds,
             "workloads": {},
