@@ -1,13 +1,14 @@
-"""Alternating benchmark pairs of a parent revision and this checkout, written as one BENCH file.
+"""Alternating benchmark pairs of a parent and a change revision, written as one BENCH file.
 
     python tests/bench_pairs.py --parent HEAD~1 --seeds 401 402 403 --out BENCH.json
 
-The parent revision is exported with ``git archive`` into a temporary
-directory; the change is the working tree of the checkout that holds this
-script. For each workload and seed, ``perfbench/run.py`` runs once in each
-of them, with the same seed and ``--seconds``. The side that runs first
-alternates from pair to pair, and no two runs overlap: each run writes its
-checkout's fixed ``.perfbench_out/<workload>/``.
+Each revision (``--change`` is ``HEAD`` unless given) is exported with
+``git archive`` into a temporary directory of its own, so both sides run
+their committed files from a fresh directory. For each workload and seed,
+``perfbench/run.py`` runs once in each, with the same seed and
+``--seconds``. The side that runs first alternates from pair to pair, and
+no two runs overlap: each run writes its checkout's fixed
+``.perfbench_out/<workload>/``.
 
 The JSON file holds, per workload and side, each pair's run (its seed,
 ``correct``, ``attempted``, ``failed`` and end-to-end metrics) and, for
@@ -97,22 +98,18 @@ def record(pairs: list) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="git revision of the parent side")
+    parser.add_argument("--change", default="HEAD", help="git revision of the change side")
     parser.add_argument("--seeds", type=int, nargs="+", required=True, help="one pair per seed and workload")
     parser.add_argument("--workloads", nargs="+", default=[w["name"] for w in BENCHMARK["workloads"]])
     parser.add_argument("--seconds", type=float, default=BENCHMARK["run_seconds"])
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
 
-    head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True, text=True, check=True)
-    # Only the program and the benchmark decide what a run measures.
-    dirty = subprocess.run(
-        ["git", "status", "--porcelain", "--", "src", "perfbench"], cwd=ROOT, capture_output=True, text=True, check=True
-    )
     with tempfile.TemporaryDirectory() as tmp:
-        parent = Path(tmp)
+        checkouts = {"parent": Path(tmp, "parent"), "change": Path(tmp, "change")}
         bench = {
-            "parent": export(args.parent, parent),
-            "change": {"head": head.stdout.strip(), "uncommitted_program_changes": bool(dirty.stdout.strip())},
+            "parent": export(args.parent, checkouts["parent"]),
+            "change": export(args.change, checkouts["change"]),
             "seconds": args.seconds,
             "seeds": args.seeds,
             "workloads": {},
@@ -120,11 +117,9 @@ def main(argv=None) -> int:
         for workload in args.workloads:
             pairs = []
             for k, seed in enumerate(args.seeds):
-                first = ("parent", "change")[k % 2]
-                sides = {}
-                for side in (first, "change" if first == "parent" else "parent"):
-                    sides[side] = run(parent if side == "parent" else ROOT, workload, seed, args.seconds)
-                pairs.append((first, sides["parent"], sides["change"]))
+                order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+                sides = {side: run(checkouts[side], workload, seed, args.seconds) for side in order}
+                pairs.append((order[0], sides["parent"], sides["change"]))
                 bench["workloads"][workload] = record(pairs)
                 args.out.write_text(json.dumps(bench, indent=1) + "\n")
                 print(f"{workload} seed {seed}: " + json.dumps({s: r.get("metrics") for s, r in sides.items()}))
