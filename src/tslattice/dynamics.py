@@ -447,9 +447,7 @@ def ts_step_batch(
     Rows are grouped by ``_row_groups``; a caller stepping one leg set
     under several configs of one ``_group_key`` may pass its ``groups``
     once for all of them. A group with a fixed coefficient takes its gate
-    from ``_fixed_gate``, as ``ts_step`` does. Every such row of the call is
-    gathered once, each group's contiguous slice of that stack is stepped
-    in one kernel call, and the stack is scattered into the result once.
+    from ``_fixed_gate``, as ``ts_step`` does, in one kernel call.
     A group whose coefficient reads the state forms G psi_r in one kernel
     call (O psi_r for a remote source in one more), into its slice of one
     stack that holds every such row of the call. One coefficient pass then
@@ -517,16 +515,8 @@ def ts_step_batch(
     if reading:
         out[rows] = g_psi
         del g_psi
-    if fixed:
-        rows = [r for group, _ in fixed for r in group]
-        psi = states[sources[rows]]
-        lo = 0
-        for group, (sites, _, u) in fixed:
-            hi = lo + len(group)
-            psi[lo:hi] = apply_gate(psi[lo:hi], u, sites, n)
-            lo = hi
-        out[rows] = psi
-        del psi
+    for rows, (sites, _, u) in fixed:
+        out[rows] = apply_gate(states[sources[rows]], u, sites, n)
     nrm = np.sqrt(_row_products(out, out).real)
     bad = ~(np.abs(nrm - 1.0) <= NORM_ATOL)
     if bad.any():

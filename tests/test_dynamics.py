@@ -1483,7 +1483,7 @@ class TestBatchedStep:
             assert_allclose(row, want.amplitudes, rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("n", [4, 14])
-    @pytest.mark.parametrize("kind, lam", [("local", 0.0), ("operator_nonlocal", 0.5)], ids=["linear", "operator_nonlocal"])
+    @pytest.mark.parametrize("kind, lam", [("local", 0.0), ("operator_nonlocal", 0.5)], ids=["linear", "nonlocal"])
     def test_interleaved_fixed_groups_step_as_their_own_kernel_calls(self, n, kind, lam):
         # Every row has a fixed gate: links and site advances, one- and
         # two-site, whose groups interleave in shuffled row order. Each

@@ -191,6 +191,17 @@ def assert_scan_matches_reference(got, want):
         assert witness[:3] == want_witness[:3]
 
 
+def count_calls(monkeypatch, calls, module, name):
+    """Patch ``module.name`` to add one to ``calls[name]`` on each call."""
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
 class TestSwapScanSharedLegs:
     @pytest.mark.parametrize("kind, lam", MODELS, ids=MODEL_IDS)
     @pytest.mark.parametrize("n_sites,horizon", [(2, 3), (3, 2), (4, 3)])
@@ -232,19 +243,9 @@ class TestSwapScanSharedLegs:
         # The linear model and local group alike, so one grouping serves both
         # scans; coefficient_nonlocal's reading sites key on the source's height.
         calls = {"_row_groups": 0, "ts_step_batch": 0}
-
-        def spy(module, name):
-            real = getattr(module, name)
-
-            def counted(*args, **kwargs):
-                calls[name] += 1
-                return real(*args, **kwargs)
-
-            monkeypatch.setattr(module, name, counted)
-
-        spy(experiments, "_row_groups")
-        spy(dynamics, "_row_groups")
-        spy(experiments, "ts_step_batch")
+        count_calls(monkeypatch, calls, experiments, "_row_groups")
+        count_calls(monkeypatch, calls, dynamics, "_row_groups")
+        count_calls(monkeypatch, calls, experiments, "ts_step_batch")
         integrability_check(cfg_with(kind, n_sites=5, horizon=4), exploration_budget=1000)
         assert calls["ts_step_batch"] > 0
         assert calls["_row_groups"] * (2 if shared else 1) == calls["ts_step_batch"]
@@ -849,19 +850,9 @@ class TestLambdaZeroRunsTheLinearStep:
         # A ts_step_batch call takes one _row_products for its norms, and one
         # more when some row's coefficient reads the state.
         calls = {"_real_expectation": 0, "_row_products": 0, "ts_step_batch": 0}
-
-        def spy(module, name):
-            real = getattr(module, name)
-
-            def counted(*args, **kwargs):
-                calls[name] += 1
-                return real(*args, **kwargs)
-
-            monkeypatch.setattr(module, name, counted)
-
-        spy(dynamics, "_real_expectation")
-        spy(dynamics, "_row_products")
-        spy(experiments, "ts_step_batch")
+        count_calls(monkeypatch, calls, dynamics, "_real_expectation")
+        count_calls(monkeypatch, calls, dynamics, "_row_products")
+        count_calls(monkeypatch, calls, experiments, "ts_step_batch")
         for lam in (0.5, 0.0):
             calls.update(dict.fromkeys(calls, 0))
             cfg = cfg_with(kind, lam=lam)
