@@ -28,7 +28,6 @@ from ._kernels import apply_gate
 from .quantum_core import (
     HERMITIAN_ATOL,
     IDENTITY_2,
-    IMAG_ATOL,
     NORM_ATOL,
     PAULI_X,
     PAULI_Y,
@@ -36,10 +35,11 @@ from .quantum_core import (
     UNITARY_ATOL,
     SiteOperator,
     StateVector,
+    _check_site,
     _identity,
-    _imaginary_residue,
     _norm_error,
     _real_expectation,
+    _real_expectations,
     _row_products,
     is_hermitian,
     is_unitary,
@@ -176,8 +176,10 @@ def free_field(site: int, tau: int, config: ModelConfig) -> SiteOperator:
     """Heisenberg-picture local field O(site, tau) under the free precession.
 
     The field depends only on (site, tau, omega, base_operator), so it is
-    built once per key and shared; its matrix is read-only.
+    built once per key and shared; its matrix is read-only. A site off the
+    lattice raises ValueError; tau is not bounded.
     """
+    _check_site(config.n_sites, site)
     return _free_field(site, tau, config.omega, config.base_operator)[0]
 
 
@@ -224,17 +226,17 @@ def _kron2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(4, 4)
 
 
-def _read_heights(surface: Hypersurface, d: Deformation, config: ModelConfig) -> tuple:
-    """The heights of ``surface`` that ``d``'s plan may read: ``(tau_i, tau_j)``.
+def _read_heights(surface: Hypersurface, d: Deformation, key: tuple) -> tuple:
+    """``(tau_i, tau_j)``, the heights of ``surface`` that ``d``'s plan reads under ``_group_key`` ``key``.
 
-    tau_i is the advancing site's height and tau_j the remote site's, each
-    None where there is none: a link's fields are at its own time, and only
-    the nonlocal kinds have a remote site.
+    tau_i is the advancing site's height, and tau_j the remote site's only
+    where the plan reads or acts on it; each is None where there is none (a
+    link's fields are at its own time). They key ``_fixed_gate`` and
+    ``_row_groups``.
     """
-    if isinstance(d, LinkApply):
+    if type(d) is LinkApply:
         return None, None
-    j = config.nonlinearity.remote_site
-    return surface.heights[d.site], None if j is None else surface.heights[j]
+    return surface.heights[d.site], surface.heights[key[0]] if key and d.site in key[1] else None
 
 
 def _step_plan(d: Deformation, tau_i, tau_j, config: ModelConfig):
@@ -249,9 +251,9 @@ def _step_plan(d: Deformation, tau_i, tau_j, config: ModelConfig):
     O(i) ⊗ 1 has O(i)'s residue.
 
     ``read`` is None when the coefficient c is fixed. Otherwise it is the
-    ``(site, tau)`` of the field whose expectation in the pre-step state sets
-    c = lambda * <O(site, tau)>; the step then has one term, whose scale mu
-    is raised by c.
+    cached field O (a ``SiteOperator``, its matrix and site) whose expectation
+    in the pre-step state sets c = lambda * <O>; the step then has one term,
+    whose scale mu is raised by c (its g is ``read.matrix`` for ``local``).
 
     This is the one place the nonlinearity kind picks a step's generator and
     coefficient, and the only one deciding a step is linear. At lambda = 0
@@ -270,12 +272,12 @@ def _step_plan(d: Deformation, tau_i, tau_j, config: ModelConfig):
     if nl.lam == 0.0 or not nl.active_at(i):
         return (i,), 0.0, None, linear
     if nl.kind == "local":
-        return (i,), None, (i, tau_i), linear
+        return (i,), None, oi, linear
     j = nl.remote_site
     if j == i:
         return (i,), 0.0, None, linear
     if nl.kind == "coefficient_nonlocal":
-        return (i,), None, (j, tau_j), linear
+        return (i,), None, _free_field(j, tau_j, omega, base)[0], linear
     pair, pair_residue = _pair_generator(i, tau_i, j, tau_j, omega, base)
     terms = ((_kron2(oi.matrix, IDENTITY_2), residue, config.mu), (pair, pair_residue, nl.lam))
     return (i, j), nl.lam, None, terms
@@ -286,15 +288,27 @@ def _nonlinear_plans(config: ModelConfig) -> tuple:
     """``(site, sites, read)`` of each site advance whose plan reads the state or spans two sites.
 
     Plans depend on the surface only through the heights their fields read, so
-    the initial surface's site advances show them all (none at lambda = 0).
-    They are memoized per config; they hold no generator, so every step still
-    takes its gate from ``_fixed_gate`` or its fields from the generator
-    caches, with their tests.
+    the initial surface's site advances (every height 0) show them all (none
+    at lambda = 0). They are memoized per config, each read with its field;
+    they hold no generator, so every step still takes its gate from
+    ``_fixed_gate`` or its fields from the generator caches, with their tests.
     """
-    surface = initial_surface(config.n_sites, config.horizon)
-    advances = (SiteAdvance(i) for i in range(config.n_sites))
-    plans = ((d.site, _step_plan(d, *_read_heights(surface, d, config), config)) for d in advances)
+    plans = ((i, _step_plan(SiteAdvance(i), 0, 0, config)) for i in range(config.n_sites))
     return tuple((i, sites, read) for i, (sites, _, read, _) in plans if read is not None or len(sites) == 2)
+
+
+@lru_cache(maxsize=128)
+def _group_key(config: ModelConfig) -> tuple:
+    """The remote site and the sites whose plan reads or acts on it: what ``_read_heights`` reads of a config.
+
+    It is ``()`` where no plan reaches the remote site: for the linear
+    model and ``local``, so configs of one lattice group one leg set alike.
+    """
+    j = config.nonlinearity.remote_site
+    reach = frozenset(
+        i for i, sites, read in _nonlinear_plans(config) if j in sites or (read is not None and read.site == j)
+    )
+    return (j, reach) if reach else ()
 
 
 def _not_unitary(sites) -> ValueError:
@@ -379,22 +393,21 @@ def ts_step(
     in range.
 
     Where the plan reads the state, the recorded coefficient is
-    c = lambda * <O(site, tau)>, one expectation of a cached free field; an
-    imaginary residue above IMAG_ATOL raises ArithmeticError, as in
-    ``expectation``. Otherwise it is the plan's fixed c: lambda for
-    operator_nonlocal, 0.0 for every linear plan, lambda = 0's included.
+    c = lambda * <O> of its read field, tested as in ``ts_step_batch``: an
+    imaginary residue above IMAG_ATOL raises ArithmeticError. Otherwise it
+    is the plan's fixed c: lambda for operator_nonlocal, 0.0 for every
+    linear plan, lambda = 0's included.
     """
     n = config.n_sites
     _check_sizes(state.n_sites, surface.n_sites, n)
     surface_next = apply_deformation(surface, d)
-    heights = _read_heights(surface, d, config)
+    heights = _read_heights(surface, d, _group_key(config))
     fixed = _fixed_gate(d, *heights, config)
     if fixed is not None:
         sites, c, u = fixed
     else:  # a site advance whose coefficient reads the state
-        sites, _, (site, tau), ((g, residue, scale),) = _step_plan(d, *heights, config)
-        field = _free_field(site, tau, config.omega, config.base_operator)[0]
-        c = config.nonlinearity.lam * _real_expectation(state, field.matrix, site)
+        sites, _, read, ((g, residue, scale),) = _step_plan(d, *heights, config)
+        c = config.nonlinearity.lam * _real_expectation(state, read.matrix, read.site)
         u = _gate(sites, ((g, residue, scale + c),), config.dt)
     out = state.amplitudes.copy() if u is _identity(len(u)) else apply_gate(state.amplitudes, u, sites, n)
     nrm = math.sqrt(np.vdot(out, out).real)
@@ -404,33 +417,16 @@ def ts_step(
     return StateVector._unchecked(out, n), surface_next, entry
 
 
-def _group_key(config: ModelConfig) -> tuple:
-    """What ``_row_groups`` reads of a config: the remote site and the sites whose plan reads or acts on it.
-
-    It is ``()`` where no plan reaches the remote site: for the linear
-    model and ``local``, so configs of one lattice group one leg set alike.
-    """
-    j = config.nonlinearity.remote_site
-    reach = frozenset(
-        i for i, sites, read in _nonlinear_plans(config) if j in sites or (read is not None and read[0] == j)
-    )
-    return (j, reach) if reach else ()
-
-
 def _row_groups(surfaces, deformations, key: tuple) -> list:
     """The row lists of ``ts_step_batch``'s generator groups, in the order of their first rows.
 
-    Rows share a group when they share what fixes the generator: a link and
-    time, or the advancing site and the heights its fields read (the
-    remote site's only at a site of ``key``, a ``_group_key``).
+    Rows share a group when they share ``_fixed_gate``'s key under a config
+    of ``_group_key`` ``key``: a link and time, or the advancing site and
+    the heights its plan reads (``_read_heights``).
     """
-    j, reach = key or (None, ())
     groups: dict = {}
     for r, (s, d) in enumerate(zip(surfaces, deformations)):
-        if type(d) is LinkApply:
-            group = (d.link, d.time)
-        else:
-            group = (d.site, s.heights[d.site], s.heights[j] if d.site in reach else None)
+        group = (d.link, d.time) if type(d) is LinkApply else (d.site, *_read_heights(s, d, key))
         groups.setdefault(group, []).append(r)
     return list(groups.values())
 
@@ -449,10 +445,11 @@ def ts_step_batch(
     once for all of them. A group with a fixed coefficient takes its gate
     from ``_fixed_gate``, as ``ts_step`` does, in one kernel call.
     A group whose coefficient reads the state forms G psi_r in one kernel
-    call (O psi_r for a remote source in one more), into its slice of one
-    stack that holds every such row of the call. One coefficient pass then
-    covers those rows together: it reads c_r = lambda <psi_r|O psi_r>,
-    tests them, and combines cos(theta_r) psi_r - i sin(theta_r) G psi_r.
+    call (O psi_r in one more, unless every read field is its generator),
+    into its slice of one stack that holds every such row of the call. One
+    coefficient pass then covers those rows together: it reads
+    c_r = lambda <psi_r|O psi_r>, tests them (``_real_expectations``), and
+    combines cos(theta_r) psi_r - i sin(theta_r) G psi_r.
     numpy's row products over 2^14 amplitudes round with the stack's
     height, so at N = 14 the last digits may differ from a pass per group.
 
@@ -467,14 +464,14 @@ def ts_step_batch(
     if states.ndim != 2 or states.shape[1] != 1 << n:
         raise ValueError(f"stack of shape {states.shape} is not (M, 2^{n})")
     sources = np.asarray(sources, dtype=np.intp)
-    nl = config.nonlinearity
+    key = _group_key(config)
     if groups is None:
-        groups = _row_groups(surfaces, deformations, _group_key(config))
+        groups = _row_groups(surfaces, deformations, key)
     fixed, reading = [], []  # reading: the groups whose coefficient reads the state
     for rows in groups:
         d, surface = deformations[rows[0]], surfaces[rows[0]]
         _check_sizes(n, surface.n_sites, n)
-        heights = _read_heights(surface, d, config)
+        heights = _read_heights(surface, d, key)
         gate = _fixed_gate(d, *heights, config)
         if gate is None:
             sites, _, read, terms = _step_plan(d, *heights, config)
@@ -488,21 +485,16 @@ def ts_step_batch(
         ends = np.cumsum([len(group[0]) for group in reading])
         psi = states[sources[rows]]
         g_psi = np.empty_like(psi)
-        o_psi = g_psi if all(read[0] == sites[0] for _, sites, read, _ in reading) else np.empty_like(psi)
+        o_psi = g_psi if all(read.matrix is terms[0][0] for _, _, read, terms in reading) else np.empty_like(psi)
         scale, residue = np.empty(len(rows)), np.empty(len(rows))
         lo = 0
         for (_, sites, read, ((g, g_residue, g_scale),)), hi in zip(reading, ends):
             g_psi[lo:hi] = apply_gate(psi[lo:hi], g, sites, n)
             if o_psi is not g_psi:
-                field = _free_field(read[0], read[1], config.omega, config.base_operator)[0]
-                o_psi[lo:hi] = apply_gate(psi[lo:hi], field.matrix, (read[0],), n)
+                o_psi[lo:hi] = apply_gate(psi[lo:hi], read.matrix, (read.site,), n)
             scale[lo:hi], residue[lo:hi] = g_scale, g_residue
             lo = hi
-        raw = _row_products(psi, o_psi)
-        imag = np.abs(raw.imag) > IMAG_ATOL
-        if imag.any():
-            raise _imaginary_residue(float(raw.imag[imag.argmax()]))
-        theta = config.dt * (scale + nl.lam * raw.real)
+        theta = config.dt * (scale + config.nonlinearity.lam * _real_expectations(psi, o_psi))
         sin = np.sin(theta)
         bad = ~(sin * sin * residue <= UNITARY_ATOL)
         if bad.any():

@@ -149,7 +149,7 @@ def default_initial_state(config: ModelConfig) -> StateVector:
 
 def _expects_breakage(config: ModelConfig) -> bool:
     """Covariance must break where some nonlinear step reads another site or spans two."""
-    return any(len(sites) == 2 or read[0] != site for site, sites, read in _nonlinear_plans(config))
+    return any(len(sites) == 2 or read.site != site for site, sites, read in _nonlinear_plans(config))
 
 
 def _reads_state(config: ModelConfig) -> bool:
@@ -718,7 +718,7 @@ def map_nonlinearity_check(
         foliation = canonical_foliation(n, t, "synchronous")
     # The probes |0...0> and |1> at one site differ where the first step that
     # reads the state reads it (site 0 if none does), so that read sees their sum.
-    site = next((read[0] for _, _, read in _nonlinear_plans(config) if read is not None), 0)
+    site = next((read.site for _, _, read in _nonlinear_plans(config) if read is not None), 0)
     psi1 = zero_state(n)
     psi2 = basis_state(n, 1 << (n - 1 - site))
     sum_amps = (psi1.amplitudes + psi2.amplitudes) / math.sqrt(2.0)

@@ -15,8 +15,10 @@ The JSON file holds, per workload and side, each pair's run (its seed,
 every end-to-end metric of ``BENCHMARK.json``, the median and quartiles of
 its runs; per workload, the pairs in which the change read lower on each
 metric; and each side's distinct run.py machine lines. It is rewritten
-after every pair. A run that exits non-zero is kept with its exit status
-and the tail of its standard error, and left out of the figures.
+after every pair. A run that exits non-zero (a round shorter than the
+first 50 ms reference slice dies with ``StatisticsError``) is kept with its
+exit status and the tail of its standard error, counted in its side's
+``exited_nonzero``, and left out of the figures; the script then exits 1.
 """
 
 from __future__ import annotations
@@ -87,7 +89,10 @@ def record(pairs: list) -> dict:
         for r in runs:
             if r.get("machine") not in machines and r.get("machine") is not None:
                 machines.append(r["machine"])
-        entry[side] = {"runs": [{key: value for key, value in r.items() if key != "machine"} for r in runs]}
+        entry[side] = {
+            "runs": [{key: value for key, value in r.items() if key != "machine"} for r in runs],
+            "exited_nonzero": sum("returncode" in r for r in runs),
+        }
         entry[side].update(summary(runs), machine=machines)
     for name in METRICS:
         both = [(p["metrics"][name], c["metrics"][name]) for _, p, c in pairs if "metrics" in p and "metrics" in c]
@@ -123,6 +128,15 @@ def main(argv=None) -> int:
                 bench["workloads"][workload] = record(pairs)
                 args.out.write_text(json.dumps(bench, indent=1) + "\n")
                 print(f"{workload} seed {seed}: " + json.dumps({s: r.get("metrics") for s, r in sides.items()}))
+    dead = {
+        f"{workload} {side}": entry[side]["exited_nonzero"]
+        for workload, entry in bench["workloads"].items()
+        for side in ("parent", "change")
+        if entry[side]["exited_nonzero"]
+    }
+    if dead:
+        print(f"runs that exited non-zero: {json.dumps(dead)}", file=sys.stderr)
+        return 1
     return 0
 
 

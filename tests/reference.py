@@ -3,9 +3,10 @@
 Each one is written apart from the program's fast path: gates act as dense
 ``np.kron``-embedded operators, exponentials come from ``eigh`` or a step is
 integrated by RK4, and the coefficient is read with its own ``np.vdot``. Only
-the step plan
-(``dynamics._step_plan``: which sites, which generator terms, where the
-coefficient is read) is shared, since it is the model being stepped.
+the step plan (``dynamics._step_plan``: which sites, which generator terms,
+and the read, the field whose expectation sets the coefficient and its
+site) is shared, since it is the model being stepped: the reference embeds
+the plan's terms and its read field on its own.
 """
 
 import numpy as np
@@ -77,12 +78,16 @@ def apply_gate(state: StateVector, u: np.ndarray, sites) -> StateVector:
     return StateVector(embedded(u, sites, state.n_sites) @ state.amplitudes, state.n_sites)
 
 
+def step_plan(surface, d, cfg):
+    """``dynamics._step_plan`` of ``d`` on ``surface``: ``(sites, c, read, terms)``."""
+    return dynamics._step_plan(d, *dynamics._read_heights(surface, d, dynamics._group_key(cfg)), cfg)
+
+
 def reference_generator(state: StateVector, surface, d, cfg):
     """``(sites, generator, c)`` of one deformation, c read from ``state`` where the plan reads it."""
-    sites, c, read, terms = dynamics._step_plan(d, *dynamics._read_heights(surface, d, cfg), cfg)
+    sites, c, read, terms = step_plan(surface, d, cfg)
     if read is not None:
-        site, tau = read
-        field = embedded(dynamics.free_field(site, tau, cfg).matrix, (site,), cfg.n_sites)
+        field = embedded(read.matrix, (read.site,), cfg.n_sites)
         c = cfg.nonlinearity.lam * np.vdot(state.amplitudes, field @ state.amplitudes).real
         ((g, residue, scale),) = terms
         terms = ((g, residue, scale + c),)
@@ -110,7 +115,7 @@ def rk4_step(state: StateVector, surface, d, cfg) -> StateVector:
     read field are built once per step; only <O> is taken per stage.
     """
     n = cfg.n_sites
-    sites, _, read, terms = dynamics._step_plan(d, *dynamics._read_heights(surface, d, cfg), cfg)
+    sites, _, read, terms = step_plan(surface, d, cfg)
     fixed = embedded(sum(scale * g for g, _, scale in terms), sites, n)
     if read is None:
         def generator(psi):
@@ -118,7 +123,7 @@ def rk4_step(state: StateVector, surface, d, cfg) -> StateVector:
     else:
         ((g, _, _),) = terms
         coupled = embedded(g, sites, n)
-        field = embedded(dynamics.free_field(read[0], read[1], cfg).matrix, (read[0],), n)
+        field = embedded(read.matrix, (read.site,), n)
 
         def generator(psi):
             return fixed + cfg.nonlinearity.lam * np.vdot(psi, field @ psi).real * coupled

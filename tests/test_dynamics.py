@@ -24,6 +24,7 @@ from reference import (
     reference_generator,
     reference_step,
     rk4_step,
+    step_plan,
 )
 
 import tslattice.dynamics as dynamics
@@ -43,6 +44,7 @@ from tslattice.quantum_core import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    SiteOperator,
     StateVector,
     bell_pair_state,
     entanglement_entropy,
@@ -88,6 +90,16 @@ KIND_IDS = ["linear", "local", "coefficient_nonlocal", "operator_nonlocal"]
 
 
 class TestFreeField:
+    def test_rejects_a_site_off_the_lattice(self):
+        cfg = make_config(n_sites=6, horizon=2)
+        dynamics._free_field.cache_clear()
+        for site in (99, 6, -1):
+            with pytest.raises(ValueError, match=rf"^site {site} out of range for 6 sites$"):
+                free_field(site, 0, cfg)
+        # Nothing was built for the missing sites; tau stays unbounded.
+        assert dynamics._free_field.cache_info().currsize == 0
+        assert_allclose(free_field(5, 1000, cfg).matrix, free_field(5, 1, replace(cfg, omega=1000.0)).matrix)
+
     def test_zero_time_is_base(self):
         cfg = make_config(n_sites=2, horizon=2, base_operator="x")
         assert_allclose(free_field(1, 0, cfg).matrix, PAULI_X)
@@ -305,6 +317,13 @@ class TestStepPlanGenerator:
         assert c == 0.0
 
 
+def field_key(read, cfg):
+    """``(site, tau)`` of the cached free field a plan reads, or None where it reads none."""
+    if read is None:
+        return None
+    return next((read.site, tau) for tau in range(cfg.horizon + 1) if read is free_field(read.site, tau, cfg))
+
+
 class TestNonlinearPlans:
     """``_nonlinear_plans``: the site advances whose plan reads the state or spans two sites."""
 
@@ -314,7 +333,7 @@ class TestNonlinearPlans:
             n_sites=n, horizon=2, kind=kind, lam=lam,
             source_site=remote, partner_site=remote, active_sites=active,
         )
-        return dynamics._nonlinear_plans(cfg)
+        return tuple((i, sites, field_key(read, cfg)) for i, sites, read in dynamics._nonlinear_plans(cfg))
 
     def test_every_kind(self):
         assert self.plans("local") == tuple((i, (i,), (i, 0)) for i in range(4))
@@ -356,11 +375,11 @@ class TestNonlinearPlans:
                     for s, edges in zip(surfaces, successors):
                         for d in edges:
                             if isinstance(d, SiteAdvance):
-                                sites, _, read, _ = dynamics._step_plan(d, *dynamics._read_heights(s, d, cfg), cfg)
+                                sites, _, read, _ = step_plan(s, d, cfg)
                                 if read is not None or len(sites) == 2:
-                                    seen.add((d.site, sites, None if read is None else read[0]))
+                                    seen.add((d.site, sites, None if read is None else read.site))
                 plans = dynamics._nonlinear_plans(cfg)
-                assert seen == {(i, sites, None if read is None else read[0]) for i, sites, read in plans}
+                assert seen == {(i, sites, None if read is None else read.site) for i, sites, read in plans}
 
 
 class TestTsStep:
@@ -602,9 +621,11 @@ def fresh_generator_caches():
     """Empty the field and pair caches and the plan memo around a test that patches the base operators."""
     clear_generator_caches()
     dynamics._nonlinear_plans.cache_clear()
+    dynamics._group_key.cache_clear()
     yield dynamics
     clear_generator_caches()
     dynamics._nonlinear_plans.cache_clear()
+    dynamics._group_key.cache_clear()
 
 
 def gate_then_site_surface():
@@ -717,6 +738,62 @@ class TestZeroAngleGates:
         psi.amplitudes[0] *= 1.0 + 1e-9
         with pytest.raises(ValueError, match="deviates from 1 beyond 1e-12"):
             ts_step(psi, initial_surface(3, 2), LinkApply((0, 1), 0), cfg)
+
+
+def install_read(monkeypatch, matrix):
+    """Make every state-reading plan read ``matrix`` at its advancing site, and empty the memos built from plans."""
+    plan = dynamics._step_plan
+
+    def reading(d, tau_i, tau_j, config):
+        sites, c, read, terms = plan(d, tau_i, tau_j, config)
+        return sites, c, None if read is None else SiteOperator(matrix, d.site), terms
+
+    monkeypatch.setattr(dynamics, "_step_plan", reading)
+    dynamics._fixed_gate.cache_clear()
+    dynamics._nonlinear_plans.cache_clear()
+    dynamics._group_key.cache_clear()
+
+
+class TestReadObject:
+    """A read defined only here, <Y> at the advancing site, through both step algorithms (ROADMAP item 23).
+
+    The step reads what its plan's read object names: its field and site.
+    Y does not commute with an x-base generator, so the coefficient differs
+    from ``local``'s and the read field is not the generator.
+    """
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_y_read_matches_the_reference_step(self, monkeypatch, fresh_generator_caches, n):
+        install_read(monkeypatch, PAULI_Y)
+        cfg = make_config(n_sites=n, horizon=2, base_operator="x", kind="local", lam=0.9)
+        foliations = [canonical_foliation(n, 2, pick) for pick in ("synchronous", "staircase")]
+        foliations += [random_foliation(n, 2, seed) for seed in (1, 2)]
+        rng = np.random.default_rng(50 + n)
+        for fol in foliations:
+            psi, s = random_state(n, rng), initial_surface(n, 2)
+            for d in fol.steps:
+                # Every enabled step from psi in one batch: reading groups on
+                # several sites share one coefficient pass.
+                enabled = enabled_deformations(s)
+                got = dynamics.ts_step_batch(psi.amplitudes[None, :], [0] * len(enabled), [s] * len(enabled), enabled, cfg)
+                for row, e in zip(got, enabled):
+                    assert_allclose(row, reference_step(psi, s, e, cfg)[0].amplitudes, rtol=0, atol=1e-14)
+                want, _, c, u = reference_step(psi, s, d, cfg)
+                if isinstance(d, SiteAdvance):
+                    assert c == pytest.approx(0.9 * expectation(psi, SiteOperator(PAULI_Y, d.site)), rel=0, abs=1e-14)
+                psi, s, entry = ts_step(psi, s, d, cfg)
+                assert entry.coefficient == pytest.approx(c, rel=0, abs=1e-14)
+                assert_allclose(entry.unitary, u, rtol=0, atol=1e-14)
+                assert_allclose(psi.amplitudes, want.amplitudes, rtol=0, atol=1e-14)
+
+    def test_non_hermitian_read_fails_both_algorithms_alike(self, monkeypatch, fresh_generator_caches):
+        # A field that skipped the cache's Hermiticity test: <psi|M psi> = <Y> + 1e-6 i.
+        install_read(monkeypatch, PAULI_Y + 1e-6j * np.eye(2))
+        cfg = make_config(n_sites=3, horizon=2, kind="local", lam=0.5)
+        rows = TestBatchedStepFaults.rows_with(plus_state(3), gate_then_site_surface(), SiteAdvance(0))
+        with pytest.raises(ArithmeticError, match=r"^expectation has imaginary residue "):
+            ts_step(*rows[1], cfg)
+        TestBatchedStepFaults.assert_same_error(rows, cfg, 1)
 
 
 class TestSizeMismatch:
@@ -1505,7 +1582,7 @@ class TestBatchedStep:
         assert any(group[-1] - group[0] >= len(group) for group in groups)  # some group interleaves
         for group in groups:
             s, d = rows[group[0]]
-            sites, _, u = dynamics._fixed_gate(d, *dynamics._read_heights(s, d, cfg), cfg)
+            sites, _, u = dynamics._fixed_gate(d, *dynamics._read_heights(s, d, dynamics._group_key(cfg)), cfg)
             assert np.array_equal(got[group], dynamics.apply_gate(stack[sources[group]], u, sites, n))
 
     def test_rejects_a_stack_of_the_wrong_width(self):
@@ -1669,6 +1746,29 @@ class TestGateMemo:
         assert dynamics._fixed_gate.cache_info().currsize == len(gates) == 10
         assert len({id(u) for u in gates}) == len(gates)
         assert dynamics._fixed_gate.cache_info().maxsize is not None
+
+    def test_one_key_per_gate_where_the_plan_reads_no_remote_height(self):
+        # Site 0 alone reads the source at site 2; every other advance's gate
+        # is keyed by its own height only, so no gate takes one key per
+        # height of the source.
+        cfg = make_config(
+            n_sites=6, horizon=4, kind="coefficient_nonlocal", lam=0.5, source_site=2, active_sites=frozenset({0})
+        )
+        dynamics._fixed_gate.cache_clear()
+        steps, reads = [], set()
+        for seed in range(5):
+            fol = random_foliation(6, 4, seed)
+            steps += evolve(plus_state(6), fol, cfg)[1].steps
+            s = initial_surface(6, 4)
+            for d in fol.steps:
+                if d == SiteAdvance(0):
+                    reads.add((s.heights[0], s.heights[2]))
+                s = apply_deformation(s, d)
+        memoized = [step for step in steps if not step.unitary.flags.writeable]
+        gates = {(step.sites, step.unitary.tobytes()) for step in memoized}
+        assert len({id(step.unitary) for step in memoized}) == len(gates) == 30
+        # The memo's other keys are site 0's reads, which hold no gate.
+        assert dynamics._fixed_gate.cache_info().currsize == len(gates) + len(reads)
 
     def test_cached_gate_is_read_only(self):
         cfg = make_config(n_sites=3, horizon=2, kind="operator_nonlocal", lam=0.5, partner_site=2)

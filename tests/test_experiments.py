@@ -847,18 +847,18 @@ class TestLambdaZeroRunsTheLinearStep:
 
     @pytest.mark.parametrize("kind", ["local", "coefficient_nonlocal"])
     def test_state_reading_kinds_read_no_state(self, monkeypatch, kind):
-        # A ts_step_batch call takes one _row_products for its norms, and one
-        # more when some row's coefficient reads the state.
-        calls = {"_real_expectation": 0, "_row_products": 0, "ts_step_batch": 0}
+        # ts_step reads a coefficient by _real_expectation, and each
+        # ts_step_batch call by one _real_expectations over its reading rows.
+        calls = {"_real_expectation": 0, "_real_expectations": 0, "ts_step_batch": 0}
         count_calls(monkeypatch, calls, dynamics, "_real_expectation")
-        count_calls(monkeypatch, calls, dynamics, "_row_products")
+        count_calls(monkeypatch, calls, dynamics, "_real_expectations")
         count_calls(monkeypatch, calls, experiments, "ts_step_batch")
         for lam in (0.5, 0.0):
             calls.update(dict.fromkeys(calls, 0))
             cfg = cfg_with(kind, lam=lam)
             evolve(default_initial_state(cfg), random_foliation(4, 3, 7), cfg)
             integrability_check(cfg, exploration_budget=50)
-            reads = calls["_real_expectation"], calls["_row_products"] - calls["ts_step_batch"]
+            reads = calls["_real_expectation"], calls["_real_expectations"]
             assert calls["ts_step_batch"] > 0
             if lam == 0.0:
                 assert reads == (0, 0)
