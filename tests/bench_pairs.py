@@ -95,7 +95,11 @@ def record(pairs: list) -> dict:
         }
         entry[side].update(summary(runs), machine=machines)
     for name in METRICS:
-        both = [(p["metrics"][name], c["metrics"][name]) for _, p, c in pairs if "metrics" in p and "metrics" in c]
+        both = [
+            (p["metrics"][name], c["metrics"][name])
+            for _, p, c in pairs
+            if name in p.get("metrics", {}) and name in c.get("metrics", {})
+        ]
         entry["change_lower"][name] = f"{sum(c < p for p, c in both)} of {len(both)}"
     return entry
 

@@ -24,6 +24,14 @@ def test_record_counts_dead_runs_per_side():
     assert entry["change_lower"]["wall_ref"] == "1 of 1"
 
 
+def test_a_run_without_a_metric_is_left_out_of_its_tally():
+    partial = finished(1, 95.0)
+    del partial["metrics"]["setup_s"]
+    entry = bench_pairs.record([("parent", finished(1, 100.0), partial)])
+    assert entry["change_lower"] == {"wall_ref": "1 of 1", "setup_s": "0 of 0", "peak_rss_mb": "0 of 1"}
+    assert "setup_s" not in entry["change"]
+
+
 def test_a_dead_run_makes_the_script_exit_one(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(bench_pairs, "export", lambda rev, into: rev)
     runs = {("parent", 1): finished(1, 100.0), ("change", 1): died(1)}

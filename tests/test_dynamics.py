@@ -775,12 +775,14 @@ class TestReadObject:
                 # Every enabled step from psi in one batch: reading groups on
                 # several sites share one coefficient pass.
                 enabled = enabled_deformations(s)
-                got = dynamics.ts_step_batch(psi.amplitudes[None, :], [0] * len(enabled), [s] * len(enabled), enabled, cfg)
+                rows = len(enabled)
+                got = dynamics.ts_step_batch(psi.amplitudes[None, :], [0] * rows, [s] * rows, enabled, cfg)
                 for row, e in zip(got, enabled):
                     assert_allclose(row, reference_step(psi, s, e, cfg)[0].amplitudes, rtol=0, atol=1e-14)
                 want, _, c, u = reference_step(psi, s, d, cfg)
                 if isinstance(d, SiteAdvance):
-                    assert c == pytest.approx(0.9 * expectation(psi, SiteOperator(PAULI_Y, d.site)), rel=0, abs=1e-14)
+                    y = expectation(psi, SiteOperator(PAULI_Y, d.site))
+                    assert c == pytest.approx(0.9 * y, rel=0, abs=1e-14)
                 psi, s, entry = ts_step(psi, s, d, cfg)
                 assert entry.coefficient == pytest.approx(c, rel=0, abs=1e-14)
                 assert_allclose(entry.unitary, u, rtol=0, atol=1e-14)
