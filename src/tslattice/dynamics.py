@@ -417,32 +417,35 @@ def ts_step(
     return StateVector._unchecked(out, n), surface_next, entry
 
 
-def _row_groups(surfaces, deformations, key: tuple) -> list:
-    """The row lists of ``ts_step_batch``'s generator groups, in the order of their first rows.
+def _row_groups(surfaces, deformations, config: ModelConfig) -> list:
+    """``(deformation, heights read, rows)`` of each generator group, in the order of first rows.
 
-    Rows share a group when they share ``_fixed_gate``'s key under a config
-    of ``_group_key`` ``key``: a link and time, or the advancing site and
-    the heights its plan reads (``_read_heights``).
+    Rows share a group when they share ``_fixed_gate``'s key: a link and
+    time, or the advancing site and the heights its plan reads
+    (``_read_heights``). Groups depend on the config only through its size
+    and ``_group_key``, so configs that share both share them; sizes are
+    checked as in ``ts_step``, for one surface per group.
     """
+    n, key = config.n_sites, _group_key(config)
     groups: dict = {}
     for r, (s, d) in enumerate(zip(surfaces, deformations)):
-        group = (d.link, d.time) if type(d) is LinkApply else (d.site, *_read_heights(s, d, key))
-        groups.setdefault(group, []).append(r)
+        heights = _read_heights(s, d, key)
+        gate = (d.link, d.time) if type(d) is LinkApply else (d.site, *heights)
+        if gate not in groups:
+            _check_sizes(n, s.n_sites, n)
+            groups[gate] = d, heights, []
+        groups[gate][2].append(r)
     return list(groups.values())
 
 
-def ts_step_batch(
-    states: np.ndarray, sources, surfaces, deformations, config: ModelConfig, groups=None
-) -> np.ndarray:
+def ts_step_batch(states: np.ndarray, sources, groups, config: ModelConfig) -> np.ndarray:
     """``ts_step``'s new amplitudes for many states at once, as a ``(B, 2^n)`` stack.
 
-    Row r steps ``states[sources[r]]`` by ``deformations[r]`` from
-    ``surfaces[r]``, which the caller has found enabled there; surfaces are
-    not advanced and no trajectory is recorded.
+    ``groups`` come from ``_row_groups``: row r steps ``states[sources[r]]``
+    by its group's deformation, which the caller has found enabled on its
+    surface; surfaces are not advanced and no trajectory is recorded.
 
-    Rows are grouped by ``_row_groups``; a caller stepping one leg set
-    under several configs of one ``_group_key`` may pass its ``groups``
-    once for all of them. A group with a fixed coefficient takes its gate
+    A group with a fixed coefficient takes its gate
     from ``_fixed_gate``, as ``ts_step`` does, in one kernel call.
     A group whose coefficient reads the state forms G psi_r in one kernel
     call (O psi_r in one more, unless every read field is its generator),
@@ -457,21 +460,14 @@ def ts_step_batch(
     message, per row where rows differ: the expectation's imaginary part,
     sin^2(theta_r) * residue <= UNITARY_ATOL (a NaN fails it, and the error
     names the failing row's sites), and the norm. With several failing rows,
-    the error is one of theirs. Sizes are checked as in ``ts_step``, for one
-    surface per group.
+    the error is one of theirs. ``_row_groups`` checks the surfaces' sizes.
     """
     n = config.n_sites
     if states.ndim != 2 or states.shape[1] != 1 << n:
         raise ValueError(f"stack of shape {states.shape} is not (M, 2^{n})")
     sources = np.asarray(sources, dtype=np.intp)
-    key = _group_key(config)
-    if groups is None:
-        groups = _row_groups(surfaces, deformations, key)
     fixed, reading = [], []  # reading: the groups whose coefficient reads the state
-    for rows in groups:
-        d, surface = deformations[rows[0]], surfaces[rows[0]]
-        _check_sizes(n, surface.n_sites, n)
-        heights = _read_heights(surface, d, key)
+    for d, heights, rows in groups:
         gate = _fixed_gate(d, *heights, config)
         if gate is None:
             sites, _, read, terms = _step_plan(d, *heights, config)

@@ -197,13 +197,13 @@ def _swap_level(configs, states, level, after, take: int, expand: bool):
 
     Each chunk is planned once for every config: its first legs, the legs
     that discover the next level's surfaces, and its pair legs, with the
-    diamond property asserted once per pair. Each leg set is grouped once
-    per ``_group_key`` (``_row_groups``). The configs then step through the
-    plan one after another, so one config's stacks are held at a time.
+    diamond property asserted once per pair. It forms each leg set's groups
+    once per ``_group_key`` (``_row_groups``), and ``ts_step_batch`` steps
+    them for each config in turn, so one config's stacks are held at a time.
 
-    Returns, per config, (the states of ``after``, the next level, if
-    ``expand``, else None; pairs checked; the level's witness row, or None
-    if no residue is above 0).
+    Returns (pairs checked, [(the states of ``after``, the next level, if
+    ``expand``, else None; the level's witness row, or None if no residue
+    is above 0) per config]).
     """
     n = configs[0].n_sites
     keys = [_group_key(config) for config in configs]
@@ -247,15 +247,15 @@ def _swap_level(configs, states, level, after, take: int, expand: bool):
         first_groups, pair_groups = {}, {}
         for k, (config, key) in enumerate(zip(configs, keys)):
             if key not in first_groups:
-                first_groups[key] = _row_groups(legs, steps, key)
-            first = ts_step_batch(states[k], sources, legs, steps, config, first_groups[key])
+                first_groups[key] = _row_groups(legs, steps, config)
+            first = ts_step_batch(states[k], sources, first_groups[key], config)
             if expand:
                 next_states[k][targets] = first[found]
             if not opened:
                 continue
             if key not in pair_groups:
-                pair_groups[key] = _row_groups(pair_legs, pair_steps, key)
-            second = ts_step_batch(first, pair_sources, pair_legs, pair_steps, config, pair_groups[key])
+                pair_groups[key] = _row_groups(pair_legs, pair_steps, config)
+            second = ts_step_batch(first, pair_sources, pair_groups[key], config)
             del first
             residues = _state_distances(second[0::2], second[1::2])
             del second
@@ -268,36 +268,36 @@ def _swap_level(configs, states, level, after, take: int, expand: bool):
                     _fmt_deformation(d2),
                     float(residues[w]),
                 )
-    return [(states_k, pairs, witness) for states_k, witness in zip(next_states, witnesses)]
+    return pairs, list(zip(next_states, witnesses))
 
 
 def _swap_scans(configs, budget: int):
     """Order-swap scans of configs of one lattice over one walk of its surface levels.
 
-    Returns (max residue, witness row, surfaces visited, pairs checked,
-    exhausted flag) per config.
+    Returns ([(max residue, witness row) per config], and the walk's
+    surfaces visited, pairs checked and exhausted flag once for all).
     """
-    results = [[0.0, ("", "", "", 0.0), 0] for _ in configs]  # max residue, witness, pairs
+    results = [(0.0, ("", "", "", 0.0)) for _ in configs]
     states = [default_initial_state(config).amplitudes[None, :] for config in configs]
     levels = surface_levels(configs[0].n_sites, configs[0].horizon)
     level = next(levels)
-    visited = 0
+    visited = pairs = 0
     while True:
         after = next(levels, None)
         take = min(len(level[0]), budget - visited)
         visited += take
         expand = visited < budget and after is not None
-        scanned = _swap_level(configs, states, level, after, take, expand)
-        states = [next_states for next_states, _, _ in scanned]
-        for k, (_, pairs, witness) in enumerate(scanned):
-            results[k][2] += pairs
+        level_pairs, scanned = _swap_level(configs, states, level, after, take, expand)
+        pairs += level_pairs
+        states = [next_states for next_states, _ in scanned]
+        for k, (_, witness) in enumerate(scanned):
             if witness is not None and witness[3] > results[k][0]:
-                results[k][:2] = witness[3], witness
+                results[k] = witness[3], witness
         if not expand:
             break
         level = after
     exhausted = after is None and take == len(level[0])
-    return [(residue, witness, visited, pairs, exhausted) for residue, witness, pairs in results]
+    return results, visited, pairs, exhausted
 
 
 def integrability_check(config: ModelConfig, exploration_budget: int = 2000) -> ExperimentReport:
@@ -317,12 +317,13 @@ def integrability_check(config: ModelConfig, exploration_budget: int = 2000) -> 
     step through it in turn. A chunk's first legs, one per enabled
     deformation, are one ``ts_step_batch`` call; each opens every pair it
     belongs to, and the edge that discovered a surface gives the next level
-    its state. The chunk's second legs are one more call. Within a call,
-    rows that share a generator are one group and one kernel call, and the
-    rows whose coefficient reads the state share one coefficient pass.
-    Each call, and the verdict rules, read the config's plans from one
-    memoized ``_nonlinear_plans`` entry. The witness is the first strict
-    maximum in surface order, then ``itertools.combinations`` order.
+    its state. The chunk's second legs are one more call. The scan groups
+    each leg set's rows by generator (``_row_groups``), and each group is
+    one kernel call; the rows whose coefficient reads the state share one
+    coefficient pass. Each call, and the verdict rules, read the config's
+    plans from one memoized ``_nonlinear_plans`` entry. The witness is the
+    first strict maximum in surface order, then ``itertools.combinations``
+    order.
 
     Checks: ``apply_deformation`` (so ``is_enabled``) makes every edge of
     the graph; the diamond property (both orders enabled and reaching one
@@ -332,7 +333,7 @@ def integrability_check(config: ModelConfig, exploration_budget: int = 2000) -> 
     """
     if exploration_budget < 1:
         raise ValueError(f"exploration_budget must be >= 1, got {exploration_budget}")
-    (control, *_), (residue, witness, visited, pairs, exhausted) = _swap_scans(
+    ((control, _), (residue, witness)), visited, pairs, exhausted = _swap_scans(
         (linear_config(config), config), exploration_budget
     )
     metrics = (

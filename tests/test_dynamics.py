@@ -776,7 +776,7 @@ class TestReadObject:
                 # several sites share one coefficient pass.
                 enabled = enabled_deformations(s)
                 rows = len(enabled)
-                got = dynamics.ts_step_batch(psi.amplitudes[None, :], [0] * rows, [s] * rows, enabled, cfg)
+                got = batch_step(psi.amplitudes[None, :], [0] * rows, [s] * rows, enabled, cfg)
                 for row, e in zip(got, enabled):
                     assert_allclose(row, reference_step(psi, s, e, cfg)[0].amplitudes, rtol=0, atol=1e-14)
                 want, _, c, u = reference_step(psi, s, d, cfg)
@@ -821,9 +821,8 @@ class TestSizeMismatch:
         cfg = make_config(n_sites=3, horizon=2)
         good = (initial_surface(3, 2), LinkApply((0, 1), 0))
         bad = (initial_surface(4, 2), SiteAdvance(3))
-        stack = np.array([plus_state(3).amplitudes])
         with pytest.raises(ValueError, match=r"^sizes differ: state has 3 sites, surface 4, config 3$"):
-            dynamics.ts_step_batch(stack, [0, 0], *zip(good, bad), cfg)
+            dynamics._row_groups(*zip(good, bad), cfg)
 
 
 class TestSpacelikeInvariance:
@@ -1521,13 +1520,18 @@ def batch_rows(n, horizon, seed, size, pool):
     return [(states[int(rng.integers(size))],) + steps[int(rng.integers(pool))] for _ in range(size)]
 
 
+def batch_step(stack, sources, surfaces, steps, cfg):
+    """ts_step_batch on the groups ``_row_groups`` forms of ``surfaces`` and ``steps``."""
+    return dynamics.ts_step_batch(stack, sources, dynamics._row_groups(surfaces, steps, cfg), cfg)
+
+
 def step_rows(rows, cfg):
     """ts_step_batch on ``rows``, each state drawn by index from a stack of the distinct states."""
     states = list({id(psi): psi for psi, _, _ in rows}.values())
     stack = np.array([psi.amplitudes for psi in states])
     sources = [next(k for k, x in enumerate(states) if x is psi) for psi, _, _ in rows]
     surfaces, steps = [s for _, s, _ in rows], [d for _, _, d in rows]
-    return dynamics.ts_step_batch(stack, sources, surfaces, steps, cfg)
+    return batch_step(stack, sources, surfaces, steps, cfg)
 
 
 class TestBatchedStep:
@@ -1579,18 +1583,20 @@ class TestBatchedStep:
         assert {type(d) for _, d in rows} == {SiteAdvance, LinkApply}
         stack = np.array([random_state(n, rng).amplitudes for _ in range(5)])
         sources = rng.integers(len(stack), size=len(rows))
-        got = dynamics.ts_step_batch(stack, sources, *zip(*rows), cfg)
-        groups = dynamics._row_groups(*zip(*rows), dynamics._group_key(cfg))
-        assert any(group[-1] - group[0] >= len(group) for group in groups)  # some group interleaves
-        for group in groups:
-            s, d = rows[group[0]]
-            sites, _, u = dynamics._fixed_gate(d, *dynamics._read_heights(s, d, dynamics._group_key(cfg)), cfg)
+        groups = dynamics._row_groups(*zip(*rows), cfg)
+        got = dynamics.ts_step_batch(stack, sources, groups, cfg)
+        assert any(group[-1] - group[0] >= len(group) for _, _, group in groups)  # some group interleaves
+        for d, heights, group in groups:
+            s = rows[group[0]][0]
+            assert all(rows[r][1] == d for r in group)
+            assert heights == dynamics._read_heights(s, d, dynamics._group_key(cfg))
+            sites, _, u = dynamics._fixed_gate(d, *heights, cfg)
             assert np.array_equal(got[group], dynamics.apply_gate(stack[sources[group]], u, sites, n))
 
     def test_rejects_a_stack_of_the_wrong_width(self):
         cfg = make_config(n_sites=3, horizon=2)
         with pytest.raises(ValueError, match=r"^stack of shape \(2, 4\) is not \(M, 2\^3\)$"):
-            dynamics.ts_step_batch(np.zeros((2, 4), complex), [], [], [], cfg)
+            dynamics.ts_step_batch(np.zeros((2, 4), complex), [], [], cfg)
 
 
 class TestBatchedStepFaults:
@@ -1714,7 +1720,7 @@ class TestGateMemo:
 
         def batch(level):
             surfaces, steps = zip(*level)
-            return dynamics.ts_step_batch(stack, [k % 2 for k in range(len(level))], surfaces, steps, cfg)
+            return batch_step(stack, [k % 2 for k in range(len(level))], surfaces, steps, cfg)
 
         cold_steps, cold_batches = [], []
         for level in levels:
@@ -1802,5 +1808,5 @@ class TestGateMemo:
                 with pytest.raises(ValueError, match=message):
                     ts_step(plus_state(3), s, d, cfg)
                 with pytest.raises(ValueError, match=message):
-                    dynamics.ts_step_batch(stack, [0], [s], [d], cfg)
+                    batch_step(stack, [0], [s], [d], cfg)
         assert dynamics._fixed_gate.cache_info().currsize == 0

@@ -172,8 +172,14 @@ def reference_swap_scan(config, budget):
     return max_residue, witness, visited, pairs, not queue, rows
 
 
+def per_config(scans):
+    """Each config's (residue, witness, visited, pairs, exhausted) from one ``_swap_scans`` result."""
+    results, *shared = scans
+    return [(residue, witness, *shared) for residue, witness in results]
+
+
 def swap_scan(config, budget):
-    return _swap_scans((config,), budget)[0]
+    return per_config(_swap_scans((config,), budget))[0]
 
 
 def assert_scan_matches_reference(got, want):
@@ -228,7 +234,7 @@ class TestSwapScanSharedLegs:
     @pytest.mark.parametrize("budget", [5, 10000])
     def test_one_walk_serves_each_config_as_its_own_scan(self, budget):
         cfgs = [cfg_with(kind, lam=lam, n_sites=4, horizon=3) for kind, lam in MODELS]
-        assert _swap_scans(cfgs, budget) == [swap_scan(cfg, budget) for cfg in cfgs]
+        assert per_config(_swap_scans(cfgs, budget)) == [swap_scan(cfg, budget) for cfg in cfgs]
 
     @pytest.mark.parametrize("kind", NONLINEARITY_KINDS)
     @pytest.mark.parametrize("budget", [100, 10000])
@@ -236,7 +242,7 @@ class TestSwapScanSharedLegs:
         # 100 cuts the level of surfaces 85-115 part-way; 10000 is exhaustive.
         cfg = cfg_with(kind, n_sites=5, horizon=4)
         pair = (linear_config(cfg), cfg)
-        assert _swap_scans(pair, budget) == [_swap_scans((c,), budget)[0] for c in pair]
+        assert per_config(_swap_scans(pair, budget)) == [swap_scan(c, budget) for c in pair]
 
     @pytest.mark.parametrize("kind, shared", [("local", True), ("coefficient_nonlocal", False)])
     def test_leg_sets_are_grouped_once_per_group_key(self, monkeypatch, kind, shared):
@@ -273,7 +279,7 @@ class TestSwapScanSharedLegs:
         assert (max(widths), budget) == (624, 3209)
         tracemalloc.start()
         try:
-            *_, (_, _, visited, _, _) = _swap_scans(configs, budget)
+            _, visited, _, _ = _swap_scans(configs, budget)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
