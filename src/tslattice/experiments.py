@@ -38,6 +38,7 @@ from .dynamics import (
     ts_step_batch,
 )
 from .quantum_core import (
+    IDENTITY_2,
     DensityMatrix,
     StateVector,
     _real_expectation,
@@ -436,20 +437,18 @@ _SETTINGS = "ZX"
 
 
 def _measurement_branches(state: StateVector, site: int, setting: str):
-    """Exact Born-rule branching: [(outcome label, probability, collapsed state)]."""
+    """Exact Born-rule branching: [(outcome label, probability, collapsed state)], outcome - first.
+
+    The projector on outcome ±1 of the Pauli P is (I ± P) / 2, exact in floating point.
+    """
     op = BASE_OPERATORS[setting.lower()]
-    evals, evecs = np.linalg.eigh(op)
     branches = []
-    for k in range(2):
-        v = evecs[:, k]
-        proj = np.outer(v, v.conj())
+    for sign in "-+":
+        proj = 0.5 * (IDENTITY_2 - op if sign == "-" else IDENTITY_2 + op)
         amps = apply_gate(state.amplitudes, proj, (site,), state.n_sites)
         p = float(_row_products(amps, amps).real)
-        if p < 1e-15:
-            continue
-        branches.append(
-            (f"{setting}{'+' if evals[k] > 0 else '-'}", p, StateVector(amps / math.sqrt(p), state.n_sites))
-        )
+        if p >= 1e-15:
+            branches.append((setting + sign, p, StateVector(amps / math.sqrt(p), state.n_sites)))
     return branches
 
 

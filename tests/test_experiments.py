@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
-from reference import random_unitary
+from reference import random_state, random_unitary
 
 from tslattice import dynamics, experiments, quantum_core
 from tslattice.dynamics import (
@@ -48,7 +48,7 @@ from tslattice.experiments import (
     signaling_experiment,
     verdict_from,
 )
-from tslattice.quantum_core import SiteOperator, StateVector, expectation, state_distance
+from tslattice.quantum_core import SiteOperator, StateVector, expectation, plus_state, state_distance, zero_state
 from tslattice.spacetime import (
     LinkApply,
     SiteAdvance,
@@ -391,6 +391,22 @@ class TestSignalingExperiment:
             probs[setting] = probs.get(setting, 0.0) + row[1]
         for total in probs.values():
             assert total == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("setting", ["Z", "X"])
+    def test_branches_are_the_sign_projections_of_the_pauli(self, setting):
+        # (I - P) / 2 first, then (I + P) / 2; each collapsed state is an
+        # eigenvector of P at Alice's site with its outcome's sign.
+        field = SiteOperator(BASE_OPERATORS[setting.lower()], 1)
+        psi = random_state(3, np.random.default_rng(5))
+        branches = experiments._measurement_branches(psi, 1, setting)
+        assert [label for label, _, _ in branches] == [setting + "-", setting + "+"]
+        assert sum(p for _, p, _ in branches) == pytest.approx(1.0, rel=0, abs=1e-14)
+        for (_, p, branch), sign in zip(branches, (-1.0, 1.0)):
+            assert expectation(branch, field) == pytest.approx(sign, rel=0, abs=1e-14)
+            assert p == pytest.approx((1 + sign * expectation(psi, field)) / 2, rel=0, abs=1e-14)
+        # On P's +1 eigenstate, (I - P) / 2 leaves zeros: one branch.
+        eigenstate = {"Z": zero_state, "X": plus_state}[setting](3)
+        assert [label for label, _, _ in experiments._measurement_branches(eigenstate, 1, setting)] == [setting + "+"]
 
     def test_rejects_coincident_sites(self):
         with pytest.raises(ValueError, match="distinct"):
