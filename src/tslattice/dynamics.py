@@ -146,7 +146,9 @@ class ModelConfig:
                 f"base_operator {self.base_operator!r} not in x|y|z"
             )
         nl = self.nonlinearity
-        for label, site in (("source_site", nl.source_site), ("partner_site", nl.partner_site)):
+        sites = [("source_site", nl.source_site), ("partner_site", nl.partner_site)]
+        sites += [("active_sites", site) for site in sorted(nl.active_sites or ())]
+        for label, site in sites:
             if site is not None and not 0 <= site < self.n_sites:
                 raise ValueError(f"{label} {site} out of range for {self.n_sites} sites")
 

@@ -1499,6 +1499,14 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="out of range"):
             make_config(n_sites=3, horizon=2, kind="operator_nonlocal", lam=0.5, partner_site=7)
 
+    @pytest.mark.parametrize("active, bad", [({7}, 7), ({-1}, -1), ({7, -1}, -1), ({0, 4}, 4)])
+    def test_active_sites_on_the_lattice(self, active, bad):
+        with pytest.raises(ValueError, match=rf"^active_sites {bad} out of range for 4 sites$"):
+            ModelConfig(n_sites=4, nonlinearity=NonlinearitySpec(kind="local", lam=0.5, active_sites=active))
+        for ok in (set(), {0, 3}):  # the empty set masks every site
+            spec = NonlinearitySpec(kind="local", lam=0.5, active_sites=ok)
+            assert ModelConfig(n_sites=4, nonlinearity=spec).nonlinearity.active_sites == frozenset(ok)
+
 
 def batch_rows(n, horizon, seed, size, pool):
     """``size`` rows of (state, surface, deformation) for ``ts_step_batch``.
