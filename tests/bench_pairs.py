@@ -18,7 +18,12 @@ metric; and each side's distinct run.py machine lines. It is rewritten
 after every pair. A run that exits non-zero (a round shorter than the
 first 50 ms reference slice dies with ``StatisticsError``) is kept with its
 exit status and the tail of its standard error, counted in its side's
-``exited_nonzero``, and left out of the figures; the script then exits 1.
+``exited_nonzero``, and left out of the figures. ``run.py`` exits 0 even
+when its own check fails, so each side also counts its runs that report
+``correct: false`` (``incorrect``) and writes its ``failed_share``, the sum
+of ``failed`` over the sum of ``attempted``. The script exits 1 if any run
+exited non-zero or is incorrect, or if the change's failed share on a
+workload is above the parent's.
 """
 
 from __future__ import annotations
@@ -89,9 +94,12 @@ def record(pairs: list) -> dict:
         for r in runs:
             if r.get("machine") not in machines and r.get("machine") is not None:
                 machines.append(r["machine"])
+        attempted = sum(r.get("attempted", 0) for r in runs)
         entry[side] = {
             "runs": [{key: value for key, value in r.items() if key != "machine"} for r in runs],
             "exited_nonzero": sum("returncode" in r for r in runs),
+            "incorrect": sum("correct" in r and not r["correct"] for r in runs),
+            "failed_share": sum(r.get("failed", 0) for r in runs) / attempted if attempted else None,
         }
         entry[side].update(summary(runs), machine=machines)
     for name in METRICS:
@@ -132,16 +140,25 @@ def main(argv=None) -> int:
                 bench["workloads"][workload] = record(pairs)
                 args.out.write_text(json.dumps(bench, indent=1) + "\n")
                 print(f"{workload} seed {seed}: " + json.dumps({s: r.get("metrics") for s, r in sides.items()}))
-    dead = {
-        f"{workload} {side}": entry[side]["exited_nonzero"]
-        for workload, entry in bench["workloads"].items()
-        for side in ("parent", "change")
-        if entry[side]["exited_nonzero"]
-    }
-    if dead:
-        print(f"runs that exited non-zero: {json.dumps(dead)}", file=sys.stderr)
+    problems = rejections(bench["workloads"])
+    if problems:
+        print(f"rejected: {json.dumps(problems)}", file=sys.stderr)
         return 1
     return 0
+
+
+def rejections(workloads: dict) -> dict:
+    """Per workload and side, the runs that exited non-zero or are incorrect, and a change's higher failed share."""
+    problems = {}
+    for workload, entry in workloads.items():
+        for side in ("parent", "change"):
+            for count in ("exited_nonzero", "incorrect"):
+                if entry[side][count]:
+                    problems[f"{workload} {side} {count}"] = entry[side][count]
+        parent, change = entry["parent"]["failed_share"], entry["change"]["failed_share"]
+        if parent is not None and change is not None and change > parent:
+            problems[f"{workload} change failed_share"] = f"{change} > parent {parent}"
+    return problems
 
 
 if __name__ == "__main__":

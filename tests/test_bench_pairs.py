@@ -1,13 +1,16 @@
-"""The benchmark-pairs script counts and reports runs that exited non-zero."""
+"""The benchmark-pairs script counts and reports dead runs, incorrect runs and failed operations."""
 
 import json
 
 import bench_pairs
+import pytest
 
 
-def finished(seed, wall):
+def finished(seed, wall, correct=True, attempted=1, failed=0):
     metrics = {"wall_ref": wall, "setup_s": 0.05, "peak_rss_mb": 50.0}
-    return {"seed": seed, "correct": 1, "attempted": 1, "failed": 0, "metrics": metrics, "machine": None}
+    return {
+        "seed": seed, "correct": correct, "attempted": attempted, "failed": failed, "metrics": metrics, "machine": None
+    }
 
 
 def died(seed):
@@ -43,3 +46,38 @@ def test_a_dead_run_makes_the_script_exit_one(tmp_path, monkeypatch, capsys):
     assert json.loads(out.read_text())["workloads"]["swap_scan"]["change"]["exited_nonzero"] == 1
     runs[("change", 1)] = finished(1, 95.0)
     assert bench_pairs.main(argv) == 0
+
+
+def script_exit(tmp_path, monkeypatch, runs):
+    """``main``'s exit status on one swap_scan pair of seed 1 from ``runs``, and its JSON file."""
+    monkeypatch.setattr(bench_pairs, "export", lambda rev, into: rev)
+    monkeypatch.setattr(bench_pairs, "run", lambda checkout, workload, seed, seconds: runs[checkout.name])
+    out = tmp_path / "bench.json"
+    argv = ["--parent", "p", "--change", "c", "--seeds", "1", "--workloads", "swap_scan", "--out", str(out)]
+    return bench_pairs.main(argv), json.loads(out.read_text())["workloads"]["swap_scan"]
+
+
+@pytest.mark.parametrize("side", ["parent", "change"])
+def test_an_incorrect_run_makes_the_script_exit_one(tmp_path, monkeypatch, capsys, side):
+    # run.py exits 0 when its own check fails; the pair still counts it.
+    runs = {"parent": finished(1, 100.0), "change": finished(1, 95.0)}
+    runs[side] = finished(1, 95.0, correct=False)
+    status, entry = script_exit(tmp_path, monkeypatch, runs)
+    assert status == 1
+    assert f"swap_scan {side} incorrect" in capsys.readouterr().err
+    assert (entry["parent"]["incorrect"], entry["change"]["incorrect"]) == ((1, 0) if side == "parent" else (0, 1))
+    assert entry[side]["wall_ref"]["runs"] == 1  # an incorrect run keeps its figures
+
+
+def test_a_higher_failed_share_on_the_change_makes_the_script_exit_one(tmp_path, monkeypatch, capsys):
+    runs = {"parent": finished(1, 100.0, attempted=40, failed=1), "change": finished(1, 95.0, attempted=20, failed=1)}
+    status, entry = script_exit(tmp_path, monkeypatch, runs)
+    assert (entry["parent"]["failed_share"], entry["change"]["failed_share"]) == (0.025, 0.05)
+    assert status == 1
+    assert "swap_scan change failed_share" in capsys.readouterr().err
+    # An equal or lower share passes, and a side with no finished run has none.
+    runs["change"] = finished(1, 95.0, attempted=80, failed=2)
+    assert script_exit(tmp_path, monkeypatch, runs)[0] == 0
+    runs["change"] = died(1)
+    status, entry = script_exit(tmp_path, monkeypatch, runs)
+    assert (status, entry["change"]["failed_share"]) == (1, None)
