@@ -447,8 +447,9 @@ def _measurement_branches(state: StateVector, site: int, setting: str):
         proj = 0.5 * (IDENTITY_2 - op if sign == "-" else IDENTITY_2 + op)
         amps = apply_gate(state.amplitudes, proj, (site,), state.n_sites)
         p = float(_row_products(amps, amps).real)
-        if p >= 1e-15:
-            branches.append((setting + sign, p, StateVector(amps / math.sqrt(p), state.n_sites)))
+        if p < 1e-15:
+            continue
+        branches.append((setting + sign, p, StateVector(amps / math.sqrt(p), state.n_sites)))
     return branches
 
 
