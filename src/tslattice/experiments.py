@@ -275,6 +275,8 @@ def _swap_level(configs, states, level, after, take: int, expand: bool):
 def _swap_scans(configs, budget: int):
     """Order-swap scans of configs of one lattice over one walk of its surface levels.
 
+    Each level goes through ``_swap_level``, which forms each leg set's
+    groups once per ``_group_key`` and has ``ts_step_batch`` step them.
     Returns ([(max residue, witness row) per config], and the walk's
     surfaces visited, pairs checked and exhausted flag once for all).
     """

@@ -35,19 +35,6 @@ def test_a_run_without_a_metric_is_left_out_of_its_tally():
     assert "setup_s" not in entry["change"]
 
 
-def test_a_dead_run_makes_the_script_exit_one(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(bench_pairs, "export", lambda rev, into: rev)
-    runs = {("parent", 1): finished(1, 100.0), ("change", 1): died(1)}
-    monkeypatch.setattr(bench_pairs, "run", lambda checkout, workload, seed, seconds: runs[(checkout.name, seed)])
-    out = tmp_path / "bench.json"
-    argv = ["--parent", "p", "--change", "c", "--seeds", "1", "--workloads", "swap_scan", "--out", str(out)]
-    assert bench_pairs.main(argv) == 1
-    assert "swap_scan change" in capsys.readouterr().err
-    assert json.loads(out.read_text())["workloads"]["swap_scan"]["change"]["exited_nonzero"] == 1
-    runs[("change", 1)] = finished(1, 95.0)
-    assert bench_pairs.main(argv) == 0
-
-
 def script_exit(tmp_path, monkeypatch, runs):
     """``main``'s exit status on one swap_scan pair of seed 1 from ``runs``, and its JSON file."""
     monkeypatch.setattr(bench_pairs, "export", lambda rev, into: rev)
@@ -55,6 +42,16 @@ def script_exit(tmp_path, monkeypatch, runs):
     out = tmp_path / "bench.json"
     argv = ["--parent", "p", "--change", "c", "--seeds", "1", "--workloads", "swap_scan", "--out", str(out)]
     return bench_pairs.main(argv), json.loads(out.read_text())["workloads"]["swap_scan"]
+
+
+def test_a_dead_run_makes_the_script_exit_one(tmp_path, monkeypatch, capsys):
+    runs = {"parent": finished(1, 100.0), "change": died(1)}
+    status, entry = script_exit(tmp_path, monkeypatch, runs)
+    assert status == 1
+    assert "swap_scan change" in capsys.readouterr().err
+    assert entry["change"]["exited_nonzero"] == 1
+    runs["change"] = finished(1, 95.0)
+    assert script_exit(tmp_path, monkeypatch, runs)[0] == 0
 
 
 @pytest.mark.parametrize("side", ["parent", "change"])
